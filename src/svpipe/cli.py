@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import e2e as e2e_mod
-from . import frontend, gmm, ivecnet, ivector, metrics, plda, statsnet
+from . import frontend, gmm, ivecnet, ivector, metrics, netcore, plda, statsnet
 from . import dplda as dplda_mod
 from .corpus import (
     Corpus,
@@ -117,8 +117,12 @@ DEFAULTS = {
 
 def load_config(path):
     """Parse a flat key=value config file; '#' starts a comment line."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -145,11 +149,17 @@ class Config:
     def get(self, key):
         return self.values[key]
 
+    def _parsed(self, key, parse):
+        try:
+            return parse(self.values[key])
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {self.values[key]!r}") from None
+
     def get_int(self, key):
-        return int(self.values[key])
+        return self._parsed(key, int)
 
     def get_float(self, key):
-        return float(self.values[key])
+        return self._parsed(key, float)
 
     def get_bool(self, key):
         value = self.values[key].lower()
@@ -160,11 +170,13 @@ class Config:
         raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
     def get_ints(self, key):
-        return tuple(int(v) for v in self.values[key].split(",") if v.strip())
+        return self._parsed(
+            key, lambda value: tuple(int(v) for v in value.split(",") if v.strip())
+        )
 
     @property
     def seed(self):
-        return int(self.values["seed"])
+        return self.get_int("seed")
 
     @property
     def workdir(self):
@@ -433,7 +445,8 @@ def cmd_train_s2i(cfg, args):
     _write_model(cfg, "ivecnet.svm", net.to_tensors())
 
 
-def _assemble_from_workdir(cfg, corpus):
+def cmd_train_joint(cfg, args):
+    corpus = _load_corpus(cfg)
     ubm = gmm.DiagGmm.from_tensors(read_container(cfg.path("ubm.svm")))
     net = statsnet.StatsNet.from_tensors(read_container(cfg.path("statsnet.svm")))
     pca = ivecnet.PcaModel.from_tensors(read_container(cfg.path("pca.svm")))
@@ -475,22 +488,8 @@ def _assemble_from_workdir(cfg, corpus):
             init, embeddings, speakers, obj, max_iters=cfg.get_int("dplda.max_iters")
         )
     system.dplda = init
-    system.snapshot = None
-    return system
-
-
-def cmd_train_joint(cfg, args):
-    corpus = _load_corpus(cfg)
-    system = _assemble_from_workdir(cfg, corpus)
-    system = e2e_mod.assemble_system(
-        system.frontend,
-        system.stats_net,
-        system.ubm,
-        system.pca,
-        system.ivec_net,
-        system.dplda,
-        relevance=system.relevance,
-        snapshot_weight=cfg.get_float("joint.lambda_init"),
+    system.snapshot = netcore.make_snapshot(
+        system.trainable_parameters(), cfg.get_float("joint.lambda_init")
     )
     schedule = e2e_mod.TrainSchedule(
         n_pairs=cfg.get_int("joint.pairs"),
@@ -508,10 +507,9 @@ def cmd_train_joint(cfg, args):
 def cmd_train_e2e(cfg, args):
     corpus = _load_corpus(cfg)
     system = e2e_mod.E2eSystem.from_tensors(read_container(cfg.path("system.svm")))
-    if system.snapshot is None:
-        system.snapshot = e2e_mod.netcore.make_snapshot(
-            system.trainable_parameters(), cfg.get_float("e2e.lambda_init")
-        )
+    # keep the cascade initialization train-joint froze; reweight its pull
+    anchor = system.trainable_parameters() if system.snapshot is None else system.snapshot.values
+    system.snapshot = netcore.make_snapshot(anchor, cfg.get_float("e2e.lambda_init"))
     schedule = e2e_mod.TrainSchedule(
         n_pairs=cfg.get_int("e2e.pairs"),
         lr=cfg.get_float("e2e.lr"),
@@ -661,6 +659,9 @@ def main(argv=None):
         return 4
     except PipelineError as exc:
         logger.error("%s", exc)
+        return 3
+    except FileNotFoundError as exc:
+        logger.error("missing input file %s", exc.filename)
         return 3
     return 0
 

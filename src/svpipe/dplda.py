@@ -216,12 +216,6 @@ def bxe_objective(params: DpldaParams, batch: TrialBatch, cfg: ObjectiveConfig):
     return float(loss), grads, d_vectors
 
 
-def weighted_bxe(params: DpldaParams, batch: TrialBatch, cfg: ObjectiveConfig):
-    """Loss and parameter gradients only (see bxe_objective)."""
-    loss, grads, _ = bxe_objective(params, batch, cfg)
-    return loss, grads
-
-
 # ---------------------------------------------------------------------------
 # full-batch quasi-Newton training
 
@@ -378,12 +372,3 @@ def draw_groups(pool: PairPool, n_pairs, rng):
         taken.append(pool.groups.pop(0))
     return np.concatenate(taken)
 
-
-def next_minibatch(pool: PairPool, n_pairs, rng, vectors, speakers) -> TrialBatch:
-    """Draw a minibatch of utterance groups and form every trial among them."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    speakers = np.asarray(speakers)
-    if vectors.shape[0] == 0:
-        raise InputError("empty corpus")
-    idx = draw_groups(pool, n_pairs, rng)
-    return TrialBatch.all_trials(vectors[idx], speakers[idx])

@@ -1,4 +1,4 @@
-"""Assembled end-to-end system and its joint training loops.
+"""Assembled end-to-end system and its joint training loop.
 
 The scoring path is features -> normalization/context expansion -> statistics
 network -> MAP supervector -> fixed PCA -> embedding network -> quadratic
@@ -24,7 +24,6 @@ import numpy as np
 from . import netcore
 from .corpus import Corpus
 from .dplda import (
-    DEFAULT_E2E_PAIRS,
     DEFAULT_JOINT_PAIRS,
     DpldaParams,
     ObjectiveConfig,
@@ -44,7 +43,7 @@ from .frontend import (
 from .gmm import DiagGmm, sufficient_stats
 from .ivecnet import DEFAULT_RELEVANCE, IvecNet, PcaModel, map_supervector
 from .metrics import ScoredTrials, c_primary, eer
-from .statsnet import StatsNet
+from .statsnet import StatsNet, pooled_stats_backward
 
 logger = logging.getLogger(__name__)
 
@@ -197,25 +196,20 @@ def _utterance_stats(system, features, ledger=None, keep_cache=False):
     return norm, stats, acts
 
 
-def embed_utterance(system: E2eSystem, features):
-    """Unit-norm embedding of one utterance (inference path)."""
+def _pca_coords(system, features):
     _, stats, _ = _utterance_stats(system, features)
     supervector = map_supervector(system.ubm, stats, system.relevance)
-    coords = (supervector - system.pca.mean) @ system.pca.basis
+    return (supervector - system.pca.mean) @ system.pca.basis
+
+
+def embed_utterance(system: E2eSystem, features):
+    """Unit-norm embedding of one utterance (inference path)."""
+    coords = _pca_coords(system, features)
     return netcore.forward(system.ivec_net.net, coords[None, :])[-1][0]
 
 
 def embed_utterances(system: E2eSystem, features_list):
     return np.stack([embed_utterance(system, f) for f in features_list])
-
-
-def e2e_score(system: E2eSystem, features_a, features_b):
-    """Trial score between two utterances; symmetric in its arguments."""
-    from .dplda import dplda_score
-
-    return dplda_score(
-        system.dplda, embed_utterance(system, features_a), embed_utterance(system, features_b)
-    )
 
 
 def _system_grads(system, features_list, loss_fn, ledger, keep_caches):
@@ -251,18 +245,16 @@ def _system_grads(system, features_list, loss_fn, ledger, keep_caches):
     stats_grads = [np.zeros_like(p) for p in system.stats_net.net.parameters()]
     for u, features in enumerate(features_list):
         d_sv = d_super[u].reshape(c, d)
-        sv = supervectors[u].reshape(c, d)
         denom = stats_list[u].n + system.relevance
         d_f = d_sv / denom[:, None]
-        d_n = -(d_sv * sv).sum(axis=1) / denom
-        d_resp_grad = d_n[None, :] + norms[u] @ d_f.T
+        d_n = -(d_sv * supervectors[u].reshape(c, d)).sum(axis=1) / denom
         if keep_caches:
             acts = caches[u]
         else:
             if ledger is not None:
                 ledger.acquire()
             acts = netcore.forward(system.stats_net.net, preprocess(system, features)[1])
-        grads_u, _ = netcore.backward(system.stats_net.net, acts, d_resp_grad)
+        grads_u = pooled_stats_backward(system.stats_net, acts, norms[u], d_n, d_f)
         if not keep_caches and ledger is not None:
             ledger.release()
         for g, gu in zip(stats_grads, grads_u):
@@ -302,7 +294,6 @@ class TrainSchedule:
     lr: float = 1e-3
     epoch_batches: int = DEFAULT_EPOCH_BATCHES
     max_epochs: int = 10
-    halve_on_plateau: bool = True
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
 
     def __post_init__(self):
@@ -344,48 +335,51 @@ def _dev_metrics(embeddings, speakers, params):
 def train_joint_s2i_dplda(system: E2eSystem, corpus: Corpus, schedule, rng):
     """Jointly train the embedding network and the scoring parameters.
 
-    The statistics network stays frozen, so its PCA-projected outputs are
-    precomputed once. Returns (system, history); the system carries the
-    best-on-dev parameters (initialization included as a candidate).
+    The statistics network stays frozen. Returns (system, history); the
+    system carries the best-on-dev parameters (initialization included as a
+    candidate).
     """
-    train_feats, train_speakers = _split_features(corpus, "train")
-    dev_feats, dev_speakers = _split_features(corpus, "dev")
+    return _train_jointly(system, corpus, schedule, rng, train_stats_net=False)
 
-    def projected(features_list):
-        coords = []
-        for features in features_list:
-            _, stats, _ = _utterance_stats(system, features)
-            sv = map_supervector(system.ubm, stats, system.relevance)
-            coords.append((sv - system.pca.mean) @ system.pca.basis)
-        return np.stack(coords)
 
-    train_coords = projected(train_feats)
-    dev_coords = projected(dev_feats)
+def train_e2e_full(system: E2eSystem, corpus: Corpus, schedule, rng):
+    """Train all three stages jointly with checkpointed backpropagation."""
+    return _train_jointly(system, corpus, schedule, rng, train_stats_net=True)
 
-    n_skip = system.n_stats_params
+
+def _train_jointly(system, corpus, schedule, rng, train_stats_net):
+    """Adam on sampled trial batches with a snapshot penalty and best-on-dev.
+
+    A frozen statistics network only feeds fixed inputs to the embedding
+    network, so its PCA coordinates are computed once per utterance and each
+    batch runs the embedding network alone. A trained one is backpropagated
+    through per batch with checkpointed_grads.
+    """
     if system.snapshot is None:
         raise ConfigError("system has no parameter snapshot; assemble it first")
-    sub_snapshot = netcore.ParamSnapshot(
+    train_feats, train_speakers = _split_features(corpus, "train")
+    dev_feats, dev_speakers = _split_features(corpus, "dev")
+    n_skip = 0 if train_stats_net else system.n_stats_params
+    frozen = system.trainable_parameters()[:n_skip]
+    snapshot = netcore.ParamSnapshot(
         system.snapshot.values[n_skip:], system.snapshot.weights[n_skip:]
     )
 
-    def forward_dev():
-        emb = netcore.forward(system.ivec_net.net, dev_coords)[-1]
-        return _dev_metrics(emb, dev_speakers, system.dplda)
-
     def params_of():
-        return system.ivec_net.net.parameters() + [
-            system.dplda.lam,
-            system.dplda.gamma,
-            system.dplda.c,
-            np.asarray(system.dplda.k, dtype=np.float64),
-        ]
+        return system.trainable_parameters()[n_skip:]
 
     def set_params(params):
-        n_i = system.n_ivec_params
-        system.ivec_net.net.set_parameters(params[:n_i])
-        lam, gamma, c, k = params[n_i:]
-        system.dplda = DpldaParams(lam, gamma, c, float(k))
+        system.set_trainable_parameters(frozen + params)
+
+    if train_stats_net:
+        def dev_embeddings():
+            return embed_utterances(system, dev_feats)
+    else:
+        train_coords = np.stack([_pca_coords(system, f) for f in train_feats])
+        dev_coords = np.stack([_pca_coords(system, f) for f in dev_feats])
+
+        def dev_embeddings():
+            return netcore.forward(system.ivec_net.net, dev_coords)[-1]
 
     utts_by_speaker = {
         spk: np.flatnonzero(train_speakers == spk)
@@ -396,92 +390,41 @@ def train_joint_s2i_dplda(system: E2eSystem, corpus: Corpus, schedule, rng):
 
     def batch_step():
         idx = draw_groups(pool, schedule.n_pairs, rng)
-        acts = netcore.forward(system.ivec_net.net, train_coords[idx])
-        batch = TrialBatch.all_trials(acts[-1], train_speakers[idx])
-        loss, d_params, d_emb = bxe_objective(system.dplda, batch, schedule.objective)
-        ivec_grads, _ = netcore.backward(system.ivec_net.net, acts, d_emb)
-        grads = ivec_grads + [d_params.lam, d_params.gamma, d_params.c, np.asarray(d_params.k, dtype=np.float64)]
-        params = params_of()
-        penalty, pen_grads = netcore.penalty_to_snapshot(params, sub_snapshot)
-        grads = [g + pg for g, pg in zip(grads, pen_grads)]
-        set_params(netcore.adam_step(adam, params, grads))
-        return loss + penalty
-
-    system, history = _epoch_loop(system, schedule, adam, batch_step, forward_dev, set_params, params_of)
-    return system, history
-
-
-def train_e2e_full(system: E2eSystem, corpus: Corpus, schedule=None, rng=None):
-    """Train all three stages jointly with checkpointed backpropagation."""
-    if schedule is None:
-        schedule = TrainSchedule(n_pairs=DEFAULT_E2E_PAIRS)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    train_feats, train_speakers = _split_features(corpus, "train")
-    dev_feats, dev_speakers = _split_features(corpus, "dev")
-    if system.snapshot is None:
-        raise ConfigError("system has no parameter snapshot; assemble it first")
-
-    def forward_dev():
-        emb = embed_utterances(system, dev_feats)
-        return _dev_metrics(emb, dev_speakers, system.dplda)
-
-    def params_of():
-        return system.trainable_parameters()
-
-    def set_params(params):
-        system.set_trainable_parameters(params)
-
-    utts_by_speaker = {
-        spk: np.flatnonzero(train_speakers == spk)
-        for spk in np.unique(train_speakers)
-    }
-    pool = make_pair_pool(utts_by_speaker, rng)
-    adam = netcore.AdamState.create(params_of(), lr=schedule.lr)
-
-    def batch_step():
-        idx = draw_groups(pool, schedule.n_pairs, rng)
-        speakers = train_speakers[idx]
         holder = {}
 
         def loss_fn(embeddings):
-            batch = TrialBatch.all_trials(embeddings, speakers)
-            loss, d_params, d_emb = bxe_objective(
+            batch = TrialBatch.all_trials(embeddings, train_speakers[idx])
+            loss, holder["d"], d_emb = bxe_objective(
                 system.dplda, batch, schedule.objective
             )
-            holder["d_params"] = d_params
             return loss, d_emb
 
-        loss, net_grads = checkpointed_grads(
-            system, [train_feats[i] for i in idx], loss_fn
-        )
-        d_params = holder["d_params"]
-        grads = net_grads + [d_params.lam, d_params.gamma, d_params.c, np.asarray(d_params.k, dtype=np.float64)]
+        if train_stats_net:
+            loss, net_grads = checkpointed_grads(
+                system, [train_feats[i] for i in idx], loss_fn
+            )
+        else:
+            acts = netcore.forward(system.ivec_net.net, train_coords[idx])
+            loss, d_emb = loss_fn(acts[-1])
+            net_grads, _ = netcore.backward(system.ivec_net.net, acts, d_emb)
+        d = holder["d"]
+        grads = net_grads + [d.lam, d.gamma, d.c, np.asarray(d.k, dtype=np.float64)]
         params = params_of()
-        penalty, pen_grads = netcore.penalty_to_snapshot(params, system.snapshot)
+        penalty, pen_grads = netcore.penalty_to_snapshot(params, snapshot)
         grads = [g + pg for g, pg in zip(grads, pen_grads)]
         set_params(netcore.adam_step(adam, params, grads))
         return loss + penalty
 
-    system, history = _epoch_loop(system, schedule, adam, batch_step, forward_dev, set_params, params_of)
-    return system, history
-
-
-def _epoch_loop(system, schedule, adam, batch_step, forward_dev, set_params, params_of):
-    init_eer, init_c = forward_dev()
-    best_c = init_c
+    init_eer, best_c = _dev_metrics(dev_embeddings(), dev_speakers, system.dplda)
     best_params = [p.copy() for p in params_of()]
-    history = [EpochRecord(0, np.nan, init_eer, init_c, schedule.lr)]
-    dev_curve = [init_c]
-    lr = schedule.lr
+    history = [EpochRecord(0, np.nan, init_eer, best_c, schedule.lr)]
+    dev_curve = [best_c]
     for epoch in range(1, schedule.max_epochs + 1):
         losses = [batch_step() for _ in range(schedule.epoch_batches)]
-        dev_eer, dev_c = forward_dev()
+        dev_eer, dev_c = _dev_metrics(dev_embeddings(), dev_speakers, system.dplda)
         dev_curve.append(dev_c)
-        if schedule.halve_on_plateau:
-            lr = lr_schedule_step(dev_curve, lr)
-            adam.lr = lr
-        record = EpochRecord(epoch, float(np.mean(losses)), dev_eer, dev_c, lr)
+        adam.lr = lr_schedule_step(dev_curve, adam.lr)
+        record = EpochRecord(epoch, float(np.mean(losses)), dev_eer, dev_c, adam.lr)
         history.append(record)
         logger.info("%s", format_epoch_log(record))
         if dev_c < best_c:

@@ -109,7 +109,11 @@ def read_container(path):
     tensors = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", need(4, "name length"))
-        name = need(name_len, "name").decode("utf-8")
+        try:
+            name = need(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            offset = pos - name_len
+            raise FormatError(f"{path}: tensor name is not utf-8", offset=offset) from None
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor name {name!r}", offset=pos)
         (rank,) = struct.unpack("<B", need(1, "rank"))

@@ -138,7 +138,6 @@ class IvecNetTrainConfig:
     n_epochs: int = 100
     batch_size: int = 64
     seed: int = 0
-    halve_on_plateau: bool = True
 
 
 def train_ivec_net(net: IvecNet, inputs, refs, cfg):
@@ -180,7 +179,7 @@ def train_ivec_net(net: IvecNet, inputs, refs, cfg):
         )
         epoch_loss = total / inputs.shape[0] + l1_term
         history.append(epoch_loss)
-        if cfg.halve_on_plateau and epoch_loss >= best:
+        if epoch_loss >= best:
             lr *= 0.5
         best = min(best, epoch_loss)
     logger.debug("ivecnet final loss %.6f", history[-1] if history else np.nan)

@@ -137,10 +137,6 @@ def extract_ivector(tv: TvModel, ubm: DiagGmm, stats: SuffStats):
     return np.linalg.solve(precision, proj)
 
 
-def extract_ivectors(tv: TvModel, ubm: DiagGmm, stats_list):
-    return np.stack([extract_ivector(tv, ubm, s) for s in stats_list])
-
-
 def lengthnorm(x):
     """Scale rows (or a single vector) to unit norm; zero stays zero."""
     x = np.asarray(x, dtype=np.float64)

@@ -71,7 +71,6 @@ class StatsNetTrainConfig:
     n_epochs: int = 5
     batch_frames: int = 512
     seed: int = 0
-    halve_on_plateau: bool = True
 
 
 def train_stats_net(net: StatsNet, expanded_list, target_list, cfg):
@@ -112,7 +111,7 @@ def train_stats_net(net: StatsNet, expanded_list, target_list, cfg):
         epoch_loss = total / frames.shape[0]
         history.append(epoch_loss)
         logger.debug("statsnet epoch %d: ce %.6f lr %.4g", epoch, epoch_loss, lr)
-        if cfg.halve_on_plateau and epoch_loss >= best:
+        if epoch_loss >= best:
             lr *= 0.5
         best = min(best, epoch_loss)
     return model, history
@@ -134,16 +133,6 @@ def pooled_stats(net: StatsNet, expanded, raw) -> SuffStats:
     if expanded.shape[0] != raw.shape[0]:
         raise InputError("expanded and raw features disagree on frame count")
     return sufficient_stats(predict_responsibilities(net, expanded), raw)
-
-
-def pooled_stats_cached(net: StatsNet, expanded, raw):
-    """Like pooled_stats but keeps the forward cache for a backward pass."""
-    expanded = np.asarray(expanded, dtype=np.float64)
-    raw = np.asarray(raw, dtype=np.float64)
-    if expanded.shape[0] != raw.shape[0]:
-        raise InputError("expanded and raw features disagree on frame count")
-    acts = netcore.forward(net.net, expanded)
-    return sufficient_stats(acts[-1], raw), acts
 
 
 def pooled_stats_backward(net: StatsNet, acts, raw, d_n, d_f):

@@ -319,7 +319,7 @@ def test_criterion_3_gradient_suite():
         speakers = np.repeat(np.arange(4), 2)
         batch = dplda.TrialBatch.all_trials(vectors, speakers)
         cfg = dplda.ObjectiveConfig(p_target=0.1, l2_weight=0.01)
-        _, grads = dplda.weighted_bxe(params, batch, cfg)
+        _, grads, _ = dplda.bxe_objective(params, batch, cfg)
         flat = dplda.pack_params(params)
         fd = np.zeros_like(flat)
         for i in range(flat.size):
@@ -327,8 +327,8 @@ def test_criterion_3_gradient_suite():
             up[i] += 1e-6
             dn[i] -= 1e-6
             fd[i] = (
-                dplda.weighted_bxe(dplda.unpack_params(up, 3), batch, cfg)[0]
-                - dplda.weighted_bxe(dplda.unpack_params(dn, 3), batch, cfg)[0]
+                dplda.bxe_objective(dplda.unpack_params(up, 3), batch, cfg)[0]
+                - dplda.bxe_objective(dplda.unpack_params(dn, 3), batch, cfg)[0]
             ) / 2e-6
         worst = max(worst, max_rel_err(dplda.pack_params(grads), fd, floor=1e-8))
 
@@ -343,7 +343,7 @@ def test_criterion_3_gradient_suite():
             s = statsnet.pooled_stats(snet, expanded, raw)
             return float((s.n * d_n).sum() + (s.f * d_f).sum())
 
-        _, acts = statsnet.pooled_stats_cached(snet, expanded, raw)
+        acts = netcore.forward(snet.net, expanded)
         grads = statsnet.pooled_stats_backward(snet, acts, raw, d_n, d_f)
         for p, g in zip(snet.net.parameters(), grads):
             worst = max(worst, max_rel_err(g, finite_difference(stats_loss, p), floor=1e-6))
@@ -423,7 +423,8 @@ def test_criterion_5_sampler_laws():
             {s: np.flatnonzero(speakers == s) for s in range(6)}, rng
         )
         for n_pairs in (2, 5):
-            batch = dplda.next_minibatch(pool, n_pairs, rng, vectors, speakers)
+            idx = dplda.draw_groups(pool, n_pairs, rng)
+            batch = dplda.TrialBatch.all_trials(vectors[idx], speakers[idx])
             u = batch.vectors.shape[0]
             assert batch.n_trials == u * (u - 1) // 2
 

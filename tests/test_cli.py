@@ -1,3 +1,4 @@
+import shutil
 import subprocess
 import sys
 
@@ -88,6 +89,25 @@ def test_remaining_stages_run(workdir):
     assert len(log) >= 2
 
 
+def test_e2e_lambda_init_reweights_the_joint_snapshot(workdir, tmp_path):
+    from svpipe.e2e import E2eSystem
+    from svpipe.fileio import read_container
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    joint = E2eSystem.from_tensors(read_container(work / "system.svm")).snapshot
+    override = tmp_path / "e2e.cfg"
+    override.write_text(cfg.read_text() + "e2e.lambda_init=0.25\n")
+    result = run_cli("--config", str(override), "--workdir", str(work), "train-e2e")
+    assert result.returncode == 0, result.stderr
+    snapshot = E2eSystem.from_tensors(read_container(work / "system.svm")).snapshot
+    assert np.all(joint.weights == 1e-2)  # joint.lambda_init default
+    assert np.all(snapshot.weights == 0.25)
+    for before, after in zip(joint.values, snapshot.values, strict=True):
+        assert np.array_equal(before, after)
+
+
 def test_dplda_scores_match_library(workdir):
     root, cfg = workdir
     result = run_cli("--config", str(cfg), "score")
@@ -115,3 +135,28 @@ def test_missing_data_exit_code(tmp_path):
     cfg.write_text(f"paths.workdir={tmp_path / 'nowhere'}\n")
     result = run_cli("--config", str(cfg), "train-ubm")
     assert result.returncode == 3
+
+
+def test_missing_scores_exit_code(tmp_path):
+    result = run_cli("--workdir", str(tmp_path / "empty"), "eval")
+    assert result.returncode == 3
+    assert "scores.txt" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_unparsable_config_value_exit_code(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CONFIG.format(workdir=tmp_path / "work"))
+    assert run_cli("--config", str(cfg), "synth-data").returncode == 0
+    cfg.write_text(cfg.read_text() + "ubm.components=abc\n")
+    result = run_cli("--config", str(cfg), "train-ubm")
+    assert result.returncode == 2
+    assert "ubm.components" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_missing_config_file_exit_code(tmp_path):
+    result = run_cli("--config", str(tmp_path / "absent.cfg"), "synth-data")
+    assert result.returncode == 2
+    assert "absent.cfg" in result.stderr
+    assert "Traceback" not in result.stderr

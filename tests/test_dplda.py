@@ -53,7 +53,7 @@ def test_bxe_zero_params_equal_prior_is_log2():
     speakers = np.array([0, 0, 1, 1, 2, 2, 3, 3])
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
     params = dplda.DpldaParams(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3), 0.0)
-    loss, _ = dplda.weighted_bxe(params, batch, dplda.ObjectiveConfig(p_target=0.5))
+    loss, _, _ = dplda.bxe_objective(params, batch, dplda.ObjectiveConfig(p_target=0.5))
     assert abs(loss - np.log(2.0)) < 1e-12
 
 
@@ -110,7 +110,7 @@ def test_bxe_single_class_batch_rejected():
     batch = dplda.TrialBatch.all_trials(vectors, np.array([0, 0, 0]))
     params = random_params(rng, 2)
     with pytest.raises(ObjectiveError):
-        dplda.weighted_bxe(params, batch, dplda.ObjectiveConfig())
+        dplda.bxe_objective(params, batch, dplda.ObjectiveConfig())
 
 
 def test_fullbatch_training_from_stationary_point():
@@ -189,11 +189,12 @@ def test_minibatch_trial_count_and_defaults():
     pool = dplda.make_pair_pool(
         {s: np.flatnonzero(speakers == s) for s in range(3)}, rng
     )
-    batch = dplda.next_minibatch(pool, 3, rng, vectors, speakers)
+    idx = dplda.draw_groups(pool, 3, rng)
+    batch = dplda.TrialBatch.all_trials(vectors[idx], speakers[idx])
     u = batch.vectors.shape[0]
     assert u == 6
     assert batch.n_trials == u * (u - 1) // 2
     with pytest.raises(InputError):
         dplda.make_pair_pool({}, rng)
     with pytest.raises(InputError):
-        dplda.next_minibatch(pool, 1, rng, np.zeros((0, 3)), np.array([]))
+        dplda.draw_groups(pool, 0, rng)

@@ -27,15 +27,23 @@ def tiny_system(small_corpus):
     return e2e.assemble_system(fc, snet, ubm, pca, ivnet, params, snapshot_weight=1e-2)
 
 
+def _score(system, features_a, features_b):
+    return dplda.dplda_score(
+        system.dplda,
+        e2e.embed_utterance(system, features_a),
+        e2e.embed_utterance(system, features_b),
+    )
+
+
 def test_score_symmetry(tiny_system, small_corpus):
     a = small_corpus.utterances[0].features
     b = small_corpus.utterances[1].features
-    assert e2e.e2e_score(tiny_system, a, b) == e2e.e2e_score(tiny_system, b, a)
+    assert _score(tiny_system, a, b) == _score(tiny_system, b, a)
     # identical utterances embed identically
     emb_a = e2e.embed_utterance(tiny_system, a)
     emb_b = e2e.embed_utterance(tiny_system, a.copy())
     assert np.array_equal(emb_a, emb_b)
-    assert e2e.e2e_score(tiny_system, a, a) == dplda.dplda_score(
+    assert _score(tiny_system, a, a) == dplda.dplda_score(
         tiny_system.dplda, emb_a, emb_a
     )
 
@@ -52,7 +60,7 @@ def test_score_matches_stage_by_stage_composition(tiny_system, small_corpus):
         sv = ivecnet.map_supervector(tiny_system.ubm, stats, tiny_system.relevance)
         embeddings.append(ivecnet.extract_embedding(tiny_system.pca, tiny_system.ivec_net, sv))
     composed = dplda.dplda_score(tiny_system.dplda, embeddings[0], embeddings[1])
-    assert abs(e2e.e2e_score(tiny_system, a, b) - composed) < 1e-12
+    assert abs(_score(tiny_system, a, b) - composed) < 1e-12
 
 
 def _bxe_loss_fn(system, speakers, cfg):
@@ -120,14 +128,19 @@ def test_zero_snapshot_weight_penalty_is_exactly_zero(tiny_system):
         assert np.array_equal(p + g, p)  # adding the penalty grad is a no-op
 
 
-def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus):
+TRAINERS = ["train_joint_s2i_dplda", "train_e2e_full"]
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer):
     system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
     before = [p.copy() for p in system.trainable_parameters()]
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=0.0, epoch_batches=2, max_epochs=1,
         objective=dplda.ObjectiveConfig(p_target=0.1),
     )
-    system, _ = e2e.train_e2e_full(system, small_corpus, schedule, np.random.default_rng(0))
+    train = getattr(e2e, trainer)
+    system, _ = train(system, small_corpus, schedule, np.random.default_rng(0))
     after = system.trainable_parameters()
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
@@ -195,15 +208,15 @@ def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
         assert drift < 1e-3
 
 
-def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus):
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, trainer):
     system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
         objective=dplda.ObjectiveConfig(p_target=0.1),
     )
-    system, history = e2e.train_joint_s2i_dplda(
-        system, small_corpus, schedule, np.random.default_rng(2)
-    )
+    train = getattr(e2e, trainer)
+    system, history = train(system, small_corpus, schedule, np.random.default_rng(2))
     final_records = [r.dev_c_primary for r in history]
     # returned system reproduces the best recorded dev cost
     dev = small_corpus.split("dev")
@@ -237,6 +250,6 @@ def test_system_roundtrip_bit_exact(tiny_system, small_corpus, tmp_path):
     back = e2e.E2eSystem.from_tensors(fileio.read_container(path))
     a = small_corpus.utterances[0].features
     b = small_corpus.utterances[5].features
-    assert e2e.e2e_score(tiny_system, a, b) == e2e.e2e_score(back, a, b)
+    assert _score(tiny_system, a, b) == _score(back, a, b)
     for pa, pb in zip(tiny_system.trainable_parameters(), back.trainable_parameters()):
         assert np.array_equal(pa, pb)

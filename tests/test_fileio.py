@@ -88,3 +88,15 @@ def test_container_truncation_and_trailing(tmp_path):
     path.write_bytes(good + b"junk")
     with pytest.raises(FormatError, match="trailing"):
         fileio.read_container(path)
+
+
+def test_container_non_utf8_name_is_format_error(tmp_path):
+    path = tmp_path / "bad_name.svm"
+    name = b"\xff\xfe"
+    path.write_bytes(
+        b"SVM1" + struct.pack("<II", 1, 1) + struct.pack("<I", len(name)) + name
+        + struct.pack("<B", 0) + struct.pack("<d", 1.0)
+    )
+    with pytest.raises(FormatError) as err:
+        fileio.read_container(path)
+    assert err.value.offset == 16  # first byte of the name

@@ -81,7 +81,7 @@ def test_stats_gradient_matches_finite_differences():
         stats = statsnet.pooled_stats(net, expanded, raw)
         return float((stats.n * d_n).sum() + (stats.f * d_f).sum())
 
-    _, acts = statsnet.pooled_stats_cached(net, expanded, raw)
+    acts = netcore.forward(net.net, expanded)
     grads = statsnet.pooled_stats_backward(net, acts, raw, d_n, d_f)
     for p, g in zip(net.net.parameters(), grads):
         fd = finite_difference(objective, p)
@@ -107,7 +107,7 @@ def test_network_stats_feed_classic_extraction(small_corpus):
     for s in stats:
         assert np.isfinite(s.n).all() and np.isfinite(s.f).all()
     tv, _ = ivector.train_tv(stats, ubm, 3, n_iters=2, seed=0)
-    vectors = ivector.extract_ivectors(tv, ubm, stats)
+    vectors = np.stack([ivector.extract_ivector(tv, ubm, s) for s in stats])
     assert np.isfinite(vectors).all()
     assert vectors.shape == (12, 3)
 
