@@ -48,70 +48,85 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .fileio import read_container, write_container
+from .fileio import read_container, write_container, write_text
 
 logger = logging.getLogger("svpipe")
 
+
+def _parse_bool(value):
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+def _parse_ints(value):
+    return tuple(int(v) for v in value.split(",") if v.strip())
+
+
+# key -> (default value, parser); every value is parsed when a Config is built
 DEFAULTS = {
-    "seed": "0",
-    "paths.workdir": "work",
+    "seed": ("0", int),
+    "paths.workdir": ("work", str),
     # synthetic corpus (desk scale)
-    "corpus.speakers": "50",
-    "corpus.utts": "8",
-    "corpus.dim": "20",
-    "corpus.min_frames": "200",
-    "corpus.max_frames": "800",
-    "corpus.speaker_dim": "8",
-    "corpus.channel_dim": "4",
-    "corpus.noise": "0.3",
-    "corpus.nonlinearity": "0.5",
-    "corpus.frame_rate": "100",
+    "corpus.speakers": ("50", int),
+    "corpus.utts": ("8", int),
+    "corpus.dim": ("20", int),
+    "corpus.min_frames": ("200", int),
+    "corpus.max_frames": ("800", int),
+    "corpus.speaker_dim": ("8", int),
+    "corpus.channel_dim": ("4", int),
+    "corpus.noise": ("0.3", float),
+    "corpus.nonlinearity": ("0.5", float),
+    "corpus.frame_rate": ("100", float),
     # frontend
-    "frontend.window_s": "3.0",
-    "frontend.context": "15",
-    "frontend.n_dct": "6",
+    "frontend.window_s": ("3.0", float),
+    "frontend.context": ("15", int),
+    "frontend.n_dct": ("6", int),
     # background model / i-vectors / preprocessing
-    "ubm.components": "32",
-    "ubm.iters": "8",
-    "ubm.floor": "1e-3",
-    "tv.dim": "40",
-    "tv.iters": "5",
-    "prep.dim": "20",
-    "plda.iters": "10",
+    "ubm.components": ("32", int),
+    "ubm.iters": ("8", int),
+    "ubm.floor": ("1e-3", float),
+    "tv.dim": ("40", int),
+    "tv.iters": ("5", int),
+    "prep.dim": ("20", int),
+    "plda.iters": ("10", int),
     # discriminative backend
-    "dplda.l2": "1e-3",
-    "dplda.p_target": "0.0075",
-    "dplda.max_iters": "200",
+    "dplda.l2": ("1e-3", float),
+    "dplda.p_target": ("0.0075", float),
+    "dplda.max_iters": ("200", int),
     # neural modules
-    "statsnet.hidden": "128,128",
-    "statsnet.lr": "0.5",
-    "statsnet.epochs": "24",
-    "statsnet.batch": "512",
-    "pca.dim": "100",
-    "ivecnet.hidden": "64,64",
-    "ivecnet.lr": "0.1",
-    "ivecnet.l1": "1e-5",
-    "ivecnet.epochs": "120",
-    "ivecnet.batch": "32",
-    "ivecnet.stats_source": "statsnet",
-    "ivecnet.relevance": "16",
+    "statsnet.hidden": ("128,128", _parse_ints),
+    "statsnet.lr": ("0.5", float),
+    "statsnet.epochs": ("24", int),
+    "statsnet.batch": ("512", int),
+    "pca.dim": ("100", int),
+    "ivecnet.hidden": ("64,64", _parse_ints),
+    "ivecnet.lr": ("0.1", float),
+    "ivecnet.l1": ("1e-5", float),
+    "ivecnet.epochs": ("120", int),
+    "ivecnet.batch": ("32", int),
+    "ivecnet.stats_source": ("statsnet", str),
+    "ivecnet.relevance": ("16", float),
     # joint and end-to-end training
-    "joint.pairs": "50",
-    "joint.epoch_batches": "20",
-    "joint.epochs": "8",
-    "joint.lr": "1e-4",
-    "joint.lambda_init": "1e-2",
-    "joint.init_fullbatch": "true",
-    "e2e.pairs": "8",
-    "e2e.epoch_batches": "10",
-    "e2e.epochs": "2",
-    "e2e.lr": "1e-4",
-    "e2e.lambda_init": "1e-2",
+    "joint.pairs": ("50", int),
+    "joint.epoch_batches": ("20", int),
+    "joint.epochs": ("8", int),
+    "joint.lr": ("1e-4", float),
+    "joint.lambda_init": ("1e-2", float),
+    "joint.init_fullbatch": ("true", _parse_bool),
+    "e2e.pairs": ("8", int),
+    "e2e.epoch_batches": ("10", int),
+    "e2e.epochs": ("2", int),
+    "e2e.lr": ("1e-4", float),
+    "e2e.lambda_init": ("1e-2", float),
     # scoring / evaluation
-    "score.backend": "plda",
-    "score.trials": "",
-    "eval.scores": "",
-    "eval.trials": "",
+    "score.backend": ("plda", str),
+    "score.trials": ("", str),
+    "eval.scores": ("", str),
+    "eval.trials": ("", str),
 }
 
 
@@ -137,42 +152,45 @@ def load_config(path):
 
 
 class Config:
+    """Resolved config; every value is parsed by its DEFAULTS parser on construction."""
+
     def __init__(self, overrides=None, seed=None, workdir=None):
-        self.values = dict(DEFAULTS)
+        self.values = {key: default for key, (default, _) in DEFAULTS.items()}
         if overrides:
             self.values.update(overrides)
         if seed is not None:
             self.values["seed"] = str(seed)
         if workdir is not None:
             self.values["paths.workdir"] = str(workdir)
+        self.parsed = {key: self._parse(key) for key in self.values}
 
-    def get(self, key):
-        return self.values[key]
-
-    def _parsed(self, key, parse):
+    def _parse(self, key):
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
         try:
-            return parse(self.values[key])
+            return DEFAULTS[key][1](self.values[key])
         except ValueError:
             raise ConfigError(f"{key}: cannot parse {self.values[key]!r}") from None
 
+    def _typed(self, key, parse):
+        if DEFAULTS[key][1] is not parse:
+            raise ConfigError(f"{key} is not read with {parse.__name__}")
+        return self.parsed[key]
+
+    def get(self, key):
+        return self._typed(key, str)
+
     def get_int(self, key):
-        return self._parsed(key, int)
+        return self._typed(key, int)
 
     def get_float(self, key):
-        return self._parsed(key, float)
+        return self._typed(key, float)
 
     def get_bool(self, key):
-        value = self.values[key].lower()
-        if value in ("true", "1", "yes"):
-            return True
-        if value in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+        return self._typed(key, _parse_bool)
 
     def get_ints(self, key):
-        return self._parsed(
-            key, lambda value: tuple(int(v) for v in value.split(",") if v.strip())
-        )
+        return self._typed(key, _parse_ints)
 
     @property
     def seed(self):
@@ -180,7 +198,7 @@ class Config:
 
     @property
     def workdir(self):
-        return Path(self.values["paths.workdir"])
+        return Path(self.get("paths.workdir"))
 
     def path(self, name):
         return self.workdir / name
@@ -473,7 +491,8 @@ def cmd_train_joint(cfg, args):
         relevance=cfg.get_float("ivecnet.relevance"),
     )
     train = corpus.split("train")
-    embeddings = e2e_mod.embed_utterances(system, [u.features for u in train])
+    train_coords = e2e_mod.pca_coords(system, [u.features for u in train])
+    embeddings = e2e_mod.embed_coords(system, train_coords)
     speakers = np.array([u.speaker for u in train])
     plda_model, _ = plda.train_plda(
         embeddings, speakers, n_iters=cfg.get_int("plda.iters")
@@ -499,7 +518,9 @@ def cmd_train_joint(cfg, args):
         objective=dplda_mod.ObjectiveConfig(p_target=cfg.get_float("dplda.p_target")),
     )
     rng = np.random.default_rng(cfg.seed)
-    system, history = e2e_mod.train_joint_s2i_dplda(system, corpus, schedule, rng)
+    system, history = e2e_mod.train_joint_s2i_dplda(
+        system, corpus, schedule, rng, train_coords=train_coords
+    )
     _write_training_log(cfg.path("train_joint.log"), history)
     _write_model(cfg, "system.svm", system.to_tensors())
 
@@ -526,7 +547,7 @@ def cmd_train_e2e(cfg, args):
 def _write_training_log(path, history):
     lines = ["epoch\ttrain_loss\tdev_eer\tdev_c_primary\tlr"]
     lines += [e2e_mod.format_epoch_log(rec) for rec in history]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
     logger.info("wrote %s", path)
 
 
@@ -599,7 +620,7 @@ def cmd_eval(cfg, args):
     ]
     lines = [f"{name}\t{value:.6f}" for name, value in report]
     cfg.workdir.mkdir(parents=True, exist_ok=True)
-    cfg.path("metrics.txt").write_text("\n".join(lines) + "\n")
+    write_text(cfg.path("metrics.txt"), "\n".join(lines) + "\n")
     for line in lines:
         print(line)
 

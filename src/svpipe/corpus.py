@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import FormatError, InputError
-from .fileio import read_features, write_features
+from .fileio import read_features, write_features, write_text
 
 SPLITS = ("train", "dev", "eval")
 TRIAL_LABELS = ("target", "nontarget")
@@ -155,7 +155,7 @@ def save_corpus(corpus: Corpus, directory):
     for utt in corpus.utterances:
         write_features(directory / "features" / f"{utt.uid}.svf", utt.features)
         lines.append(f"{utt.uid}\t{utt.speaker}\t{utt.split}")
-    (directory / "corpus.tsv").write_text("\n".join(lines) + "\n")
+    write_text(directory / "corpus.tsv", "\n".join(lines) + "\n")
 
 
 def load_corpus(directory) -> Corpus:
@@ -237,7 +237,7 @@ def write_trial_list(path, trial_list: TrialList):
     lines = []
     for t in trial_list.trials:
         lines.append(f"{t.enroll} {t.test}" + (f" {t.label}" if t.label else ""))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_scores(path, trial_list: TrialList, scores):
@@ -248,7 +248,7 @@ def write_scores(path, trial_list: TrialList, scores):
         f"{t.enroll} {t.test} {s:.17g}"
         for t, s in zip(trial_list.trials, scores)
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_scores(path):

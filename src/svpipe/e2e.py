@@ -8,10 +8,11 @@ parameters, halving the learning rate when the dev-set cost stops improving
 and returning the best-on-dev parameters.
 
 Backpropagation through the statistics network is memory-checkpointed: the
-per-frame activations are dropped once an utterance's statistics exist and
-are recomputed during the backward pass, which leaves gradients bit-identical
-to the full-graph pass while only one utterance's frame-level activations are
-ever live.
+batch keeps each utterance's frontend output (it depends on no parameter),
+the per-frame network activations are dropped once an utterance's statistics
+exist and only they are recomputed from that output during the backward
+pass, which leaves gradients bit-identical to the full-graph pass while only
+one utterance's frame-level activations are ever live.
 """
 
 from __future__ import annotations
@@ -193,23 +194,38 @@ def _utterance_stats(system, features, ledger=None, keep_cache=False):
         acts = None
         if ledger is not None:
             ledger.release()
-    return norm, stats, acts
+    return norm, expanded, stats, acts
 
 
-def _pca_coords(system, features):
-    _, stats, _ = _utterance_stats(system, features)
+def _utterance_coords(system, features):
+    _, _, stats, _ = _utterance_stats(system, features)
     supervector = map_supervector(system.ubm, stats, system.relevance)
     return (supervector - system.pca.mean) @ system.pca.basis
 
 
+def pca_coords(system: E2eSystem, features_list):
+    """(U, P) PCA coordinates of the utterances' MAP supervectors.
+
+    They depend on the statistics network, so they stay valid only while
+    it is frozen; embed_coords turns them into embeddings.
+    """
+    return np.stack([_utterance_coords(system, f) for f in features_list])
+
+
+def embed_coords(system: E2eSystem, coords):
+    """Unit-norm embeddings of (U, P) PCA coordinates, one row at a time."""
+    return np.stack(
+        [netcore.forward(system.ivec_net.net, row[None, :])[-1][0] for row in coords]
+    )
+
+
 def embed_utterance(system: E2eSystem, features):
     """Unit-norm embedding of one utterance (inference path)."""
-    coords = _pca_coords(system, features)
-    return netcore.forward(system.ivec_net.net, coords[None, :])[-1][0]
+    return embed_coords(system, pca_coords(system, [features]))[0]
 
 
 def embed_utterances(system: E2eSystem, features_list):
-    return np.stack([embed_utterance(system, f) for f in features_list])
+    return embed_coords(system, pca_coords(system, features_list))
 
 
 def _system_grads(system, features_list, loss_fn, ledger, keep_caches):
@@ -222,13 +238,15 @@ def _system_grads(system, features_list, loss_fn, ledger, keep_caches):
     if not features_list:
         raise InputError("empty utterance batch")
     norms = []
+    expanded_list = []
     stats_list = []
     caches = []
     for features in features_list:
-        norm, stats, acts = _utterance_stats(
+        norm, expanded, stats, acts = _utterance_stats(
             system, features, ledger=ledger, keep_cache=keep_caches
         )
         norms.append(norm)
+        expanded_list.append(expanded)
         stats_list.append(stats)
         caches.append(acts)
 
@@ -243,7 +261,7 @@ def _system_grads(system, features_list, loss_fn, ledger, keep_caches):
 
     c, d = system.ubm.n_components, system.ubm.dim
     stats_grads = [np.zeros_like(p) for p in system.stats_net.net.parameters()]
-    for u, features in enumerate(features_list):
+    for u in range(len(features_list)):
         d_sv = d_super[u].reshape(c, d)
         denom = stats_list[u].n + system.relevance
         d_f = d_sv / denom[:, None]
@@ -253,7 +271,7 @@ def _system_grads(system, features_list, loss_fn, ledger, keep_caches):
         else:
             if ledger is not None:
                 ledger.acquire()
-            acts = netcore.forward(system.stats_net.net, preprocess(system, features)[1])
+            acts = netcore.forward(system.stats_net.net, expanded_list[u])
         grads_u = pooled_stats_backward(system.stats_net, acts, norms[u], d_n, d_f)
         if not keep_caches and ledger is not None:
             ledger.release()
@@ -332,14 +350,20 @@ def _dev_metrics(embeddings, speakers, params):
     return eer(trials), c_primary(trials)
 
 
-def train_joint_s2i_dplda(system: E2eSystem, corpus: Corpus, schedule, rng):
+def train_joint_s2i_dplda(
+    system: E2eSystem, corpus: Corpus, schedule, rng, *, train_coords=None
+):
     """Jointly train the embedding network and the scoring parameters.
 
-    The statistics network stays frozen. Returns (system, history); the
-    system carries the best-on-dev parameters (initialization included as a
-    candidate).
+    The statistics network stays frozen. train_coords, when given, are
+    pca_coords of the corpus's train split under this system, so a caller
+    that already computed them does not pay for the frontend again. Returns
+    (system, history); the system carries the best-on-dev parameters
+    (initialization included as a candidate).
     """
-    return _train_jointly(system, corpus, schedule, rng, train_stats_net=False)
+    return _train_jointly(
+        system, corpus, schedule, rng, train_stats_net=False, train_coords=train_coords
+    )
 
 
 def train_e2e_full(system: E2eSystem, corpus: Corpus, schedule, rng):
@@ -347,13 +371,14 @@ def train_e2e_full(system: E2eSystem, corpus: Corpus, schedule, rng):
     return _train_jointly(system, corpus, schedule, rng, train_stats_net=True)
 
 
-def _train_jointly(system, corpus, schedule, rng, train_stats_net):
+def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=None):
     """Adam on sampled trial batches with a snapshot penalty and best-on-dev.
 
     A frozen statistics network only feeds fixed inputs to the embedding
-    network, so its PCA coordinates are computed once per utterance and each
-    batch runs the embedding network alone. A trained one is backpropagated
-    through per batch with checkpointed_grads.
+    network, so its PCA coordinates are computed once per utterance (unless
+    the caller hands in train_coords) and each batch runs the embedding
+    network alone. A trained one is backpropagated through per batch with
+    checkpointed_grads.
     """
     if system.snapshot is None:
         raise ConfigError("system has no parameter snapshot; assemble it first")
@@ -375,8 +400,11 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net):
         def dev_embeddings():
             return embed_utterances(system, dev_feats)
     else:
-        train_coords = np.stack([_pca_coords(system, f) for f in train_feats])
-        dev_coords = np.stack([_pca_coords(system, f) for f in dev_feats])
+        if train_coords is None:
+            train_coords = pca_coords(system, train_feats)
+        elif np.shape(train_coords) != (len(train_feats), system.pca.basis.shape[1]):
+            raise ShapeError("train_coords must hold one PCA row per train utterance")
+        dev_coords = pca_coords(system, dev_feats)
 
         def dev_embeddings():
             return netcore.forward(system.ivec_net.net, dev_coords)[-1]
@@ -406,7 +434,9 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net):
         else:
             acts = netcore.forward(system.ivec_net.net, train_coords[idx])
             loss, d_emb = loss_fn(acts[-1])
-            net_grads, _ = netcore.backward(system.ivec_net.net, acts, d_emb)
+            net_grads, _ = netcore.backward(
+                system.ivec_net.net, acts, d_emb, input_grad=False
+            )
         d = holder["d"]
         grads = net_grads + [d.lam, d.gamma, d.c, np.asarray(d.k, dtype=np.float64)]
         params = params_of()

@@ -6,10 +6,17 @@ little-endian float32 values row-major.
 Model container ("SVM1"): magic, u32 version, u32 tensor count, then per
 tensor {u32 name length, name bytes (utf-8), u8 rank, u64 dims...,
 float64 little-endian payload}. Tensor names must be unique.
+
+Every writer goes through _atomic_open: the bytes land in a temporary file
+next to the target, which replaces the target only once it is complete, so
+a failed or killed write leaves the previous file (or none) in place.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -24,6 +31,27 @@ CONTAINER_VERSION = 1
 _U32_MAX = 2**32 - 1
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Binary file handle whose contents replace path only on a clean exit."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text):
+    """Atomically write a utf-8 text file."""
+    with _atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_features(path, frames):
     """Write a (T, D) matrix as float32; values are truncated to f32."""
     frames = np.asarray(frames)
@@ -32,7 +60,7 @@ def write_features(path, frames):
     t, d = frames.shape
     if t > _U32_MAX or d > _U32_MAX:
         raise FormatError("feature dimensions overflow the u32 header")
-    with open(path, "wb") as fh:
+    with _atomic_open(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<II", t, d))
         fh.write(np.ascontiguousarray(frames, dtype="<f4").tobytes())
@@ -60,21 +88,25 @@ def read_features(path):
 
 
 def write_container(path, tensors):
-    """Write named float64 tensors; names must be unique and non-empty."""
-    items = list(tensors.items())
+    """Write named float64 tensors; names must be unique, non-empty utf-8."""
+    items = []
     seen = set()
-    for name, _ in items:
+    for name, tensor in tensors.items():
         if not name:
             raise FormatError("empty tensor name")
         if name in seen:
             raise FormatError(f"duplicate tensor name {name!r}")
         seen.add(name)
-    with open(path, "wb") as fh:
+        try:
+            raw = name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"tensor name {name!r} is not encodable as utf-8") from None
+        items.append((name, raw, tensor))
+    with _atomic_open(path) as fh:
         fh.write(CONTAINER_MAGIC)
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(items)))
-        for name, tensor in items:
+        for name, raw, tensor in items:
             arr = np.asarray(tensor, dtype=np.float64)
-            raw = name.encode("utf-8")
             if arr.ndim > 255:
                 raise FormatError(f"{name}: rank {arr.ndim} exceeds u8")
             fh.write(struct.pack("<I", len(raw)))

@@ -75,6 +75,12 @@ def context_expand(frames, half_window=DEFAULT_CONTEXT, n_dct=DEFAULT_N_DCT):
     window and projected onto the first n_dct orthonormal DCT-II bases.
     Output width is D * n_dct, ordered coefficient-major: columns
     [d * n_dct + k] hold basis k of coefficient d. Linear in the input.
+
+    The summation order is part of the contract: every output adds its
+    window terms proj[k, l] * frame[t + l - half_window] one at a time in
+    window order l = 0, 1, ..., starting from zero, so the result is
+    bit-identical from release to release (and to an einsum over the
+    gathered (T, window, D) trajectories for D >= 2).
     """
     frames = _check_frames(frames)
     if half_window < 0:
@@ -85,11 +91,10 @@ def context_expand(frames, half_window=DEFAULT_CONTEXT, n_dct=DEFAULT_N_DCT):
         raise InputError("n_dct must be in [1, 2*half_window+1]")
     window = np.hamming(length)
     proj = dct_bases(length, n_dct) * window  # (n_dct, length)
-    idx = np.clip(
-        np.arange(t_total)[:, None] + np.arange(-half_window, half_window + 1),
-        0,
-        t_total - 1,
-    )
-    gathered = frames[idx]  # (T, length, D)
-    out = np.einsum("kl,tld->tdk", proj, gathered)
-    return out.reshape(t_total, dim * n_dct)
+    padded = np.pad(frames, ((half_window, half_window), (0, 0)), mode="edge")
+    acc = np.zeros((n_dct, t_total, dim))
+    term = np.empty_like(acc)
+    for l in range(length):
+        np.multiply(proj[:, l, None, None], padded[None, l : l + t_total], out=term)
+        acc += term
+    return acc.transpose(1, 2, 0).reshape(t_total, dim * n_dct)

@@ -167,7 +167,7 @@ def train_ivec_net(net: IvecNet, inputs, refs, cfg):
             idx = order[lo : lo + cfg.batch_size]
             acts = netcore.forward(model.net, inputs[idx])
             loss, grad = cosine_loss(acts[-1], refs[idx])
-            grads, _ = netcore.backward(model.net, acts, grad)
+            grads, _ = netcore.backward(model.net, acts, grad, input_grad=False)
             model.net.set_parameters(
                 netcore.sgd_step(
                     model.net.parameters(), grads, lr, l1_weight=cfg.l1_weight

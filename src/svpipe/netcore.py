@@ -145,19 +145,27 @@ def init_mlp(widths, activations, seed=0):
 
 
 def _affine(x, layer):
-    return x @ layer.weight.T + layer.bias
+    z = x @ layer.weight.T
+    z += layer.bias
+    return z
 
 
 def _activate(z, kind):
+    """Activation of a fresh pre-activation z; sigmoid and softmax overwrite z."""
     if kind == "linear":
         return z
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
     if kind == "tanh":
         return np.tanh(z)
     if kind == "softmax":
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z
     if kind == "lengthnorm":
         norms = np.linalg.norm(z, axis=1, keepdims=True)
         safe = np.where(norms > 0.0, norms, 1.0)
@@ -193,12 +201,17 @@ def _activation_backward(layer, a_in, a_out, grad):
     if kind == "linear":
         return grad
     if kind == "sigmoid":
-        return grad * a_out * (1.0 - a_out)
+        dz = grad * a_out
+        dz *= 1.0 - a_out
+        return dz
     if kind == "tanh":
         return grad * (1.0 - a_out * a_out)
     if kind == "softmax":
-        inner = (grad * a_out).sum(axis=1, keepdims=True)
-        return a_out * (grad - inner)
+        dz = grad * a_out
+        inner = dz.sum(axis=1, keepdims=True)
+        np.subtract(grad, inner, out=dz)
+        dz *= a_out
+        return dz
     if kind == "lengthnorm":
         # norm is lost in the output; recompute the pre-activation
         z = _affine(a_in, layer)
@@ -210,11 +223,12 @@ def _activation_backward(layer, a_in, a_out, grad):
     raise ShapeError(f"unknown activation {kind!r}")
 
 
-def backward(net: Mlp, acts, grad_output):
+def backward(net: Mlp, acts, grad_output, input_grad=True):
     """Backpropagate grad_output (B, n_out) through a cached forward pass.
 
     Returns (grads, grad_input) where grads is a flat list aligned with
-    net.parameters(): [dW0, db0, dW1, db1, ...].
+    net.parameters(): [dW0, db0, dW1, db1, ...]. With input_grad=False the
+    gradient w.r.t. the network input is not computed and grad_input is None.
     """
     if len(acts) != len(net.layers) + 1:
         raise StateError("activation cache does not match the network depth")
@@ -230,7 +244,7 @@ def backward(net: Mlp, acts, grad_output):
         dz = _activation_backward(layer, acts[l], acts[l + 1], grad)
         grads[2 * l] = dz.T @ acts[l]
         grads[2 * l + 1] = dz.sum(axis=0)
-        grad = dz @ layer.weight
+        grad = dz @ layer.weight if l > 0 or input_grad else None
     return grads, grad
 
 

@@ -103,7 +103,7 @@ def train_stats_net(net: StatsNet, expanded_list, target_list, cfg):
             idx = order[lo : lo + cfg.batch_frames]
             acts = netcore.forward(model.net, frames[idx])
             loss, grad = frame_cross_entropy(acts[-1], targets[idx])
-            grads, _ = netcore.backward(model.net, acts, grad)
+            grads, _ = netcore.backward(model.net, acts, grad, input_grad=False)
             model.net.set_parameters(
                 netcore.sgd_step(model.net.parameters(), grads, lr)
             )
@@ -144,5 +144,5 @@ def pooled_stats_backward(net: StatsNet, acts, raw, d_n, d_f):
     """
     raw = np.asarray(raw, dtype=np.float64)
     d_resp = d_n[None, :] + raw @ np.asarray(d_f, dtype=np.float64).T
-    grads, _ = netcore.backward(net.net, acts, d_resp)
+    grads, _ = netcore.backward(net.net, acts, d_resp, input_grad=False)
     return grads

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
-Criterion 7 runs the full desk-scale chain (50 speakers, 3 seeds); everything
-else is property-level and fast. Run with -s to see the report lines.
+Criterion 7 runs the full desk-scale chain (50 speakers, 3 seeds), which
+criteria 8 and 9 reuse; those three are marked slow and everything else is
+property-level and fast. Run with -s to see the report lines.
 """
 
 import time
@@ -463,6 +464,7 @@ def test_criterion_6_metric_oracles():
         assert metrics.min_dcf(trials, 0.005) <= 1.0
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_reproduction(desk_chains):
     with _Criterion(7, "desk-scale directional reproduction"):
         for seed in DESK_SEEDS:
@@ -553,6 +555,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
         assert elapsed < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_8_em_monotonicity(desk_chains):
     with _Criterion(8, "EM/ELBO monotonicity"):
         for seed in DESK_SEEDS:
@@ -564,6 +567,7 @@ def test_criterion_8_em_monotonicity(desk_chains):
                 ), f"{name} not monotone for seed {seed}"
 
 
+@pytest.mark.slow
 def test_criterion_9_persistence(desk_chains, tmp_path):
     with _Criterion(9, "bit-exact persistence across the chain"):
         r = desk_chains[DESK_SEEDS[0]]

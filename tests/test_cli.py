@@ -108,6 +108,30 @@ def test_e2e_lambda_init_reweights_the_joint_snapshot(workdir, tmp_path):
         assert np.array_equal(before, after)
 
 
+def test_train_joint_preprocesses_each_utterance_once(workdir, tmp_path, monkeypatch):
+    # the PLDA/DPLDA initialization and the frozen joint loop share the train
+    # PCA coordinates, so each train and dev utterance is preprocessed once
+    from svpipe import cli, e2e
+    from svpipe.corpus import load_corpus
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    calls = []
+    preprocess = e2e.preprocess
+
+    def counting_preprocess(system, features):
+        calls.append(features.tobytes())
+        return preprocess(system, features)
+
+    monkeypatch.setattr(e2e, "preprocess", counting_preprocess)
+    code = cli.main(["--config", str(cfg), "--workdir", str(work), "train-joint"])
+    assert code == 0
+    corpus = load_corpus(work / "corpus")
+    expected = [u.features.tobytes() for u in corpus.split("train") + corpus.split("dev")]
+    assert sorted(calls) == sorted(expected)
+
+
 def test_dplda_scores_match_library(workdir):
     root, cfg = workdir
     result = run_cli("--config", str(cfg), "score")
@@ -160,3 +184,15 @@ def test_missing_config_file_exit_code(tmp_path):
     assert result.returncode == 2
     assert "absent.cfg" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_config_values_are_parsed_at_load(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(
+        SMALL_CONFIG.format(workdir=tmp_path / "work") + "ubm.components=abc\n"
+    )
+    result = run_cli("--config", str(cfg), "synth-data")
+    assert result.returncode == 2
+    assert "ubm.components" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "work").exists()

@@ -253,3 +253,40 @@ def test_system_roundtrip_bit_exact(tiny_system, small_corpus, tmp_path):
     assert _score(tiny_system, a, b) == _score(back, a, b)
     for pa, pb in zip(tiny_system.trainable_parameters(), back.trainable_parameters()):
         assert np.array_equal(pa, pb)
+
+
+def test_e2e_training_preprocesses_batch_utterances_once(
+    tiny_system, small_corpus, monkeypatch
+):
+    # the checkpoint recompute reuses the batch's frontend output, so each
+    # batch utterance is preprocessed once and each dev utterance once per
+    # dev pass (initialization plus one per epoch)
+    calls = []
+    preprocess = e2e.preprocess
+    checkpointed = e2e.checkpointed_grads
+
+    def counting_preprocess(system, features):
+        calls.append(id(features))
+        return preprocess(system, features)
+
+    batch_calls = 0
+
+    def checking_grads(system, features_list, loss_fn, ledger=None):
+        nonlocal batch_calls
+        before = len(calls)
+        out = checkpointed(system, features_list, loss_fn, ledger)
+        assert sorted(calls[before:]) == sorted(id(f) for f in features_list)
+        batch_calls += len(calls) - before
+        return out
+
+    monkeypatch.setattr(e2e, "preprocess", counting_preprocess)
+    monkeypatch.setattr(e2e, "checkpointed_grads", checking_grads)
+    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    schedule = e2e.TrainSchedule(
+        n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
+        objective=dplda.ObjectiveConfig(p_target=0.1),
+    )
+    e2e.train_e2e_full(system, small_corpus, schedule, np.random.default_rng(2))
+    n_dev = len(small_corpus.split("dev"))
+    assert batch_calls > 0
+    assert len(calls) - batch_calls == (schedule.max_epochs + 1) * n_dev

@@ -100,3 +100,15 @@ def test_container_non_utf8_name_is_format_error(tmp_path):
     with pytest.raises(FormatError) as err:
         fileio.read_container(path)
     assert err.value.offset == 16  # first byte of the name
+
+
+def test_failed_container_overwrite_keeps_the_old_file(tmp_path):
+    path = tmp_path / "model.svm"
+    fileio.write_container(path, {"a": 1.0, "b": np.arange(3.0)})
+    good = path.read_bytes()
+    with pytest.raises(FormatError, match="utf-8"):
+        fileio.write_container(path, {"a": 2.0, "\udc80": 3.0})
+    with pytest.raises(ValueError):
+        fileio.write_container(path, {"a": 2.0, "b": "not a number"})
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["model.svm"]

@@ -5,6 +5,20 @@ from svpipe import frontend
 from svpipe.errors import InputError
 
 
+def gather_einsum_context_expand(frames, half_window, n_dct):
+    """Reference: gather every (T, window, D) trajectory, then one einsum."""
+    t_total, dim = frames.shape
+    length = 2 * half_window + 1
+    proj = frontend.dct_bases(length, n_dct) * np.hamming(length)
+    idx = np.clip(
+        np.arange(t_total)[:, None] + np.arange(-half_window, half_window + 1),
+        0,
+        t_total - 1,
+    )
+    out = np.einsum("kl,tld->tdk", proj, frames[idx])
+    return out.reshape(t_total, dim * n_dct)
+
+
 def brute_stmvn(frames, window_s, rate):
     t_total, dim = frames.shape
     n = int(round(window_s * rate))
@@ -118,3 +132,29 @@ def test_context_expand_frame_count_and_errors():
         frontend.context_expand(np.zeros((0, 2)), 4, 2)
     with pytest.raises(InputError):
         frontend.context_expand(frames, 2, 9)  # n_dct > window length
+
+
+@pytest.mark.parametrize(
+    "n_frames, dim, half_window, n_dct",
+    [
+        (400, 20, 15, 6),  # desk frontend
+        (37, 60, 15, 6),
+        (1, 3, 15, 6),  # single frame
+        (9, 2, 15, 6),  # fewer frames than half_window
+        (25, 4, 0, 1),  # no context
+        (30, 3, 4, 9),  # n_dct equal to the window length
+    ],
+)
+def test_context_expand_bit_equal_to_gather_einsum(n_frames, dim, half_window, n_dct):
+    frames = np.random.default_rng(n_frames * dim).standard_normal((n_frames, dim))
+    out = frontend.context_expand(frames, half_window, n_dct)
+    ref = gather_einsum_context_expand(frames, half_window, n_dct)
+    assert np.array_equal(out, ref)
+
+
+def test_context_expand_single_coefficient_matches_gather_einsum():
+    # einsum takes another vector path for D = 1, so only rounding agrees
+    frames = np.random.default_rng(8).standard_normal((300, 1))
+    out = frontend.context_expand(frames, 15, 6)
+    ref = gather_einsum_context_expand(frames, 15, 6)
+    assert np.abs(out - ref).max() <= 1e-14

@@ -103,8 +103,14 @@ def test_backward_matches_finite_differences(seed):
     x = rng.standard_normal((4, widths[0]))
     direction = rng.standard_normal((4, widths[-1]))
 
+    x_before = x.copy()
     acts = netcore.forward(net, x)
+    assert np.array_equal(x, x_before)  # activations run in place, never on x
     grads, grad_in = netcore.backward(net, acts, direction)
+    param_grads, no_grad_in = netcore.backward(net, acts, direction, input_grad=False)
+    assert no_grad_in is None
+    for g, g_only in zip(grads, param_grads, strict=True):
+        assert np.array_equal(g, g_only)
 
     def loss():
         return float((netcore.forward(net, x)[-1] * direction).sum())
