@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import logging
+import resource
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -48,7 +50,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .fileio import read_container, write_container, write_text
+from .fileio import read_container, read_text, write_container, write_text
 
 logger = logging.getLogger("svpipe")
 
@@ -133,9 +135,11 @@ DEFAULTS = {
 def load_config(path):
     """Parse a flat key=value config file; '#' starts a comment line."""
     try:
-        text = Path(path).read_text()
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except FormatError as exc:
+        raise ConfigError(str(exc)) from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -208,9 +212,61 @@ def _load_corpus(cfg) -> Corpus:
     return load_corpus(cfg.path("corpus"))
 
 
-def _norm_features(cfg, corpus, utts):
+def _stacked_rows(utts, blocks_of):
+    """Stack per-utterance row blocks into preallocated matrices.
+
+    blocks_of(utt) returns that utterance's matrices, one per output, each
+    with one row per frame. They are copied into their row slice as each
+    utterance is processed, so the stacked matrices are the only full-size
+    copies: no per-utterance list is kept and nothing is stacked twice.
+    """
+    if not utts:
+        raise InputError("no training utterances")
+    n_rows = sum(u.features.shape[0] for u in utts)
+    out = None
+    lo = 0
+    for utt in utts:
+        blocks = blocks_of(utt)
+        if out is None:
+            out = [np.empty((n_rows, block.shape[1])) for block in blocks]
+        hi = lo + utt.features.shape[0]
+        for dest, block in zip(out, blocks):
+            if block.shape != (hi - lo, dest.shape[1]):
+                raise ShapeError(
+                    f"utterance {utt.uid}: block of shape {block.shape}, "
+                    f"expected {(hi - lo, dest.shape[1])}"
+                )
+            dest[lo:hi] = block
+        lo = hi
+    return out
+
+
+def _ubm_training_frames(cfg):
+    """Normalized train frames, stacked; the corpus is released on return."""
+    corpus = _load_corpus(cfg)
     window = cfg.get_float("frontend.window_s")
-    return [frontend.stmvn(u.features, window, corpus.frame_rate_hz) for u in utts]
+    (frames,) = _stacked_rows(
+        corpus.split("train"),
+        lambda u: [frontend.stmvn(u.features, window, corpus.frame_rate_hz)],
+    )
+    return frames
+
+
+def _f2s_training_matrices(cfg, ubm):
+    """Stacked context-expanded train frames and their UBM posterior targets."""
+    corpus = _load_corpus(cfg)
+    window = cfg.get_float("frontend.window_s")
+    context = cfg.get_int("frontend.context")
+    n_dct = cfg.get_int("frontend.n_dct")
+
+    def blocks(utt):
+        norm = frontend.stmvn(utt.features, window, corpus.frame_rate_hz)
+        return [
+            frontend.context_expand(norm, context, n_dct),
+            gmm.responsibilities(ubm, norm),
+        ]
+
+    return _stacked_rows(corpus.split("train"), blocks)
 
 
 def _write_model(cfg, name, tensors):
@@ -256,9 +312,7 @@ def cmd_synth_data(cfg, args):
 
 
 def cmd_train_ubm(cfg, args):
-    corpus = _load_corpus(cfg)
-    train = corpus.split("train")
-    frames = np.vstack(_norm_features(cfg, corpus, train))
+    frames = _ubm_training_frames(cfg)
     model, history = gmm.train_ubm(
         frames,
         cfg.get_int("ubm.components"),
@@ -375,16 +429,10 @@ def cmd_train_dplda(cfg, args):
 
 
 def cmd_train_f2s(cfg, args):
-    corpus = _load_corpus(cfg)
     ubm = gmm.DiagGmm.from_tensors(read_container(cfg.path("ubm.svm")))
-    train = corpus.split("train")
-    norm = _norm_features(cfg, corpus, train)
-    context = cfg.get_int("frontend.context")
-    n_dct = cfg.get_int("frontend.n_dct")
-    expanded = [frontend.context_expand(x, context, n_dct) for x in norm]
-    targets = [gmm.responsibilities(ubm, x) for x in norm]
+    frames, targets = _f2s_training_matrices(cfg, ubm)
     net = statsnet.make_stats_net(
-        expanded[0].shape[1],
+        frames.shape[1],
         ubm.n_components,
         hidden=cfg.get_ints("statsnet.hidden"),
         seed=cfg.seed,
@@ -395,7 +443,7 @@ def cmd_train_f2s(cfg, args):
         batch_frames=cfg.get_int("statsnet.batch"),
         seed=cfg.seed,
     )
-    net, history = statsnet.train_stats_net(net, expanded, targets, train_cfg)
+    net, history = statsnet.train_stats_net(net, frames, targets, train_cfg)
     logger.info("statsnet cross-entropy: %.4f -> %.4f", history[0], history[-1])
     _write_model(cfg, "statsnet.svm", net.to_tensors())
 
@@ -417,10 +465,12 @@ def cmd_fit_pca(cfg, args):
 def _net_stats(cfg, corpus, utts):
     """Statistics from the trained statistics network (normalized features)."""
     net = statsnet.StatsNet.from_tensors(read_container(cfg.path("statsnet.svm")))
+    window = cfg.get_float("frontend.window_s")
     context = cfg.get_int("frontend.context")
     n_dct = cfg.get_int("frontend.n_dct")
     out = []
-    for norm in _norm_features(cfg, corpus, utts):
+    for utt in utts:
+        norm = frontend.stmvn(utt.features, window, corpus.frame_rate_hz)
         expanded = frontend.context_expand(norm, context, n_dct)
         out.append(statsnet.pooled_stats(net, expanded, norm))
     return out
@@ -668,7 +718,16 @@ def main(argv=None):
     try:
         overrides = load_config(args.config) if args.config else {}
         cfg = Config(overrides, seed=args.seed, workdir=args.workdir)
+        wall, cpu = time.perf_counter(), time.process_time()
         COMMANDS[args.command][0](cfg, args)
+        logger.info(
+            "stage %s done: %.2f s wall, %.2f s cpu, peak rss %.1f MB",
+            args.command,
+            time.perf_counter() - wall,
+            time.process_time() - cpu,
+            # the process peak so far; Linux reports ru_maxrss in KiB
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        )
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import FormatError, InputError
-from .fileio import read_features, write_features, write_text
+from .fileio import read_features, read_text, write_features, write_text
 
 SPLITS = ("train", "dev", "eval")
 TRIAL_LABELS = ("target", "nontarget")
@@ -165,19 +165,28 @@ def load_corpus(directory) -> Corpus:
         raise FormatError(f"{index}: corpus index not found")
     utterances = []
     frame_rate = 100.0
-    for lineno, line in enumerate(index.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(index).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if parts[0] == "frame_rate_hz" and len(parts) == 2:
-            frame_rate = float(parts[1])
+            try:
+                frame_rate = float(parts[1])
+            except ValueError:
+                raise FormatError(f"{index}:{lineno}: bad frame rate {parts[1]!r}") from None
             continue
         if len(parts) != 3:
             raise FormatError(f"{index}:{lineno}: expected 'uid<TAB>spk<TAB>split'")
         uid, speaker, split = parts
         if split not in SPLITS:
             raise FormatError(f"{index}:{lineno}: unknown split {split!r}")
-        features = read_features(directory / "features" / f"{uid}.svf")
+        if not uid or "/" in uid or "\0" in uid:
+            raise FormatError(f"{index}:{lineno}: uid {uid!r} is not a file name")
+        path = directory / "features" / f"{uid}.svf"
+        try:
+            features = read_features(path)
+        except FileNotFoundError:
+            raise FormatError(f"{index}:{lineno}: no feature file {path}") from None
         utterances.append(Utterance(uid, speaker, split, features))
     return Corpus(utterances, frame_rate_hz=frame_rate)
 
@@ -214,7 +223,7 @@ def make_trials(corpus: Corpus, split) -> TrialList:
 def parse_trial_list(path) -> TrialList:
     """Parse text lines "enroll test [label]"; label is optional."""
     trials = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split()
@@ -255,7 +264,7 @@ def read_scores(path):
     """Read a score file into (TrialList without labels, score vector)."""
     trials = []
     scores = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

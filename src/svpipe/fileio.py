@@ -52,6 +52,15 @@ def write_text(path, text):
         fh.write(text.encode("utf-8"))
 
 
+def read_text(path):
+    """Read a utf-8 text file; undecodable bytes are a FormatError naming it."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not utf-8 text", offset=exc.start) from None
+
+
 def write_features(path, frames):
     """Write a (T, D) matrix as float32; values are truncated to f32."""
     frames = np.asarray(frames)
@@ -158,7 +167,12 @@ def read_container(path):
             n_values *= dim
         payload = need(8 * n_values, f"payload of {name!r}")
         arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        tensors[name] = arr.reshape(dims) if rank > 0 else np.float64(arr[0])
+        try:
+            tensors[name] = arr.reshape(dims) if rank > 0 else np.float64(arr[0])
+        except ValueError:  # more dims than numpy supports
+            raise FormatError(
+                f"{path}: tensor {name!r} has unsupported rank {rank}", offset=pos
+            ) from None
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes", offset=pos)
     return tensors

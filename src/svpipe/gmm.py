@@ -101,19 +101,31 @@ def log_densities(g: DiagGmm, frames):
         - 0.5 * (g.dim * np.log(2.0 * np.pi) + np.log(g.vars).sum(axis=1))
         - 0.5 * (g.means**2 * inv_var).sum(axis=1)
     )
-    return (
-        const
-        + frames @ (g.means * inv_var).T
-        - 0.5 * (frames**2) @ inv_var.T
-    )
+    # const + x @ (mu/var).T - (0.5 * x**2) @ (1/var).T accumulated in the
+    # fresh (T, C) product: the operations of the out-of-place expression
+    # (addition commutes exactly), so the same bits, with two (T, C) arrays
+    # live at once instead of three
+    out = frames @ (g.means * inv_var).T
+    out += const
+    sq = frames**2
+    sq *= 0.5
+    out -= sq @ inv_var.T
+    return out
+
+
+def _posteriors(g: DiagGmm, frames):
+    """(log_norm, exp(log_dens - log_norm)) with the exponent in place."""
+    log_dens = log_densities(g, frames)
+    log_norm = _logsumexp_rows(log_dens)
+    log_dens -= log_norm[:, None]
+    return log_norm, np.exp(log_dens, out=log_dens)
 
 
 def responsibilities(g: DiagGmm, frames):
     """Posterior component probabilities per frame; rows sum to 1."""
-    log_dens = log_densities(g, frames)
-    log_norm = _logsumexp_rows(log_dens)
-    resp = np.exp(log_dens - log_norm[:, None])
-    return resp / resp.sum(axis=1, keepdims=True)
+    _, resp = _posteriors(g, frames)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return resp
 
 
 def log_likelihood(g: DiagGmm, frames):
@@ -123,7 +135,8 @@ def log_likelihood(g: DiagGmm, frames):
 
 def _logsumexp_rows(x):
     m = x.max(axis=1)
-    return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
+    shifted = x - m[:, None]
+    return m + np.log(np.exp(shifted, out=shifted).sum(axis=1))
 
 
 def sufficient_stats(resp, frames):
@@ -153,7 +166,10 @@ def train_ubm(
 ):
     """EM training of a diagonal GMM.
 
-    frames: (N, D) array or list of per-utterance matrices (stacked).
+    frames: the (N, D) matrix of all training frames; callers with
+    per-utterance matrices stack them (a preallocated matrix filled one
+    utterance at a time holds them once). The E-step walks it in chunks and
+    computes each chunk's posteriors in one (chunk, C) array.
     Initialization picks n_components distinct frames as means (seeded), a
     shared global diagonal variance and uniform weights. Variances are
     floored at floor_frac times the global per-dimension variance.
@@ -162,8 +178,6 @@ def train_ubm(
     log-likelihood of the model entering iteration i (non-decreasing up to
     the floor).
     """
-    if isinstance(frames, (list, tuple)):
-        frames = np.vstack([np.asarray(f, dtype=np.float64) for f in frames])
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise InputError("frames must form a (N, D) matrix")
@@ -191,10 +205,8 @@ def train_ubm(
         total_ll = 0.0
         for lo in range(0, n_frames, _E_STEP_CHUNK):
             chunk = frames[lo : lo + _E_STEP_CHUNK]
-            log_dens = log_densities(model, chunk)
-            log_norm = _logsumexp_rows(log_dens)
+            log_norm, resp = _posteriors(model, chunk)
             total_ll += float(log_norm.sum())
-            resp = np.exp(log_dens - log_norm[:, None])
             acc_n += resp.sum(axis=0)
             acc_f += resp.T @ chunk
             acc_s += resp.T @ chunk**2

@@ -258,7 +258,14 @@ def sgd_step(params, grads, lr, l1_weight=0.0):
     for p, g in zip(params, grads, strict=True):
         if not np.isfinite(g).all():
             raise OptimizerError("non-finite gradient in sgd_step")
-        out.append(p - lr * (g + l1_weight * np.sign(p)))
+        if l1_weight == 0.0:
+            # the term 0 * sign(p) can only matter where p and g are both
+            # zeros, and there it is +0.0 (np.sign(-0.0) is +0.0): "+ 0.0"
+            # keeps the bits without the sign pass, plain g would not
+            # (p = g = -0.0 would give -0.0 instead of +0.0)
+            out.append(p - lr * (g + 0.0))
+        else:
+            out.append(p - lr * (g + l1_weight * np.sign(p)))
     return out
 
 

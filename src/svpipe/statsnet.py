@@ -73,24 +73,28 @@ class StatsNetTrainConfig:
     seed: int = 0
 
 
-def train_stats_net(net: StatsNet, expanded_list, target_list, cfg):
+def train_stats_net(net: StatsNet, frames, targets, cfg):
     """SGD on frame-level cross-entropy against soft responsibility targets.
 
-    expanded_list/target_list are per-utterance matrices with aligned rows;
-    target rows must be distributions. Frames are pooled and shuffled across
-    utterances each epoch. Returns (net, per-epoch mean losses).
+    frames (N, input_dim) and targets (N, C) are the stacked training frames
+    of all utterances with aligned rows; target rows must be distributions.
+    Callers with per-utterance matrices stack them; filling one
+    preallocated matrix of each, one utterance at a time, holds the training
+    set once. Frames are shuffled across utterances each epoch. Returns
+    (net, per-epoch mean losses).
     """
-    if len(expanded_list) != len(target_list):
-        raise InputError("one target matrix per utterance required")
-    for x, t in zip(expanded_list, target_list):
-        if x.shape[0] != t.shape[0]:
-            raise InputError("target rows do not align with frames")
-        if t.shape[1] != net.n_components:
-            raise ShapeError("target width does not match the network output")
-        if np.abs(t.sum(axis=1) - 1.0).max() > 1e-6:
-            raise InputError("targets must be soft posteriors (rows sum to 1)")
-    frames = np.vstack(expanded_list)
-    targets = np.vstack(target_list)
+    frames = np.asarray(frames, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if frames.ndim != 2 or targets.ndim != 2:
+        raise ShapeError("frames and targets must be matrices")
+    if frames.shape[0] != targets.shape[0]:
+        raise InputError("target rows do not align with frames")
+    if frames.shape[0] == 0:
+        raise InputError("no training frames")
+    if targets.shape[1] != net.n_components:
+        raise ShapeError("target width does not match the network output")
+    if np.abs(targets.sum(axis=1) - 1.0).max() > 1e-6:
+        raise InputError("targets must be soft posteriors (rows sum to 1)")
     rng = np.random.default_rng(cfg.seed)
     model = StatsNet(net.net.copy())
     lr = cfg.lr

@@ -110,8 +110,8 @@ def _run_desk_chain(seed):
     snet = statsnet.make_stats_net(width, 32, hidden=(128, 128), seed=seed)
     snet, _ = statsnet.train_stats_net(
         snet,
-        [expanded[u.uid] for u in train],
-        [gmm.responsibilities(ubm, norm[u.uid]) for u in train],
+        np.vstack([expanded[u.uid] for u in train]),
+        np.vstack([gmm.responsibilities(ubm, norm[u.uid]) for u in train]),
         statsnet.StatsNetTrainConfig(lr=0.5, n_epochs=24, batch_frames=512, seed=seed),
     )
     nstats = {

@@ -89,3 +89,42 @@ def test_score_file_roundtrip(tmp_path):
     (tmp_path / "bad.txt").write_text("a b notafloat\n")
     with pytest.raises(FormatError):
         corpus.read_scores(tmp_path / "bad.txt")
+
+
+def test_trial_list_non_utf8_is_format_error(tmp_path):
+    path = tmp_path / "trials.txt"
+    path.write_bytes(b"e1 t1 target\ne\xff t2 nontarget\n")
+    with pytest.raises(FormatError, match="trials.txt"):
+        corpus.parse_trial_list(path)
+
+
+def test_score_file_non_utf8_is_format_error(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_bytes(b"a b 1.5\na \xc3 2.0\n")
+    with pytest.raises(FormatError, match="scores.txt"):
+        corpus.read_scores(path)
+
+
+def test_corpus_index_non_utf8_is_format_error(tmp_path, small_corpus):
+    corpus.save_corpus(small_corpus, tmp_path / "c")
+    index = tmp_path / "c" / "corpus.tsv"
+    index.write_bytes(index.read_bytes() + b"\xfe\tspk\ttrain\n")
+    with pytest.raises(FormatError, match="corpus.tsv"):
+        corpus.load_corpus(tmp_path / "c")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "frame_rate_hz\tfast",  # unparsable frame rate
+        "../elsewhere\tspk\ttrain",  # uid is a path, not a file name
+        "absent\tspk\ttrain",  # no feature file for the uid
+    ],
+)
+def test_corpus_index_bad_line_is_format_error(tmp_path, small_corpus, line):
+    corpus.save_corpus(small_corpus, tmp_path / "c")
+    index = tmp_path / "c" / "corpus.tsv"
+    index.write_text(index.read_text() + line + "\n")
+    n_lines = len(index.read_text().splitlines())
+    with pytest.raises(FormatError, match=f"corpus.tsv:{n_lines}:"):
+        corpus.load_corpus(tmp_path / "c")

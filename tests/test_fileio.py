@@ -102,6 +102,18 @@ def test_container_non_utf8_name_is_format_error(tmp_path):
     assert err.value.offset == 16  # first byte of the name
 
 
+def test_container_rank_beyond_numpy_is_format_error(tmp_path):
+    # an empty tensor of rank 65 passes every size check but no ndarray has
+    # that many dims
+    path = tmp_path / "deep.svm"
+    path.write_bytes(
+        b"SVM1" + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"w"
+        + struct.pack("<B", 65) + struct.pack("<Q", 0) * 65
+    )
+    with pytest.raises(FormatError, match="rank 65"):
+        fileio.read_container(path)
+
+
 def test_failed_container_overwrite_keeps_the_old_file(tmp_path):
     path = tmp_path / "model.svm"
     fileio.write_container(path, {"a": 1.0, "b": np.arange(3.0)})

@@ -126,3 +126,38 @@ def test_errors():
     model = gmm.DiagGmm(np.array([1.0]), np.zeros((1, 3)), np.ones((1, 3)))
     with pytest.raises(ShapeError):
         gmm.responsibilities(model, np.zeros((2, 2)))
+
+
+def _reference_log_densities(g, frames):
+    """The out-of-place expression log_densities is bit-identical to."""
+    inv_var = 1.0 / g.vars
+    const = (
+        np.log(g.weights)
+        - 0.5 * (g.dim * np.log(2.0 * np.pi) + np.log(g.vars).sum(axis=1))
+        - 0.5 * (g.means**2 * inv_var).sum(axis=1)
+    )
+    return const + frames @ (g.means * inv_var).T - 0.5 * (frames**2) @ inv_var.T
+
+
+def _reference_logsumexp_rows(x):
+    m = x.max(axis=1)
+    return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
+
+
+@pytest.mark.parametrize("n_frames, dim, n_components", [(1, 1, 1), (37, 3, 5), (400, 20, 32)])
+def test_in_place_e_step_is_bit_identical(n_frames, dim, n_components):
+    rng = np.random.default_rng(n_frames + dim + n_components)
+    weights = rng.random(n_components) + 0.05
+    model = gmm.DiagGmm(
+        weights / weights.sum(),
+        2.0 * rng.standard_normal((n_components, dim)),
+        rng.random((n_components, dim)) + 0.1,
+    )
+    frames = 3.0 * rng.standard_normal((2 * n_frames, dim))[::2]  # a strided view too
+    log_dens = _reference_log_densities(model, frames)
+    log_norm = _reference_logsumexp_rows(log_dens)
+    resp = np.exp(log_dens - log_norm[:, None])
+    resp = resp / resp.sum(axis=1, keepdims=True)
+    assert np.array_equal(gmm.log_densities(model, frames), log_dens)
+    assert np.array_equal(gmm.responsibilities(model, frames), resp)
+    assert gmm.log_likelihood(model, frames) == float(log_norm.sum())

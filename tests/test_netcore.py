@@ -144,6 +144,20 @@ def test_sgd_step_cases():
         assert np.allclose(s, expect, atol=1e-15)
 
 
+def test_sgd_step_without_l1_keeps_signed_zero_bits():
+    # with l1_weight == 0 the step skips the sign pass; it must still give
+    # the bits of the full expression, signed zeros included
+    values = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]
+    p = np.repeat(values, len(values))
+    g = np.tile(values, len(values))
+    for lr in (0.1, 0.5, 1.0):
+        full = p - lr * (g + 0.0 * np.sign(p))
+        (out,) = netcore.sgd_step([p], [g], lr=lr, l1_weight=0.0)
+        assert out.tobytes() == full.tobytes()
+        # the grid tells the two forms apart: plain p - lr * g differs
+        assert (p - lr * g).tobytes() != full.tobytes()
+
+
 def test_adam_zero_grads_identity():
     params = [np.array([1.0, 2.0])]
     state = netcore.AdamState.create(params, lr=0.1)

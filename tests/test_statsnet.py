@@ -22,7 +22,7 @@ def test_training_toward_constant_target():
     targets = [np.tile(q, (120, 1)) for _ in range(3)]
     net = statsnet.make_stats_net(4, 3, hidden=(8,), seed=1)
     cfg = statsnet.StatsNetTrainConfig(lr=0.5, n_epochs=60, batch_frames=64, seed=0)
-    net, history = statsnet.train_stats_net(net, frames, targets, cfg)
+    net, history = statsnet.train_stats_net(net, np.vstack(frames), np.vstack(targets), cfg)
     avg = np.vstack(
         [statsnet.predict_responsibilities(net, f) for f in frames]
     ).mean(axis=0)
@@ -39,7 +39,7 @@ def test_training_beats_constant_predictor():
     targets = [gmm.responsibilities(ubm, f) for f in frames]
     net = statsnet.make_stats_net(3, 4, hidden=(16, 16), seed=2)
     cfg = statsnet.StatsNetTrainConfig(lr=0.5, n_epochs=40, batch_frames=64, seed=0)
-    net, history = statsnet.train_stats_net(net, frames, targets, cfg)
+    net, history = statsnet.train_stats_net(net, np.vstack(frames), np.vstack(targets), cfg)
     stacked = np.vstack(targets)
     constant_ce = float(-(stacked * np.log(stacked.mean(axis=0))).sum(axis=1).mean())
     assert history[-1] <= constant_ce
@@ -100,7 +100,7 @@ def test_network_stats_feed_classic_extraction(small_corpus):
     targets = [gmm.responsibilities(ubm, x) for x in norm]
     net = statsnet.make_stats_net(expanded[0].shape[1], 4, hidden=(10,), seed=1)
     net, _ = statsnet.train_stats_net(
-        net, expanded, targets,
+        net, np.vstack(expanded), np.vstack(targets),
         statsnet.StatsNetTrainConfig(lr=0.3, n_epochs=2, batch_frames=128, seed=0),
     )
     stats = [statsnet.pooled_stats(net, e, x) for e, x in zip(expanded, norm)]
@@ -120,7 +120,7 @@ def test_frame_mismatch_errors():
     with pytest.raises(InputError):
         statsnet.train_stats_net(
             net,
-            [rng.standard_normal((8, 4))],
-            [np.full((7, 3), 1.0 / 3)],
+            rng.standard_normal((8, 4)),
+            np.full((7, 3), 1.0 / 3),
             statsnet.StatsNetTrainConfig(n_epochs=1),
         )
