@@ -159,46 +159,31 @@ class Config:
     """Resolved config; every value is parsed by its DEFAULTS parser on construction."""
 
     def __init__(self, overrides=None, seed=None, workdir=None):
-        self.values = {key: default for key, (default, _) in DEFAULTS.items()}
-        if overrides:
-            self.values.update(overrides)
+        raw = {key: default for key, (default, _) in DEFAULTS.items()}
+        raw.update(overrides or {})
         if seed is not None:
-            self.values["seed"] = str(seed)
+            raw["seed"] = str(seed)
         if workdir is not None:
-            self.values["paths.workdir"] = str(workdir)
-        self.parsed = {key: self._parse(key) for key in self.values}
-
-    def _parse(self, key):
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            return DEFAULTS[key][1](self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {self.values[key]!r}") from None
-
-    def _typed(self, key, parse):
-        if DEFAULTS[key][1] is not parse:
-            raise ConfigError(f"{key} is not read with {parse.__name__}")
-        return self.parsed[key]
+            raw["paths.workdir"] = str(workdir)
+        self.values = {}
+        for key, value in raw.items():
+            if key not in DEFAULTS:
+                raise ConfigError(f"unknown config key {key!r}")
+            try:
+                self.values[key] = DEFAULTS[key][1](value)
+            except ValueError:
+                raise ConfigError(f"{key}: cannot parse {value!r}") from None
 
     def get(self, key):
-        return self._typed(key, str)
-
-    def get_int(self, key):
-        return self._typed(key, int)
-
-    def get_float(self, key):
-        return self._typed(key, float)
-
-    def get_bool(self, key):
-        return self._typed(key, _parse_bool)
-
-    def get_ints(self, key):
-        return self._typed(key, _parse_ints)
+        """The parsed value of key."""
+        try:
+            return self.values[key]
+        except KeyError:
+            raise ConfigError(f"unknown config key {key!r}") from None
 
     @property
     def seed(self):
-        return self.get_int("seed")
+        return self.get("seed")
 
     @property
     def workdir(self):
@@ -244,7 +229,7 @@ def _stacked_rows(utts, blocks_of):
 def _ubm_training_frames(cfg):
     """Normalized train frames, stacked; the corpus is released on return."""
     corpus = _load_corpus(cfg)
-    window = cfg.get_float("frontend.window_s")
+    window = cfg.get("frontend.window_s")
     (frames,) = _stacked_rows(
         corpus.split("train"),
         lambda u: [frontend.stmvn(u.features, window, corpus.frame_rate_hz)],
@@ -255,9 +240,9 @@ def _ubm_training_frames(cfg):
 def _f2s_training_matrices(cfg, ubm):
     """Stacked context-expanded train frames and their UBM posterior targets."""
     corpus = _load_corpus(cfg)
-    window = cfg.get_float("frontend.window_s")
-    context = cfg.get_int("frontend.context")
-    n_dct = cfg.get_int("frontend.n_dct")
+    window = cfg.get("frontend.window_s")
+    context = cfg.get("frontend.context")
+    n_dct = cfg.get("frontend.n_dct")
 
     def blocks(utt):
         norm = frontend.stmvn(utt.features, window, corpus.frame_rate_hz)
@@ -267,6 +252,14 @@ def _f2s_training_matrices(cfg, ubm):
         ]
 
     return _stacked_rows(corpus.split("train"), blocks)
+
+
+def _log_progress(label, history, digits):
+    """Log the first and last value of a training history, if any."""
+    if history:
+        logger.info("%s: %.*f -> %.*f", label, digits, history[0], digits, history[-1])
+    else:
+        logger.info("%s: no iterations run", label)
 
 
 def _write_model(cfg, name, tensors):
@@ -287,16 +280,16 @@ def _map_over(items, fn, threads):
 
 def cmd_synth_data(cfg, args):
     synth = SynthConfig(
-        n_speakers=cfg.get_int("corpus.speakers"),
-        utts_per_speaker=cfg.get_int("corpus.utts"),
-        min_frames=cfg.get_int("corpus.min_frames"),
-        max_frames=cfg.get_int("corpus.max_frames"),
-        dim=cfg.get_int("corpus.dim"),
-        speaker_dim=cfg.get_int("corpus.speaker_dim"),
-        channel_dim=cfg.get_int("corpus.channel_dim"),
-        noise_scale=cfg.get_float("corpus.noise"),
-        nonlinearity=cfg.get_float("corpus.nonlinearity"),
-        frame_rate_hz=cfg.get_float("corpus.frame_rate"),
+        n_speakers=cfg.get("corpus.speakers"),
+        utts_per_speaker=cfg.get("corpus.utts"),
+        min_frames=cfg.get("corpus.min_frames"),
+        max_frames=cfg.get("corpus.max_frames"),
+        dim=cfg.get("corpus.dim"),
+        speaker_dim=cfg.get("corpus.speaker_dim"),
+        channel_dim=cfg.get("corpus.channel_dim"),
+        noise_scale=cfg.get("corpus.noise"),
+        nonlinearity=cfg.get("corpus.nonlinearity"),
+        frame_rate_hz=cfg.get("corpus.frame_rate"),
         seed=cfg.seed,
     )
     corpus = synth_corpus(synth)
@@ -315,19 +308,19 @@ def cmd_train_ubm(cfg, args):
     frames = _ubm_training_frames(cfg)
     model, history = gmm.train_ubm(
         frames,
-        cfg.get_int("ubm.components"),
-        n_iters=cfg.get_int("ubm.iters"),
-        floor_frac=cfg.get_float("ubm.floor"),
+        cfg.get("ubm.components"),
+        n_iters=cfg.get("ubm.iters"),
+        floor_frac=cfg.get("ubm.floor"),
         seed=cfg.seed,
     )
-    logger.info("ubm log-likelihood: %.2f -> %.2f", history[0], history[-1])
+    _log_progress("ubm log-likelihood", history, 2)
     _write_model(cfg, "ubm.svm", model.to_tensors())
 
 
 def cmd_extract_stats(cfg, args):
     corpus = _load_corpus(cfg)
     ubm = gmm.DiagGmm.from_tensors(read_container(cfg.path("ubm.svm")))
-    window = cfg.get_float("frontend.window_s")
+    window = cfg.get("frontend.window_s")
 
     def one(utt):
         norm = frontend.stmvn(utt.features, window, corpus.frame_rate_hz)
@@ -356,11 +349,11 @@ def cmd_train_tv(cfg, args):
     model, history = ivector.train_tv(
         train_stats,
         ubm,
-        cfg.get_int("tv.dim"),
-        n_iters=cfg.get_int("tv.iters"),
+        cfg.get("tv.dim"),
+        n_iters=cfg.get("tv.iters"),
         seed=cfg.seed,
     )
-    logger.info("tv evidence: %.2f -> %.2f", history[0], history[-1])
+    _log_progress("tv evidence", history, 2)
     _write_model(cfg, "tv.svm", model.to_tensors())
 
 
@@ -379,7 +372,7 @@ def cmd_extract_ivec(cfg, args):
     prep = ivector.fit_prep(
         np.stack([raw_by_uid[u.uid] for u in train]),
         [u.speaker for u in train],
-        cfg.get_int("prep.dim"),
+        cfg.get("prep.dim"),
     )
     _write_model(cfg, "prep.svm", prep.to_tensors())
     tensors = {
@@ -401,9 +394,9 @@ def cmd_train_plda(cfg, args):
     model, history = plda.train_plda(
         np.stack([vectors[u.uid] for u in train]),
         [u.speaker for u in train],
-        n_iters=cfg.get_int("plda.iters"),
+        n_iters=cfg.get("plda.iters"),
     )
-    logger.info("plda log-likelihood: %.2f -> %.2f", history[0], history[-1])
+    _log_progress("plda log-likelihood", history, 2)
     _write_model(cfg, "plda.svm", model.to_tensors())
 
 
@@ -414,17 +407,17 @@ def cmd_train_dplda(cfg, args):
     model = plda.TwoCovPlda.from_tensors(read_container(cfg.path("plda.svm")))
     init = plda.to_dplda(model)
     obj = dplda_mod.ObjectiveConfig(
-        p_target=cfg.get_float("dplda.p_target"),
-        l2_weight=cfg.get_float("dplda.l2"),
+        p_target=cfg.get("dplda.p_target"),
+        l2_weight=cfg.get("dplda.l2"),
     )
     params, history = dplda_mod.train_dplda_fullbatch(
         init,
         np.stack([vectors[u.uid] for u in train]),
         np.array([u.speaker for u in train]),
         obj,
-        max_iters=cfg.get_int("dplda.max_iters"),
+        max_iters=cfg.get("dplda.max_iters"),
     )
-    logger.info("dplda loss: %.6f -> %.6f", history[0], history[-1])
+    _log_progress("dplda loss", history, 6)
     _write_model(cfg, "dplda.svm", params.to_tensors())
 
 
@@ -434,17 +427,18 @@ def cmd_train_f2s(cfg, args):
     net = statsnet.make_stats_net(
         frames.shape[1],
         ubm.n_components,
-        hidden=cfg.get_ints("statsnet.hidden"),
+        hidden=cfg.get("statsnet.hidden"),
         seed=cfg.seed,
     )
-    train_cfg = statsnet.StatsNetTrainConfig(
-        lr=cfg.get_float("statsnet.lr"),
-        n_epochs=cfg.get_int("statsnet.epochs"),
-        batch_frames=cfg.get_int("statsnet.batch"),
+    schedule = netcore.SgdSchedule(
+        lr=cfg.get("statsnet.lr"),
+        n_epochs=cfg.get("statsnet.epochs"),
+        batch_size=cfg.get("statsnet.batch"),
         seed=cfg.seed,
+        l1_weight=0.0,
     )
-    net, history = statsnet.train_stats_net(net, frames, targets, train_cfg)
-    logger.info("statsnet cross-entropy: %.4f -> %.4f", history[0], history[-1])
+    net, history = statsnet.train_stats_net(net, frames, targets, schedule)
+    _log_progress("statsnet cross-entropy", history, 4)
     _write_model(cfg, "statsnet.svm", net.to_tensors())
 
 
@@ -456,18 +450,18 @@ def cmd_fit_pca(cfg, args):
     supervectors = ivecnet.map_supervectors(
         ubm,
         [stats[u.uid] for u in train],
-        relevance=cfg.get_float("ivecnet.relevance"),
+        relevance=cfg.get("ivecnet.relevance"),
     )
-    pca = ivecnet.fit_pca(supervectors, cfg.get_int("pca.dim"))
+    pca = ivecnet.fit_pca(supervectors, cfg.get("pca.dim"))
     _write_model(cfg, "pca.svm", pca.to_tensors())
 
 
 def _net_stats(cfg, corpus, utts):
     """Statistics from the trained statistics network (normalized features)."""
     net = statsnet.StatsNet.from_tensors(read_container(cfg.path("statsnet.svm")))
-    window = cfg.get_float("frontend.window_s")
-    context = cfg.get_int("frontend.context")
-    n_dct = cfg.get_int("frontend.n_dct")
+    window = cfg.get("frontend.window_s")
+    context = cfg.get("frontend.context")
+    n_dct = cfg.get("frontend.n_dct")
     out = []
     for utt in utts:
         norm = frontend.stmvn(utt.features, window, corpus.frame_rate_hz)
@@ -491,25 +485,25 @@ def cmd_train_s2i(cfg, args):
     else:
         raise ConfigError(f"ivecnet.stats_source must be statsnet or ubm, not {source!r}")
     supervectors = ivecnet.map_supervectors(
-        ubm, stats, relevance=cfg.get_float("ivecnet.relevance")
+        ubm, stats, relevance=cfg.get("ivecnet.relevance")
     )
     inputs = ivecnet.pca_project(pca, supervectors)
     refs = np.stack([vectors[u.uid] for u in train])
     net = ivecnet.make_ivec_net(
         inputs.shape[1],
         refs.shape[1],
-        hidden=cfg.get_ints("ivecnet.hidden"),
+        hidden=cfg.get("ivecnet.hidden"),
         seed=cfg.seed,
     )
-    train_cfg = ivecnet.IvecNetTrainConfig(
-        lr=cfg.get_float("ivecnet.lr"),
-        l1_weight=cfg.get_float("ivecnet.l1"),
-        n_epochs=cfg.get_int("ivecnet.epochs"),
-        batch_size=cfg.get_int("ivecnet.batch"),
+    schedule = netcore.SgdSchedule(
+        lr=cfg.get("ivecnet.lr"),
+        n_epochs=cfg.get("ivecnet.epochs"),
+        batch_size=cfg.get("ivecnet.batch"),
         seed=cfg.seed,
+        l1_weight=cfg.get("ivecnet.l1"),
     )
-    net, history = ivecnet.train_ivec_net(net, inputs, refs, train_cfg)
-    logger.info("ivecnet cosine loss: %.4f -> %.4f", history[0], history[-1])
+    net, history = ivecnet.train_ivec_net(net, inputs, refs, schedule)
+    _log_progress("ivecnet cosine loss", history, 4)
     _write_model(cfg, "ivecnet.svm", net.to_tensors())
 
 
@@ -520,10 +514,10 @@ def cmd_train_joint(cfg, args):
     pca = ivecnet.PcaModel.from_tensors(read_container(cfg.path("pca.svm")))
     ivnet = ivecnet.IvecNet.from_tensors(read_container(cfg.path("ivecnet.svm")))
     front = e2e_mod.FrontendConfig(
-        window_s=cfg.get_float("frontend.window_s"),
+        window_s=cfg.get("frontend.window_s"),
         frame_rate_hz=corpus.frame_rate_hz,
-        context=cfg.get_int("frontend.context"),
-        n_dct=cfg.get_int("frontend.n_dct"),
+        context=cfg.get("frontend.context"),
+        n_dct=cfg.get("frontend.n_dct"),
     )
     # discriminative backend initialized on the embedding outputs
     system = e2e_mod.E2eSystem(
@@ -538,34 +532,34 @@ def cmd_train_joint(cfg, args):
             np.zeros(ivnet.out_dim),
             0.0,
         ),
-        relevance=cfg.get_float("ivecnet.relevance"),
+        relevance=cfg.get("ivecnet.relevance"),
     )
     train = corpus.split("train")
     train_coords = e2e_mod.pca_coords(system, [u.features for u in train])
     embeddings = e2e_mod.embed_coords(system, train_coords)
     speakers = np.array([u.speaker for u in train])
     plda_model, _ = plda.train_plda(
-        embeddings, speakers, n_iters=cfg.get_int("plda.iters")
+        embeddings, speakers, n_iters=cfg.get("plda.iters")
     )
     init = plda.to_dplda(plda_model)
-    if cfg.get_bool("joint.init_fullbatch"):
+    if cfg.get("joint.init_fullbatch"):
         obj = dplda_mod.ObjectiveConfig(
-            p_target=cfg.get_float("dplda.p_target"),
-            l2_weight=cfg.get_float("dplda.l2"),
+            p_target=cfg.get("dplda.p_target"),
+            l2_weight=cfg.get("dplda.l2"),
         )
         init, _ = dplda_mod.train_dplda_fullbatch(
-            init, embeddings, speakers, obj, max_iters=cfg.get_int("dplda.max_iters")
+            init, embeddings, speakers, obj, max_iters=cfg.get("dplda.max_iters")
         )
     system.dplda = init
     system.snapshot = netcore.make_snapshot(
-        system.trainable_parameters(), cfg.get_float("joint.lambda_init")
+        system.trainable_parameters(), cfg.get("joint.lambda_init")
     )
     schedule = e2e_mod.TrainSchedule(
-        n_pairs=cfg.get_int("joint.pairs"),
-        lr=cfg.get_float("joint.lr"),
-        epoch_batches=cfg.get_int("joint.epoch_batches"),
-        max_epochs=cfg.get_int("joint.epochs"),
-        objective=dplda_mod.ObjectiveConfig(p_target=cfg.get_float("dplda.p_target")),
+        n_pairs=cfg.get("joint.pairs"),
+        lr=cfg.get("joint.lr"),
+        epoch_batches=cfg.get("joint.epoch_batches"),
+        max_epochs=cfg.get("joint.epochs"),
+        objective=dplda_mod.ObjectiveConfig(p_target=cfg.get("dplda.p_target")),
     )
     rng = np.random.default_rng(cfg.seed)
     system, history = e2e_mod.train_joint_s2i_dplda(
@@ -580,13 +574,13 @@ def cmd_train_e2e(cfg, args):
     system = e2e_mod.E2eSystem.from_tensors(read_container(cfg.path("system.svm")))
     # keep the cascade initialization train-joint froze; reweight its pull
     anchor = system.trainable_parameters() if system.snapshot is None else system.snapshot.values
-    system.snapshot = netcore.make_snapshot(anchor, cfg.get_float("e2e.lambda_init"))
+    system.snapshot = netcore.make_snapshot(anchor, cfg.get("e2e.lambda_init"))
     schedule = e2e_mod.TrainSchedule(
-        n_pairs=cfg.get_int("e2e.pairs"),
-        lr=cfg.get_float("e2e.lr"),
-        epoch_batches=cfg.get_int("e2e.epoch_batches"),
-        max_epochs=cfg.get_int("e2e.epochs"),
-        objective=dplda_mod.ObjectiveConfig(p_target=cfg.get_float("dplda.p_target")),
+        n_pairs=cfg.get("e2e.pairs"),
+        lr=cfg.get("e2e.lr"),
+        epoch_batches=cfg.get("e2e.epoch_batches"),
+        max_epochs=cfg.get("e2e.epochs"),
+        objective=dplda_mod.ObjectiveConfig(p_target=cfg.get("dplda.p_target")),
     )
     rng = np.random.default_rng(cfg.seed)
     system, history = e2e_mod.train_e2e_full(system, corpus, schedule, rng)

@@ -297,15 +297,6 @@ def full_graph_grads(system, features_list, loss_fn, ledger=None):
     return _system_grads(system, features_list, loss_fn, ledger, keep_caches=True)
 
 
-def lr_schedule_step(history, lr):
-    """Halve lr iff the latest dev cost is no better than the best before it."""
-    if len(history) < 1:
-        raise InputError("need at least one completed epoch")
-    if len(history) == 1:
-        return lr
-    return lr * 0.5 if history[-1] >= min(history[:-1]) else lr
-
-
 @dataclass
 class TrainSchedule:
     n_pairs: int = DEFAULT_JOINT_PAIRS
@@ -453,7 +444,7 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         losses = [batch_step() for _ in range(schedule.epoch_batches)]
         dev_eer, dev_c = _dev_metrics(dev_embeddings(), dev_speakers, system.dplda)
         dev_curve.append(dev_c)
-        adam.lr = lr_schedule_step(dev_curve, adam.lr)
+        adam.lr = netcore.lr_schedule_step(dev_curve, adam.lr)
         record = EpochRecord(epoch, float(np.mean(losses)), dev_eer, dev_c, adam.lr)
         history.append(record)
         logger.info("%s", format_epoch_log(record))

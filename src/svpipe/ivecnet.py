@@ -8,7 +8,6 @@ distance to reference vectors from the classic extraction chain.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from . import netcore
 from .errors import InputError, ShapeError
 from .gmm import DiagGmm, SuffStats
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RELEVANCE = 16.0
 DEFAULT_PCA_DIM = 4000
@@ -131,59 +128,20 @@ def cosine_loss(outputs, refs):
     return loss, -refs / n
 
 
-@dataclass
-class IvecNetTrainConfig:
-    lr: float = 0.05
-    l1_weight: float = 1e-5
-    n_epochs: int = 100
-    batch_size: int = 64
-    seed: int = 0
-
-
-def train_ivec_net(net: IvecNet, inputs, refs, cfg):
+def train_ivec_net(net: IvecNet, inputs, refs, schedule: netcore.SgdSchedule):
     """SGD with L1 regularization on the cosine-distance objective.
 
     refs must be unit-norm reference vectors aligned with the inputs.
     Returns (net, per-epoch losses) where the loss includes the L1 term.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
-    if inputs.shape[0] != refs.shape[0]:
-        raise InputError("inputs and references must align")
     norms = np.linalg.norm(refs, axis=1)
     if (norms < 1e-12).any():
         raise InputError("zero-norm reference vector")
-    if np.abs(norms - 1.0).max() > 1e-6:
+    if (np.abs(norms - 1.0) > 1e-6).any():
         raise InputError("reference vectors must be length-normalized")
-    rng = np.random.default_rng(cfg.seed)
-    model = IvecNet(net.net.copy())
-    lr = cfg.lr
-    best = np.inf
-    history = []
-    for epoch in range(cfg.n_epochs):
-        order = rng.permutation(inputs.shape[0])
-        total = 0.0
-        for lo in range(0, inputs.shape[0], cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            acts = netcore.forward(model.net, inputs[idx])
-            loss, grad = cosine_loss(acts[-1], refs[idx])
-            grads, _ = netcore.backward(model.net, acts, grad, input_grad=False)
-            model.net.set_parameters(
-                netcore.sgd_step(
-                    model.net.parameters(), grads, lr, l1_weight=cfg.l1_weight
-                )
-            )
-            total += loss * idx.shape[0]
-        l1_term = cfg.l1_weight * sum(
-            np.abs(p).sum() for p in model.net.parameters()
-        )
-        epoch_loss = total / inputs.shape[0] + l1_term
-        history.append(epoch_loss)
-        if epoch_loss >= best:
-            lr *= 0.5
-        best = min(best, epoch_loss)
-    logger.debug("ivecnet final loss %.6f", history[-1] if history else np.nan)
-    return model, history
+    model, history = netcore.train_sgd(net.net, inputs, refs, cosine_loss, schedule)
+    return IvecNet(model), history
 
 
 def extract_embedding(pca: PcaModel, net: IvecNet, supervectors):

@@ -1,18 +1,22 @@
 """Minimal feed-forward network substrate with hand-derived gradients.
 
 Everything is plain float64 numpy: affine layers with a small set of
-activations, explicit forward/backward passes, SGD and Adam steps, and a
-quadratic penalty that pulls parameters back toward a reference snapshot.
+activations, explicit forward/backward passes, SGD and Adam steps, the one
+minibatch-SGD training loop and learning-rate rule every network shares, and
+a quadratic penalty that pulls parameters back toward a reference snapshot.
 No autodiff, no GPU; batches are matrices of shape (B, dim).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, OptimizerError, ShapeError, StateError
+from .errors import ConfigError, InputError, OptimizerError, ShapeError, StateError
+
+logger = logging.getLogger(__name__)
 
 ACTIVATIONS = ("linear", "sigmoid", "tanh", "softmax", "lengthnorm")
 
@@ -267,6 +271,75 @@ def sgd_step(params, grads, lr, l1_weight=0.0):
         else:
             out.append(p - lr * (g + l1_weight * np.sign(p)))
     return out
+
+
+def lr_schedule_step(history, lr):
+    """Halve lr iff the latest epoch's cost is no better than the best before it."""
+    if len(history) < 1:
+        raise InputError("need at least one completed epoch")
+    return lr * 0.5 if len(history) > 1 and history[-1] >= min(history[:-1]) else lr
+
+
+@dataclass
+class SgdSchedule:
+    """Minibatch SGD settings; no field has a default."""
+
+    lr: float
+    n_epochs: int
+    batch_size: int
+    seed: int
+    l1_weight: float
+
+    def __post_init__(self):
+        if not self.lr > 0.0:
+            raise ConfigError(f"learning rate must be positive, not {self.lr}")
+        if self.n_epochs < 0:
+            raise ConfigError(f"epoch count must be >= 0, not {self.n_epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be >= 1, not {self.batch_size}")
+        if not self.l1_weight >= 0.0:
+            raise ConfigError(f"l1 weight must be non-negative, not {self.l1_weight}")
+
+
+def train_sgd(net: Mlp, inputs, targets, loss_fn, schedule: SgdSchedule):
+    """Minibatch SGD of loss_fn(net output, target rows) over aligned rows.
+
+    loss_fn(outputs, targets) returns (mean batch loss, gradient w.r.t. the
+    outputs). Rows are reshuffled every epoch by a generator seeded with
+    schedule.seed; each batch takes one sgd_step with the schedule's L1
+    weight. An epoch's cost is the row-weighted mean batch loss plus the L1
+    term of the parameters at the epoch's end, and lr_schedule_step halves
+    the rate on it. Returns (trained copy of net, per-epoch costs); zero
+    epochs return an untrained copy and an empty history.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if inputs.shape[0] != targets.shape[0]:
+        raise InputError("target rows do not align with the inputs")
+    if inputs.shape[0] == 0:
+        raise InputError("empty training set")
+    n_rows = inputs.shape[0]
+    rng = np.random.default_rng(schedule.seed)
+    model = net.copy()
+    lr = schedule.lr
+    history = []
+    for epoch in range(schedule.n_epochs):
+        order = rng.permutation(n_rows)
+        total = 0.0
+        for lo in range(0, n_rows, schedule.batch_size):
+            idx = order[lo : lo + schedule.batch_size]
+            acts = forward(model, inputs[idx])
+            loss, grad = loss_fn(acts[-1], targets[idx])
+            grads, _ = backward(model, acts, grad, input_grad=False)
+            model.set_parameters(
+                sgd_step(model.parameters(), grads, lr, schedule.l1_weight)
+            )
+            total += loss * idx.shape[0]
+        l1_term = schedule.l1_weight * sum(np.abs(p).sum() for p in model.parameters())
+        history.append(total / n_rows + l1_term)
+        logger.debug("sgd epoch %d: cost %.6f lr %.4g", epoch, history[-1], lr)
+        lr = lr_schedule_step(history, lr)
+    return model, history
 
 
 @dataclass

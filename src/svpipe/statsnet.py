@@ -9,7 +9,6 @@ any statistics-level loss flow back into the network.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ import numpy as np
 from . import netcore
 from .errors import InputError, ShapeError
 from .gmm import SuffStats, sufficient_stats
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (1500, 1500, 1500, 1500)
 DEFAULT_COMPONENTS = 2048
@@ -65,15 +62,7 @@ def frame_cross_entropy(pred, targets):
     return loss, grad
 
 
-@dataclass
-class StatsNetTrainConfig:
-    lr: float = 0.1
-    n_epochs: int = 5
-    batch_frames: int = 512
-    seed: int = 0
-
-
-def train_stats_net(net: StatsNet, frames, targets, cfg):
+def train_stats_net(net: StatsNet, frames, targets, schedule: netcore.SgdSchedule):
     """SGD on frame-level cross-entropy against soft responsibility targets.
 
     frames (N, input_dim) and targets (N, C) are the stacked training frames
@@ -87,38 +76,14 @@ def train_stats_net(net: StatsNet, frames, targets, cfg):
     targets = np.asarray(targets, dtype=np.float64)
     if frames.ndim != 2 or targets.ndim != 2:
         raise ShapeError("frames and targets must be matrices")
-    if frames.shape[0] != targets.shape[0]:
-        raise InputError("target rows do not align with frames")
-    if frames.shape[0] == 0:
-        raise InputError("no training frames")
     if targets.shape[1] != net.n_components:
         raise ShapeError("target width does not match the network output")
-    if np.abs(targets.sum(axis=1) - 1.0).max() > 1e-6:
+    if (np.abs(targets.sum(axis=1) - 1.0) > 1e-6).any():
         raise InputError("targets must be soft posteriors (rows sum to 1)")
-    rng = np.random.default_rng(cfg.seed)
-    model = StatsNet(net.net.copy())
-    lr = cfg.lr
-    best = np.inf
-    history = []
-    for epoch in range(cfg.n_epochs):
-        order = rng.permutation(frames.shape[0])
-        total = 0.0
-        for lo in range(0, frames.shape[0], cfg.batch_frames):
-            idx = order[lo : lo + cfg.batch_frames]
-            acts = netcore.forward(model.net, frames[idx])
-            loss, grad = frame_cross_entropy(acts[-1], targets[idx])
-            grads, _ = netcore.backward(model.net, acts, grad, input_grad=False)
-            model.net.set_parameters(
-                netcore.sgd_step(model.net.parameters(), grads, lr)
-            )
-            total += loss * idx.shape[0]
-        epoch_loss = total / frames.shape[0]
-        history.append(epoch_loss)
-        logger.debug("statsnet epoch %d: ce %.6f lr %.4g", epoch, epoch_loss, lr)
-        if epoch_loss >= best:
-            lr *= 0.5
-        best = min(best, epoch_loss)
-    return model, history
+    model, history = netcore.train_sgd(
+        net.net, frames, targets, frame_cross_entropy, schedule
+    )
+    return StatsNet(model), history
 
 
 def predict_responsibilities(net: StatsNet, expanded):

@@ -112,7 +112,7 @@ def _run_desk_chain(seed):
         snet,
         np.vstack([expanded[u.uid] for u in train]),
         np.vstack([gmm.responsibilities(ubm, norm[u.uid]) for u in train]),
-        statsnet.StatsNetTrainConfig(lr=0.5, n_epochs=24, batch_frames=512, seed=seed),
+        netcore.SgdSchedule(lr=0.5, n_epochs=24, batch_size=512, seed=seed, l1_weight=0.0),
     )
     nstats = {
         u.uid: statsnet.pooled_stats(snet, expanded[u.uid], norm[u.uid])
@@ -132,7 +132,7 @@ def _run_desk_chain(seed):
         ivnet,
         inputs,
         np.stack([prepped[u.uid] for u in train]),
-        ivecnet.IvecNetTrainConfig(lr=0.1, l1_weight=1e-5, n_epochs=120, batch_size=32, seed=seed),
+        netcore.SgdSchedule(lr=0.1, n_epochs=120, batch_size=32, seed=seed, l1_weight=1e-5),
     )
 
     emb = {

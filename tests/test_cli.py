@@ -146,6 +146,40 @@ def test_dplda_scores_match_library(workdir):
     assert np.isfinite(scores).all()
 
 
+@pytest.mark.parametrize(
+    "override, stage, model",
+    [
+        ("statsnet.batch=0", "train-f2s", None),
+        ("ivecnet.batch=0", "train-s2i", None),
+        ("statsnet.lr=0", "train-f2s", None),
+        ("ivecnet.lr=0", "train-s2i", None),
+        ("statsnet.epochs=0", "train-f2s", "statsnet.svm"),
+        ("ivecnet.epochs=0", "train-s2i", "ivecnet.svm"),
+        ("ubm.iters=0", "train-ubm", "ubm.svm"),
+        ("tv.iters=0", "train-tv", "tv.svm"),
+        ("plda.iters=0", "train-plda", "plda.svm"),
+    ],
+)
+def test_training_count_exit_codes(workdir, tmp_path, override, stage, model):
+    # a bad batch size or learning rate is a config error (exit 2); zero
+    # epochs or iterations train nothing and write the initial model (exit 0)
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    if model is not None:
+        (work / model).unlink()
+    override_cfg = tmp_path / "override.cfg"
+    override_cfg.write_text(cfg.read_text() + override + "\n")
+    result = run_cli("--config", str(override_cfg), "--workdir", str(work), stage)
+    assert "Traceback" not in result.stderr
+    if model is None:
+        assert result.returncode == 2, result.stderr
+    else:
+        assert result.returncode == 0, result.stderr
+        assert (work / model).exists()
+        assert "no iterations run" in result.stderr
+
+
 def test_usage_error_exit_code():
     result = run_cli("no-such-stage")
     assert result.returncode == 2
@@ -224,7 +258,7 @@ def test_training_stages_hold_their_matrices_once(tmp_path):
     frame_bytes = 8 * n_frames * dim
     assert _traced_peak([*argv, "train-ubm"]) < 5.5 * frame_bytes
     f2s_bytes = 8 * n_frames * (
-        dim * values.get_int("frontend.n_dct") + values.get_int("ubm.components")
+        dim * values.get("frontend.n_dct") + values.get("ubm.components")
     )
     assert _traced_peak([*argv, "train-f2s"]) < 2.6 * f2s_bytes
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, statsnet
-from svpipe.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -100,21 +99,6 @@ def test_zero_loss_gives_zero_grads(tiny_system, small_corpus):
     loss, grads = e2e.checkpointed_grads(tiny_system, feats, loss_fn)
     assert loss == 0.0
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
-
-
-def test_lr_schedule_rules():
-    assert e2e.lr_schedule_step([0.5, 0.4], 0.2) == 0.2
-    assert e2e.lr_schedule_step([0.4, 0.4], 0.2) == 0.1
-    # replay: two halvings after epochs 3 and 4
-    lr = 1.0
-    history = [0.5, 0.4, 0.45, 0.45]
-    lrs = []
-    for upto in range(2, 5):
-        lr = e2e.lr_schedule_step(history[:upto], lr)
-        lrs.append(lr)
-    assert lrs == [1.0, 0.5, 0.25]
-    with pytest.raises(InputError):
-        e2e.lr_schedule_step([], 0.1)
 
 
 def test_zero_snapshot_weight_penalty_is_exactly_zero(tiny_system):

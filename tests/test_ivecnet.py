@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svpipe import gmm, ivecnet, ivector
+from svpipe import gmm, ivecnet, ivector, netcore
 from svpipe.errors import InputError
 
 
@@ -125,7 +125,7 @@ def test_training_halves_the_loss():
     hidden = np.tanh(inputs @ rng.standard_normal((12, 6)))
     refs = ivector.lengthnorm(hidden @ rng.standard_normal((6, 8)))
     net = ivecnet.make_ivec_net(12, 8, hidden=(16,), seed=0)
-    cfg = ivecnet.IvecNetTrainConfig(lr=0.1, l1_weight=1e-6, n_epochs=150, batch_size=16, seed=0)
+    cfg = netcore.SgdSchedule(lr=0.1, n_epochs=150, batch_size=16, seed=0, l1_weight=1e-6)
     trained, history = ivecnet.train_ivec_net(net, inputs, refs, cfg)
     assert history[-1] < 0.5 * history[0]
 
@@ -147,5 +147,19 @@ def test_zero_norm_reference_rejected():
     refs[2] = 0.0
     with pytest.raises(InputError):
         ivecnet.train_ivec_net(
-            net, rng.standard_normal((5, 4)), refs, ivecnet.IvecNetTrainConfig(n_epochs=1)
+            net,
+            rng.standard_normal((5, 4)),
+            refs,
+            netcore.SgdSchedule(lr=0.05, n_epochs=1, batch_size=64, seed=0, l1_weight=1e-5),
+        )
+
+
+def test_empty_training_set_rejected():
+    net = ivecnet.make_ivec_net(4, 3, hidden=(5,), seed=2)
+    with pytest.raises(InputError):
+        ivecnet.train_ivec_net(
+            net,
+            np.zeros((0, 4)),
+            np.zeros((0, 3)),
+            netcore.SgdSchedule(lr=0.05, n_epochs=1, batch_size=64, seed=0, l1_weight=1e-5),
         )

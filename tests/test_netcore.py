@@ -5,7 +5,9 @@ import pytest
 
 from conftest import finite_difference, max_rel_err
 from svpipe import netcore
-from svpipe.errors import InputError, OptimizerError, ShapeError, StateError
+from svpipe.errors import ConfigError, InputError, OptimizerError, ShapeError, StateError
+from svpipe.ivecnet import cosine_loss
+from svpipe.statsnet import frame_cross_entropy
 
 
 def test_zero_softmax_net_is_uniform():
@@ -156,6 +158,133 @@ def test_sgd_step_without_l1_keeps_signed_zero_bits():
         assert out.tobytes() == full.tobytes()
         # the grid tells the two forms apart: plain p - lr * g differs
         assert (p - lr * g).tobytes() != full.tobytes()
+
+
+def test_lr_schedule_rules():
+    assert netcore.lr_schedule_step([0.5, 0.4], 0.2) == 0.2
+    assert netcore.lr_schedule_step([0.4, 0.4], 0.2) == 0.1
+    # replay: two halvings after epochs 3 and 4
+    lr = 1.0
+    history = [0.5, 0.4, 0.45, 0.45]
+    lrs = []
+    for upto in range(2, 5):
+        lr = netcore.lr_schedule_step(history[:upto], lr)
+        lrs.append(lr)
+    assert lrs == [1.0, 0.5, 0.25]
+    with pytest.raises(InputError):
+        netcore.lr_schedule_step([], 0.1)
+
+
+# the statistics-network and embedding-network training loops as they were
+# before train_sgd replaced both; each returns (net, history, final lr)
+def _reference_stats_net_loop(net, frames, targets, lr, n_epochs, batch_frames, seed):
+    rng = np.random.default_rng(seed)
+    model = net.copy()
+    best = np.inf
+    history = []
+    for epoch in range(n_epochs):
+        order = rng.permutation(frames.shape[0])
+        total = 0.0
+        for lo in range(0, frames.shape[0], batch_frames):
+            idx = order[lo : lo + batch_frames]
+            acts = netcore.forward(model, frames[idx])
+            loss, grad = frame_cross_entropy(acts[-1], targets[idx])
+            grads, _ = netcore.backward(model, acts, grad, input_grad=False)
+            model.set_parameters(netcore.sgd_step(model.parameters(), grads, lr))
+            total += loss * idx.shape[0]
+        epoch_loss = total / frames.shape[0]
+        history.append(epoch_loss)
+        if epoch_loss >= best:
+            lr *= 0.5
+        best = min(best, epoch_loss)
+    return model, history, lr
+
+
+def _reference_ivec_net_loop(net, inputs, refs, lr, l1_weight, n_epochs, batch_size, seed):
+    rng = np.random.default_rng(seed)
+    model = net.copy()
+    best = np.inf
+    history = []
+    for epoch in range(n_epochs):
+        order = rng.permutation(inputs.shape[0])
+        total = 0.0
+        for lo in range(0, inputs.shape[0], batch_size):
+            idx = order[lo : lo + batch_size]
+            acts = netcore.forward(model, inputs[idx])
+            loss, grad = cosine_loss(acts[-1], refs[idx])
+            grads, _ = netcore.backward(model, acts, grad, input_grad=False)
+            model.set_parameters(
+                netcore.sgd_step(model.parameters(), grads, lr, l1_weight=l1_weight)
+            )
+            total += loss * idx.shape[0]
+        l1_term = l1_weight * sum(np.abs(p).sum() for p in model.parameters())
+        epoch_loss = total / inputs.shape[0] + l1_term
+        history.append(epoch_loss)
+        if epoch_loss >= best:
+            lr *= 0.5
+        best = min(best, epoch_loss)
+    return model, history, lr
+
+
+def _assert_same_training(trained, history, ref_net, ref_history):
+    assert history == ref_history
+    for a, b in zip(trained.parameters(), ref_net.parameters(), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_train_sgd_matches_the_stats_net_loop():
+    rng = np.random.default_rng(17)
+    frames = rng.standard_normal((300, 6))
+    targets = netcore.forward(netcore.init_mlp([6, 4], ["softmax"], seed=18), frames)[-1]
+    net = netcore.init_mlp([6, 10, 4], ["sigmoid", "softmax"], seed=19)
+    schedule = netcore.SgdSchedule(lr=2.0, n_epochs=20, batch_size=64, seed=3, l1_weight=0.0)
+    trained, history = netcore.train_sgd(net, frames, targets, frame_cross_entropy, schedule)
+    ref_net, ref_history, ref_lr = _reference_stats_net_loop(
+        net, frames, targets, schedule.lr, schedule.n_epochs, 64, 3
+    )
+    _assert_same_training(trained, history, ref_net, ref_history)
+    assert ref_lr < schedule.lr  # the schedule halved at least once
+
+
+def test_train_sgd_matches_the_ivec_net_loop():
+    rng = np.random.default_rng(20)
+    inputs = rng.standard_normal((90, 8))
+    refs = netcore.forward(netcore.init_mlp([8, 5], ["lengthnorm"], seed=21), inputs)[-1]
+    net = netcore.init_mlp([8, 12, 5], ["tanh", "lengthnorm"], seed=22)
+    schedule = netcore.SgdSchedule(lr=1.0, n_epochs=20, batch_size=16, seed=4, l1_weight=1e-3)
+    trained, history = netcore.train_sgd(net, inputs, refs, cosine_loss, schedule)
+    ref_net, ref_history, ref_lr = _reference_ivec_net_loop(
+        net, inputs, refs, schedule.lr, schedule.l1_weight, schedule.n_epochs, 16, 4
+    )
+    _assert_same_training(trained, history, ref_net, ref_history)
+    assert ref_lr < schedule.lr  # the schedule halved at least once
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lr", 0.0), ("lr", -0.1), ("lr", float("nan")), ("n_epochs", -1),
+     ("batch_size", 0), ("l1_weight", -1e-5)],
+)
+def test_sgd_schedule_rejects_bad_values(field, value):
+    good = dict(lr=0.1, n_epochs=0, batch_size=1, seed=0, l1_weight=0.0)
+    netcore.SgdSchedule(**good)
+    with pytest.raises(ConfigError):
+        netcore.SgdSchedule(**{**good, field: value})
+
+
+def test_train_sgd_zero_epochs_and_row_checks():
+    net = netcore.init_mlp([3, 2], ["softmax"], seed=23)
+    schedule = netcore.SgdSchedule(lr=0.1, n_epochs=0, batch_size=4, seed=0, l1_weight=0.0)
+    x = np.random.default_rng(24).standard_normal((5, 3))
+    trained, history = netcore.train_sgd(net, x, np.full((5, 2), 0.5), frame_cross_entropy, schedule)
+    assert history == []
+    assert trained is not net
+    for a, b in zip(trained.parameters(), net.parameters(), strict=True):
+        assert np.array_equal(a, b)
+    with pytest.raises(InputError):
+        netcore.train_sgd(net, x[:0], np.zeros((0, 2)), frame_cross_entropy, schedule)
+    with pytest.raises(InputError):
+        netcore.train_sgd(net, x, np.full((4, 2), 0.5), frame_cross_entropy, schedule)
 
 
 def test_adam_zero_grads_identity():

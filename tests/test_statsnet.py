@@ -21,7 +21,7 @@ def test_training_toward_constant_target():
     frames = [rng.standard_normal((120, 4)) for _ in range(3)]
     targets = [np.tile(q, (120, 1)) for _ in range(3)]
     net = statsnet.make_stats_net(4, 3, hidden=(8,), seed=1)
-    cfg = statsnet.StatsNetTrainConfig(lr=0.5, n_epochs=60, batch_frames=64, seed=0)
+    cfg = netcore.SgdSchedule(lr=0.5, n_epochs=60, batch_size=64, seed=0, l1_weight=0.0)
     net, history = statsnet.train_stats_net(net, np.vstack(frames), np.vstack(targets), cfg)
     avg = np.vstack(
         [statsnet.predict_responsibilities(net, f) for f in frames]
@@ -38,7 +38,7 @@ def test_training_beats_constant_predictor():
     frames = [rng.standard_normal((150, 3)) + 1.0 for _ in range(4)]
     targets = [gmm.responsibilities(ubm, f) for f in frames]
     net = statsnet.make_stats_net(3, 4, hidden=(16, 16), seed=2)
-    cfg = statsnet.StatsNetTrainConfig(lr=0.5, n_epochs=40, batch_frames=64, seed=0)
+    cfg = netcore.SgdSchedule(lr=0.5, n_epochs=40, batch_size=64, seed=0, l1_weight=0.0)
     net, history = statsnet.train_stats_net(net, np.vstack(frames), np.vstack(targets), cfg)
     stacked = np.vstack(targets)
     constant_ce = float(-(stacked * np.log(stacked.mean(axis=0))).sum(axis=1).mean())
@@ -101,7 +101,7 @@ def test_network_stats_feed_classic_extraction(small_corpus):
     net = statsnet.make_stats_net(expanded[0].shape[1], 4, hidden=(10,), seed=1)
     net, _ = statsnet.train_stats_net(
         net, np.vstack(expanded), np.vstack(targets),
-        statsnet.StatsNetTrainConfig(lr=0.3, n_epochs=2, batch_frames=128, seed=0),
+        netcore.SgdSchedule(lr=0.3, n_epochs=2, batch_size=128, seed=0, l1_weight=0.0),
     )
     stats = [statsnet.pooled_stats(net, e, x) for e, x in zip(expanded, norm)]
     for s in stats:
@@ -122,5 +122,5 @@ def test_frame_mismatch_errors():
             net,
             rng.standard_normal((8, 4)),
             np.full((7, 3), 1.0 / 3),
-            statsnet.StatsNetTrainConfig(n_epochs=1),
+            netcore.SgdSchedule(lr=0.1, n_epochs=1, batch_size=512, seed=0, l1_weight=0.0),
         )
