@@ -21,6 +21,7 @@ from . import (
     metrics,
     netcore,
     plda,
+    recipe,
     statsnet,
 )
 
@@ -37,6 +38,7 @@ __all__ = [
     "metrics",
     "netcore",
     "plda",
+    "recipe",
     "statsnet",
 ]
 

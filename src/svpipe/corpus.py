@@ -63,19 +63,19 @@ class Corpus:
 
 @dataclass
 class SynthConfig:
-    """Knobs for the synthetic corpus generator."""
+    """Knobs for the synthetic corpus generator; recipe.DEFAULTS holds their defaults."""
 
-    n_speakers: int = 50
-    utts_per_speaker: int = 8
-    min_frames: int = 200
-    max_frames: int = 800
-    dim: int = 20
-    speaker_dim: int = 8
-    channel_dim: int = 4
-    noise_scale: float = 1.5
-    nonlinearity: float = 1.0
-    seed: int = 0
-    frame_rate_hz: float = 100.0
+    n_speakers: int
+    utts_per_speaker: int
+    min_frames: int
+    max_frames: int
+    dim: int
+    speaker_dim: int
+    channel_dim: int
+    noise_scale: float
+    nonlinearity: float
+    seed: int
+    frame_rate_hz: float
     split_fractions: tuple = (0.5, 0.25, 0.25)
 
     def __post_init__(self):
@@ -204,9 +204,6 @@ class Trial:
 @dataclass
 class TrialList:
     trials: list[Trial] = field(default_factory=list)
-
-    def labeled(self):
-        return [t for t in self.trials if t.label is not None]
 
 
 def make_trials(corpus: Corpus, split) -> TrialList:

@@ -23,21 +23,6 @@ from .errors import InputError, ObjectiveError, OptimizerError, ShapeError
 logger = logging.getLogger(__name__)
 
 DEFAULT_TARGET_PRIOR = 0.0075  # midpoint of the 0.01 / 0.005 operating points
-DEFAULT_JOINT_PAIRS = 5000
-DEFAULT_E2E_PAIRS = 75
-
-
-def target_prior_midpoint(p_low=0.005, p_high=0.01, mode="arithmetic"):
-    """Midpoint between two operating-point priors.
-
-    mode "arithmetic" averages the priors; "logodds" averages their logits.
-    """
-    if mode == "arithmetic":
-        return 0.5 * (p_low + p_high)
-    if mode == "logodds":
-        mid = 0.5 * (np.log(p_low / (1 - p_low)) + np.log(p_high / (1 - p_high)))
-        return float(1.0 / (1.0 + np.exp(-mid)))
-    raise InputError(f"unknown midpoint mode {mode!r}")
 
 
 @dataclass

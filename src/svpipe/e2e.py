@@ -18,14 +18,13 @@ one utterance's frame-level activations are ever live.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import netcore
 from .corpus import Corpus
 from .dplda import (
-    DEFAULT_JOINT_PAIRS,
     DpldaParams,
     ObjectiveConfig,
     TrialBatch,
@@ -34,13 +33,7 @@ from .dplda import (
     make_pair_pool,
 )
 from .errors import ConfigError, InputError, ShapeError
-from .frontend import (
-    DEFAULT_CONTEXT,
-    DEFAULT_N_DCT,
-    DEFAULT_STMVN_WINDOW_S,
-    context_expand,
-    stmvn,
-)
+from .frontend import context_expand, stmvn
 from .gmm import DiagGmm, sufficient_stats
 from .ivecnet import DEFAULT_RELEVANCE, IvecNet, PcaModel, map_supervector
 from .metrics import ScoredTrials, c_primary, eer
@@ -48,15 +41,13 @@ from .statsnet import StatsNet, pooled_stats_backward
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_EPOCH_BATCHES = 250
-
 
 @dataclass
 class FrontendConfig:
-    window_s: float = DEFAULT_STMVN_WINDOW_S
-    frame_rate_hz: float = 100.0
-    context: int = DEFAULT_CONTEXT
-    n_dct: int = DEFAULT_N_DCT
+    window_s: float
+    frame_rate_hz: float
+    context: int
+    n_dct: int
 
 
 class ActivationLedger:
@@ -162,13 +153,16 @@ def assemble_system(
     frontend, stats_net, ubm, pca, ivec_net, dplda, relevance=DEFAULT_RELEVANCE,
     snapshot_weight=0.0,
 ) -> E2eSystem:
-    """Wire the individually trained stages together and freeze the snapshot."""
+    """Wire copies of the individually trained stages together and freeze the snapshot.
+
+    Training the system never changes the caller's networks or backend.
+    """
     system = E2eSystem(
         frontend=frontend,
-        stats_net=stats_net,
+        stats_net=StatsNet(stats_net.net.copy()),
         ubm=ubm,
         pca=pca,
-        ivec_net=ivec_net,
+        ivec_net=IvecNet(ivec_net.net.copy()),
         dplda=dplda.copy(),
         relevance=relevance,
     )
@@ -299,11 +293,11 @@ def full_graph_grads(system, features_list, loss_fn, ledger=None):
 
 @dataclass
 class TrainSchedule:
-    n_pairs: int = DEFAULT_JOINT_PAIRS
-    lr: float = 1e-3
-    epoch_batches: int = DEFAULT_EPOCH_BATCHES
-    max_epochs: int = 10
-    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
+    n_pairs: int
+    lr: float
+    epoch_batches: int
+    max_epochs: int
+    objective: ObjectiveConfig
 
     def __post_init__(self):
         if self.epoch_batches < 1:

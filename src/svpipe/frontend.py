@@ -1,7 +1,7 @@
 """Feature preprocessing: sliding-window normalization and context expansion.
 
-Features are (T, D) float64 matrices at a nominal frame rate (default 100
-frames/s, i.e. a 10 ms step). Both operations preserve the frame count and
+Features are (T, D) float64 matrices at a nominal frame rate (100 frames/s,
+a 10 ms step, in the default corpus). Both operations preserve the frame count and
 replicate edge frames at utterance boundaries.
 """
 
@@ -10,11 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, ShapeError
-
-DEFAULT_FRAME_RATE_HZ = 100.0
-DEFAULT_STMVN_WINDOW_S = 3.0
-DEFAULT_CONTEXT = 15
-DEFAULT_N_DCT = 6
 
 STD_FLOOR = 1e-10
 
@@ -28,7 +23,7 @@ def _check_frames(frames):
     return frames
 
 
-def stmvn(frames, window_s=DEFAULT_STMVN_WINDOW_S, frame_rate_hz=DEFAULT_FRAME_RATE_HZ):
+def stmvn(frames, window_s, frame_rate_hz):
     """Short-term mean/variance normalization over a centered sliding window.
 
     The window covers round(window_s * frame_rate_hz) frames, clipped to the
@@ -67,7 +62,7 @@ def dct_bases(length, n_bases):
     return bases * scale[:, None]
 
 
-def context_expand(frames, half_window=DEFAULT_CONTEXT, n_dct=DEFAULT_N_DCT):
+def context_expand(frames, half_window, n_dct):
     """Hamming-weighted DCT projection of per-coefficient temporal trajectories.
 
     For each frame, the trajectory of every coefficient over the surrounding

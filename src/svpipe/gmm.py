@@ -15,7 +15,6 @@ from .errors import InputError, ShapeError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_COMPONENTS = 2048
 DEFAULT_VAR_FLOOR_FRAC = 1e-3
 
 _E_STEP_CHUNK = 65536

@@ -17,9 +17,6 @@ from .errors import InputError, ShapeError
 from .gmm import DiagGmm, SuffStats
 
 DEFAULT_RELEVANCE = 16.0
-DEFAULT_PCA_DIM = 4000
-DEFAULT_HIDDEN = (600, 600)
-DEFAULT_OUT_DIM = 250
 
 
 def map_supervector(ubm: DiagGmm, stats: SuffStats, relevance=DEFAULT_RELEVANCE):
@@ -115,7 +112,7 @@ class IvecNet:
         return cls(netcore.Mlp.from_tensors(tensors, prefix))
 
 
-def make_ivec_net(input_dim, out_dim=DEFAULT_OUT_DIM, hidden=DEFAULT_HIDDEN, seed=0):
+def make_ivec_net(input_dim, out_dim, hidden, seed=0):
     widths = [input_dim, *hidden, out_dim]
     activations = ["tanh"] * len(hidden) + ["lengthnorm"]
     return IvecNet(netcore.init_mlp(widths, activations, seed=seed))

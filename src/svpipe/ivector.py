@@ -19,9 +19,6 @@ from .gmm import DiagGmm, SuffStats
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_IVEC_DIM = 600
-DEFAULT_PREP_DIM = 250
-
 _LDA_RIDGE = 1e-6
 _TV_RIDGE = 1e-8
 

@@ -17,9 +17,6 @@ from . import netcore
 from .errors import InputError, ShapeError
 from .gmm import SuffStats, sufficient_stats
 
-DEFAULT_HIDDEN = (1500, 1500, 1500, 1500)
-DEFAULT_COMPONENTS = 2048
-
 _PRED_CLIP = 1e-12
 
 
@@ -45,9 +42,7 @@ class StatsNet:
         return cls(netcore.Mlp.from_tensors(tensors, prefix))
 
 
-def make_stats_net(
-    input_dim, n_components=DEFAULT_COMPONENTS, hidden=DEFAULT_HIDDEN, seed=0
-):
+def make_stats_net(input_dim, n_components, hidden, seed=0):
     widths = [input_dim, *hidden, n_components]
     activations = ["sigmoid"] * len(hidden) + ["softmax"]
     return StatsNet(netcore.init_mlp(widths, activations, seed=seed))

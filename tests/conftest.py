@@ -41,6 +41,9 @@ def small_corpus():
         dim=8,
         speaker_dim=5,
         channel_dim=2,
+        noise_scale=1.5,
+        nonlinearity=1.0,
         seed=7,
+        frame_rate_hz=100.0,
     )
     return synth_corpus(cfg)

@@ -23,6 +23,7 @@ from svpipe import (
     metrics,
     netcore,
     plda,
+    recipe,
     statsnet,
 )
 
@@ -55,120 +56,72 @@ def _dev_metrics(scores, is_target):
     return metrics.eer(trials), metrics.c_primary(trials)
 
 
+def _dev_picked_dplda(seed, init, c_init, train_vecs, train_spk, dev_batch):
+    """The DPLDA init or its full-batch refinement with the L2 constant best on dev.
+
+    c_init is the init's dev C_primary; the init is kept when no L2 value
+    improves on it. Returns (params, dev C_primary, the picked L2 or "init").
+    """
+    best = (init, c_init, "init")
+    for l2 in DPLDA_L2_GRID:
+        cfg = recipe.Config({"dplda.l2": repr(l2)}, seed=seed)
+        cand, _ = recipe.train_dplda(cfg, init, train_vecs, train_spk)
+        _, c_cand = _dev_metrics(dev_batch.scores(cand), dev_batch.is_target)
+        if c_cand < best[1]:
+            best = (cand, c_cand, l2)
+    return best
+
+
 def _run_desk_chain(seed):
-    cfg = corpus_mod.SynthConfig(seed=seed)
-    corp = corpus_mod.synth_corpus(cfg)
+    cfg = recipe.Config(seed=seed)
+    corp = recipe.synth_corpus(cfg)
+    rate = corp.frame_rate_hz
     train = corp.split("train")
     dev = corp.split("dev")
+    train_spk = np.array([u.speaker for u in train])
+    dev_spk = np.array([u.speaker for u in dev])
     out = {"corpus": corp}
 
-    norm = {u.uid: frontend.stmvn(u.features, 3.0, cfg.frame_rate_hz) for u in corp.utterances}
-    ubm, ubm_ll = gmm.train_ubm(
-        np.vstack([norm[u.uid] for u in train]), 32, n_iters=8, seed=seed
-    )
-    stats = {
-        u.uid: gmm.sufficient_stats(gmm.responsibilities(ubm, norm[u.uid]), norm[u.uid])
-        for u in corp.utterances
-    }
-    tv, tv_elbo = ivector.train_tv([stats[u.uid] for u in train], ubm, 40, n_iters=5, seed=seed)
-    ivecs = {u.uid: ivector.extract_ivector(tv, ubm, stats[u.uid]) for u in corp.utterances}
-    prep = ivector.fit_prep(
-        np.stack([ivecs[u.uid] for u in train]), [u.speaker for u in train], 20
-    )
-    prepped = {uid: ivector.prep_apply(prep, w) for uid, w in ivecs.items()}
-
+    ubm, ubm_ll = recipe.train_ubm(cfg, recipe.ubm_frames(cfg, train, rate))
+    stats = recipe.utterance_stats(cfg, ubm, corp.utterances, rate)
+    train_stats = [stats[u.uid] for u in train]
+    tv, tv_elbo = recipe.train_tv(cfg, ubm, train_stats)
+    prep, prepped = recipe.extract_ivectors(cfg, tv, ubm, corp.utterances, stats)
     train_vecs = np.stack([prepped[u.uid] for u in train])
-    train_spk = np.array([u.speaker for u in train])
     dev_vecs = np.stack([prepped[u.uid] for u in dev])
-    dev_spk = np.array([u.speaker for u in dev])
-    plda_model, plda_ll = plda.train_plda(train_vecs, train_spk, n_iters=10)
+    plda_model, plda_ll = recipe.train_plda(cfg, train_vecs, train_spk)
 
     dev_batch = dplda.TrialBatch.all_trials(dev_vecs, dev_spk)
     plda_scores = plda.plda_llr_pairs(
         plda_model, dev_vecs[dev_batch.pairs[:, 0]], dev_vecs[dev_batch.pairs[:, 1]]
     )
     eer_plda, c_plda = _dev_metrics(plda_scores, dev_batch.is_target)
-
-    # discriminative backend: init from the generative model, the single L2
-    # constant picked on dev (keeping the init when no value improves on it)
-    init = plda.to_dplda(plda_model)
-    best = (init, c_plda, "init")
-    for l2 in DPLDA_L2_GRID:
-        cand, _ = dplda.train_dplda_fullbatch(
-            init, train_vecs, train_spk, dplda.ObjectiveConfig(l2_weight=l2), max_iters=200
-        )
-        _, c_cand = _dev_metrics(dev_batch.scores(cand), dev_batch.is_target)
-        if c_cand < best[1]:
-            best = (cand, c_cand, l2)
-    dplda_params, c_dplda, picked_l2 = best
-
-    # neural statistics network on background-model posterior targets
-    expanded = {
-        u.uid: frontend.context_expand(norm[u.uid], 15, 6) for u in corp.utterances
-    }
-    width = expanded[train[0].uid].shape[1]
-    snet = statsnet.make_stats_net(width, 32, hidden=(128, 128), seed=seed)
-    snet, _ = statsnet.train_stats_net(
-        snet,
-        np.vstack([expanded[u.uid] for u in train]),
-        np.vstack([gmm.responsibilities(ubm, norm[u.uid]) for u in train]),
-        netcore.SgdSchedule(lr=0.5, n_epochs=24, batch_size=512, seed=seed, l1_weight=0.0),
-    )
-    nstats = {
-        u.uid: statsnet.pooled_stats(snet, expanded[u.uid], norm[u.uid])
-        for u in corp.utterances
-    }
-
-    # fixed PCA from background-model statistics, embedding net on the
-    # network statistics with classic references as targets
-    pca = ivecnet.fit_pca(
-        ivecnet.map_supervectors(ubm, [stats[u.uid] for u in train]), 100
-    )
-    inputs = ivecnet.pca_project(
-        pca, ivecnet.map_supervectors(ubm, [nstats[u.uid] for u in train])
-    )
-    ivnet = ivecnet.make_ivec_net(100, 20, hidden=(64, 64), seed=seed)
-    ivnet, _ = ivecnet.train_ivec_net(
-        ivnet,
-        inputs,
-        np.stack([prepped[u.uid] for u in train]),
-        netcore.SgdSchedule(lr=0.1, n_epochs=120, batch_size=32, seed=seed, l1_weight=1e-5),
+    dplda_params, c_dplda, picked_l2 = _dev_picked_dplda(
+        seed, plda.to_dplda(plda_model), c_plda, train_vecs, train_spk, dev_batch
     )
 
-    emb = {
-        u.uid: ivecnet.extract_embedding(
-            pca, ivnet, ivecnet.map_supervector(ubm, nstats[u.uid])
-        )
-        for u in corp.utterances
-    }
-    emb_train = np.stack([emb[u.uid] for u in train])
-    emb_dev = np.stack([emb[u.uid] for u in dev])
-    emb_batch = dplda.TrialBatch.all_trials(emb_dev, dev_spk)
-    plda_emb, _ = plda.train_plda(emb_train, train_spk, n_iters=10)
-    init_emb = plda.to_dplda(plda_emb)
+    # neural cascade: statistics net on background-model posteriors, PCA of
+    # background-model supervectors, embedding net mimicking the i-vectors
+    snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
+    pca = recipe.fit_pca(cfg, ubm, train_stats)
+    ivnet, _ = recipe.train_ivec_net(
+        cfg, ubm, pca, recipe.net_stats(cfg, snet, train, rate), train_vecs
+    )
+    system, coords, emb_train = recipe.assemble_cascade(
+        cfg, snet, ubm, pca, ivnet, train, rate
+    )
+    emb_batch = dplda.TrialBatch.all_trials(
+        e2e.embed_utterances(system, [u.features for u in dev]), dev_spk
+    )
+    init_emb = plda.to_dplda(recipe.train_plda(cfg, emb_train, train_spk)[0])
     _, c_init_emb = _dev_metrics(emb_batch.scores(init_emb), emb_batch.is_target)
-    best_emb = (init_emb, c_init_emb, "init")
-    for l2 in DPLDA_L2_GRID:
-        cand, _ = dplda.train_dplda_fullbatch(
-            init_emb, emb_train, train_spk, dplda.ObjectiveConfig(l2_weight=l2), max_iters=200
-        )
-        _, c_cand = _dev_metrics(emb_batch.scores(cand), emb_batch.is_target)
-        if c_cand < best_emb[1]:
-            best_emb = (cand, c_cand, l2)
-    dplda_emb, c_cascade, _ = best_emb
+    dplda_emb, c_cascade, _ = _dev_picked_dplda(
+        seed, init_emb, c_init_emb, emb_train, train_spk, emb_batch
+    )
 
     # joint training of the embedding network and the scoring backend
-    system = e2e.assemble_system(
-        e2e.FrontendConfig(window_s=3.0, frame_rate_hz=cfg.frame_rate_hz),
-        snet, ubm, pca, ivnet, dplda_emb, snapshot_weight=1e-2,
-    )
-    schedule = e2e.TrainSchedule(
-        n_pairs=50, lr=1e-4, epoch_batches=20, max_epochs=8,
-        objective=dplda.ObjectiveConfig(),
-    )
-    system, history = e2e.train_joint_s2i_dplda(
-        system, corp, schedule, np.random.default_rng(seed)
-    )
+    recipe.set_backend(cfg, system, dplda_emb)
+    system, history = recipe.train_joint(cfg, system, corp, coords)
     c_joint_init = history[0].dev_c_primary
     c_joint = min(rec.dev_c_primary for rec in history)
 
@@ -234,7 +187,8 @@ def _make_ckpt_system(seed):
     rng = np.random.default_rng(seed)
     cfg = corpus_mod.SynthConfig(
         n_speakers=8, utts_per_speaker=4, min_frames=50, max_frames=90,
-        dim=6, speaker_dim=4, channel_dim=2, seed=seed,
+        dim=6, speaker_dim=4, channel_dim=2, noise_scale=1.5, nonlinearity=1.0,
+        seed=seed, frame_rate_hz=100.0,
     )
     corp = corpus_mod.synth_corpus(cfg)
     feats = [u.features for u in corp.utterances]
@@ -491,25 +445,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
         corp = r["corpus"]
         train = corp.split("train")
         speakers_all = np.array([u.speaker for u in train])
-        coords = np.stack(
-            [
-                ivecnet.pca_project(
-                    system.pca,
-                    ivecnet.map_supervector(
-                        system.ubm,
-                        statsnet.pooled_stats(
-                            system.stats_net,
-                            frontend.context_expand(
-                                frontend.stmvn(u.features, 3.0, 100.0), 15, 6
-                            ),
-                            frontend.stmvn(u.features, 3.0, 100.0),
-                        ),
-                        system.relevance,
-                    ),
-                )
-                for u in train
-            ]
-        )
+        coords = e2e.pca_coords(system, [u.features for u in train])
         params = system.ivec_net.net.parameters() + [
             system.dplda.lam, system.dplda.gamma, system.dplda.c,
             np.asarray(system.dplda.k, dtype=np.float64),

@@ -15,6 +15,8 @@ corpus.min_frames=60
 corpus.max_frames=140
 corpus.speaker_dim=5
 corpus.channel_dim=2
+corpus.noise=0.3
+corpus.nonlinearity=0.5
 frontend.context=4
 frontend.n_dct=3
 ubm.components=4
@@ -158,11 +160,19 @@ def test_dplda_scores_match_library(workdir):
         ("ubm.iters=0", "train-ubm", "ubm.svm"),
         ("tv.iters=0", "train-tv", "tv.svm"),
         ("plda.iters=0", "train-plda", "plda.svm"),
+        ("ubm.iters=-1", "train-ubm", None),
+        ("tv.iters=-3", "train-tv", None),
+        ("plda.iters=-1", "train-plda", None),
+        ("joint.epochs=-1", "train-joint", None),
+        ("dplda.max_iters=-1", "train-dplda", None),
+        ("tv.dim=0", "train-tv", None),
+        ("prep.dim=0", "extract-ivec", None),
     ],
 )
 def test_training_count_exit_codes(workdir, tmp_path, override, stage, model):
-    # a bad batch size or learning rate is a config error (exit 2); zero
-    # epochs or iterations train nothing and write the initial model (exit 0)
+    # a bad batch size or learning rate, a negative count or a dimension
+    # below 1 is a config error (exit 2); zero epochs or iterations train
+    # nothing and write the initial model (exit 0)
     root, cfg = workdir
     work = tmp_path / "work"
     shutil.copytree(root / "work", work)
@@ -178,6 +188,69 @@ def test_training_count_exit_codes(workdir, tmp_path, override, stage, model):
         assert result.returncode == 0, result.stderr
         assert (work / model).exists()
         assert "no iterations run" in result.stderr
+
+
+def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
+    # the CLI stages only wrap the recipe with file IO: every tensor of every
+    # artifact through train-joint equals the in-memory recipe run
+    from svpipe import cli, plda, recipe
+    from svpipe.fileio import read_container
+
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_CONFIG.format(workdir=tmp_path / "work"))
+    for stage in [
+        "synth-data", "train-ubm", "extract-stats", "train-tv", "extract-ivec",
+        "train-plda", "train-dplda", "train-f2s", "fit-pca", "train-s2i", "train-joint",
+    ]:
+        assert cli.main(["--config", str(cfg_path), stage]) == 0, stage
+
+    cfg = cli.Config(cli.load_config(cfg_path))
+    corpus = recipe.synth_corpus(cfg)
+    rate = corpus.frame_rate_hz
+    train = corpus.split("train")
+    speakers = [u.speaker for u in train]
+    ubm, _ = recipe.train_ubm(cfg, recipe.ubm_frames(cfg, train, rate))
+    stats = recipe.utterance_stats(cfg, ubm, corpus.utterances, rate)
+    train_stats = [stats[u.uid] for u in train]
+    tv, _ = recipe.train_tv(cfg, ubm, train_stats)
+    prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, corpus.utterances, stats)
+    train_vecs = np.stack([vectors[u.uid] for u in train])
+    plda_model, _ = recipe.train_plda(cfg, train_vecs, speakers)
+    dplda_params, _ = recipe.train_dplda(
+        cfg, plda.to_dplda(plda_model), train_vecs, speakers
+    )
+    snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
+    pca = recipe.fit_pca(cfg, ubm, train_stats)
+    ivnet, _ = recipe.train_ivec_net(
+        cfg, ubm, pca, recipe.net_stats(cfg, snet, train, rate), train_vecs
+    )
+    system, coords, embeddings = recipe.assemble_cascade(
+        cfg, snet, ubm, pca, ivnet, train, rate
+    )
+    recipe.set_backend(cfg, system, recipe.cascade_backend(cfg, embeddings, speakers))
+    system, _ = recipe.train_joint(cfg, system, corpus, coords)
+
+    stats_tensors = {}
+    for uid, s in stats.items():
+        stats_tensors.update(s.to_tensors(f"{uid}."))
+    expected = {
+        "ubm.svm": ubm.to_tensors(),
+        "stats.svm": stats_tensors,
+        "tv.svm": tv.to_tensors(),
+        "prep.svm": prep.to_tensors(),
+        "ivec.svm": vectors,
+        "plda.svm": plda_model.to_tensors(),
+        "dplda.svm": dplda_params.to_tensors(),
+        "statsnet.svm": snet.to_tensors(),
+        "pca.svm": pca.to_tensors(),
+        "ivecnet.svm": ivnet.to_tensors(),
+        "system.svm": system.to_tensors(),
+    }
+    for name, tensors in expected.items():
+        written = read_container(cfg.path(name))
+        assert sorted(written) == sorted(tensors), name
+        for key, value in tensors.items():
+            assert np.array_equal(written[key], value), f"{name}: {key}"
 
 
 def test_usage_error_exit_code():

@@ -7,7 +7,9 @@ from svpipe.errors import FormatError
 
 def test_same_seed_bit_identical():
     cfg = corpus.SynthConfig(n_speakers=4, utts_per_speaker=2, min_frames=30,
-                             max_frames=60, dim=5, seed=11)
+                             max_frames=60, dim=5, speaker_dim=8, channel_dim=4,
+                             noise_scale=1.5, nonlinearity=1.0, seed=11,
+                             frame_rate_hz=100.0)
     a = corpus.synth_corpus(cfg)
     b = corpus.synth_corpus(cfg)
     assert [u.uid for u in a.utterances] == [u.uid for u in b.utterances]
@@ -30,8 +32,9 @@ def test_split_discipline(small_corpus):
 
 def test_pure_speaker_signal_when_noise_and_channel_zero():
     cfg = corpus.SynthConfig(n_speakers=3, utts_per_speaker=3, min_frames=20,
-                             max_frames=40, dim=4, channel_dim=0, noise_scale=0.0,
-                             seed=5)
+                             max_frames=40, dim=4, speaker_dim=8, channel_dim=0,
+                             noise_scale=0.0, nonlinearity=1.0, seed=5,
+                             frame_rate_hz=100.0)
     corp = corpus.synth_corpus(cfg)
     for speaker in corp.speakers():
         utts = [u for u in corp.utterances if u.speaker == speaker]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import max_rel_err
-from svpipe import dplda, metrics
+from svpipe import dplda, metrics, recipe
 from svpipe.errors import InputError, ObjectiveError
 
 
@@ -100,8 +100,7 @@ def test_bxe_gradients_match_finite_differences():
 def test_target_prior_defaults():
     assert dplda.DEFAULT_TARGET_PRIOR == 0.0075
     assert dplda.ObjectiveConfig().p_target == 0.0075
-    assert dplda.target_prior_midpoint(0.005, 0.01, "arithmetic") == 0.0075
-    assert abs(dplda.target_prior_midpoint(0.005, 0.01, "logodds") - 0.00707) < 5e-5
+    assert recipe.Config(recipe.PAPER).get("dplda.p_target") == 0.0075
 
 
 def test_bxe_single_class_batch_rejected():
@@ -181,8 +180,9 @@ def test_pool_without_replacement_and_refresh_order():
 
 
 def test_minibatch_trial_count_and_defaults():
-    assert dplda.DEFAULT_JOINT_PAIRS == 5000
-    assert dplda.DEFAULT_E2E_PAIRS == 75
+    paper = recipe.Config(recipe.PAPER)
+    assert paper.get("joint.pairs") == 5000
+    assert paper.get("e2e.pairs") == 75
     rng = np.random.default_rng(11)
     vectors = rng.standard_normal((12, 3))
     speakers = np.repeat(np.arange(3), 4)

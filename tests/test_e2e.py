@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, statsnet
+from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, recipe, statsnet
 
 
 @pytest.fixture(scope="module")
@@ -221,11 +221,27 @@ def test_epoch_log_format():
 
 
 def test_schedule_full_scale_defaults():
-    schedule = e2e.TrainSchedule()
-    assert schedule.n_pairs == 5000
-    assert schedule.epoch_batches == 250
-    assert e2e.DEFAULT_EPOCH_BATCHES == 250
-    assert dplda.DEFAULT_E2E_PAIRS == 75
+    paper = recipe.Config(recipe.PAPER)
+    joint = recipe.train_schedule(paper, "joint")
+    assert joint.n_pairs == 5000
+    assert joint.epoch_batches == 250
+    full = recipe.train_schedule(paper, "e2e")
+    assert full.n_pairs == 75
+    assert full.epoch_batches == 250
+
+
+def test_assemble_system_copies_the_networks(tiny_system):
+    snet = statsnet.StatsNet(tiny_system.stats_net.net.copy())
+    ivnet = ivecnet.IvecNet(tiny_system.ivec_net.net.copy())
+    before = [p.copy() for p in snet.net.parameters() + ivnet.net.parameters()]
+    system = e2e.assemble_system(
+        tiny_system.frontend, snet, tiny_system.ubm, tiny_system.pca, ivnet,
+        tiny_system.dplda,
+    )
+    system.set_trainable_parameters([p + 1.0 for p in system.trainable_parameters()])
+    after = snet.net.parameters() + ivnet.net.parameters()
+    for b, a in zip(before, after, strict=True):
+        assert np.array_equal(b, a)
 
 
 def test_system_roundtrip_bit_exact(tiny_system, small_corpus, tmp_path):

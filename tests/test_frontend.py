@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svpipe import frontend
+from svpipe import frontend, recipe
 from svpipe.errors import InputError
 
 
@@ -87,7 +87,10 @@ def test_stmvn_preserves_frame_count_and_rejects_empty():
 
 def test_context_expand_default_width_is_360_for_60dim():
     frames = np.random.default_rng(4).standard_normal((40, 60))
-    out = frontend.context_expand(frames)
+    paper = recipe.Config(recipe.PAPER)
+    out = frontend.context_expand(
+        frames, paper.get("frontend.context"), paper.get("frontend.n_dct")
+    )
     assert out.shape == (40, 360)
 
 

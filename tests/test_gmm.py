@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svpipe import gmm
+from svpipe import gmm, recipe
 from svpipe.errors import InputError, ShapeError
 
 
@@ -16,7 +16,7 @@ def test_single_component_recovers_global_moments():
 
 
 def test_full_scale_component_default():
-    assert gmm.DEFAULT_COMPONENTS == 2048
+    assert recipe.Config(recipe.PAPER).get("ubm.components") == 2048
 
 
 def test_two_cluster_recovery():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svpipe import gmm, ivecnet, ivector, netcore
+from svpipe import gmm, ivecnet, ivector, netcore, recipe
 from svpipe.errors import InputError
 
 
@@ -58,7 +58,7 @@ def test_pca_exact_subspace_reconstructs():
 
 
 def test_pca_default_dim_and_orthonormality():
-    assert ivecnet.DEFAULT_PCA_DIM == 4000
+    assert recipe.Config(recipe.PAPER).get("pca.dim") == 4000
     rng = np.random.default_rng(4)
     data = rng.standard_normal((20, 50))  # fewer rows than dims: Gram route
     pca = ivecnet.fit_pca(data, 8)
@@ -95,7 +95,10 @@ def test_pca_dimension_bounds():
 
 
 def test_default_net_architecture():
-    net = ivecnet.make_ivec_net(4000)
+    paper = recipe.Config(recipe.PAPER)
+    net = ivecnet.make_ivec_net(
+        paper.get("pca.dim"), paper.get("prep.dim"), paper.get("ivecnet.hidden")
+    )
     widths = [(l.n_in, l.n_out) for l in net.net.layers]
     assert widths == [(4000, 600), (600, 600), (600, 250)]
     assert [l.activation for l in net.net.layers] == ["tanh", "tanh", "lengthnorm"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from svpipe import gmm, ivector
+from svpipe import gmm, ivector, recipe
 from svpipe.errors import InputError
 
 RNG = np.random.default_rng(0)
@@ -17,8 +17,9 @@ def random_ubm(rng, n_components=3, dim=2):
 
 
 def test_full_scale_dimension_defaults():
-    assert ivector.DEFAULT_IVEC_DIM == 600
-    assert ivector.DEFAULT_PREP_DIM == 250
+    paper = recipe.Config(recipe.PAPER)
+    assert paper.get("tv.dim") == 600
+    assert paper.get("prep.dim") == 250
 
 
 def test_zero_stats_give_prior_mean():

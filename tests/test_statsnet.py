@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, max_rel_err
-from svpipe import gmm, netcore, statsnet
+from svpipe import gmm, netcore, recipe, statsnet
 from svpipe.errors import InputError
 
 
 def test_full_scale_architecture_defaults():
-    assert statsnet.DEFAULT_HIDDEN == (1500, 1500, 1500, 1500)
-    assert statsnet.DEFAULT_COMPONENTS == 2048
-    net = statsnet.make_stats_net(360)
+    paper = recipe.Config(recipe.PAPER)
+    assert paper.get("statsnet.hidden") == (1500, 1500, 1500, 1500)
+    assert paper.get("ubm.components") == 2048
+    net = statsnet.make_stats_net(
+        360, paper.get("ubm.components"), paper.get("statsnet.hidden")
+    )
     widths = [(l.n_in, l.n_out) for l in net.net.layers]
     assert widths == [(360, 1500), (1500, 1500), (1500, 1500), (1500, 1500), (1500, 2048)]
     assert [l.activation for l in net.net.layers] == ["sigmoid"] * 4 + ["softmax"]
