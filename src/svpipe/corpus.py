@@ -33,6 +33,7 @@ _CHANNEL_SCALE = 0.3
 _LATENT_GAIN = 3.5
 _HIDDEN_MULT = 3
 _OBS_NOISE_FRAC = 1.0 / 30.0
+_SPLIT_FRACTIONS = (0.5, 0.25, 0.25)  # train, dev, eval shares of the speakers
 
 
 @dataclass
@@ -76,7 +77,6 @@ class SynthConfig:
     nonlinearity: float
     seed: int
     frame_rate_hz: float
-    split_fractions: tuple = (0.5, 0.25, 0.25)
 
     def __post_init__(self):
         if self.n_speakers < 1 or self.utts_per_speaker < 1 or self.dim < 1:
@@ -97,7 +97,7 @@ def synth_corpus(cfg: SynthConfig) -> Corpus:
 
     speaker_ids = [f"spk{i:03d}" for i in range(cfg.n_speakers)]
     speaker_latents = rng.standard_normal((cfg.n_speakers, cfg.speaker_dim))
-    splits = _assign_splits(cfg.n_speakers, cfg.split_fractions)
+    splits = _assign_splits(cfg.n_speakers)
 
     sigma = cfg.nonlinearity
     utterances = []
@@ -126,12 +126,9 @@ def _ar1_noise(rng, n_frames, dim, scale):
     return corr[_AR_BURN_IN:]
 
 
-def _assign_splits(n_speakers, fractions):
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or sum(fractions) <= 0:
-        raise InputError("split_fractions must be three non-negative weights")
-    total = sum(fractions)
-    n_train = int(round(n_speakers * fractions[0] / total))
-    n_dev = int(round(n_speakers * fractions[1] / total))
+def _assign_splits(n_speakers):
+    n_train = int(round(n_speakers * _SPLIT_FRACTIONS[0]))
+    n_dev = int(round(n_speakers * _SPLIT_FRACTIONS[1]))
     n_train = min(n_train, n_speakers)
     n_dev = min(n_dev, n_speakers - n_train)
     out = []

@@ -22,7 +22,8 @@ from .errors import InputError, ObjectiveError, OptimizerError, ShapeError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TARGET_PRIOR = 0.0075  # midpoint of the 0.01 / 0.005 operating points
+_GRAD_TOL = 1e-6  # L-BFGS stops when the gradient norm falls below this
+_LBFGS_HISTORY = 10
 
 
 @dataclass
@@ -101,12 +102,16 @@ def score_pairs(params: DpldaParams, enroll, test):
 
 @dataclass
 class TrialBatch:
-    """A set of utterances plus every unordered trial among them."""
+    """A set of utterances plus every unordered trial among them.
+
+    Trial (i, j), i < j, is cell [i, j] of the (U, U) pair matrices. Trials
+    are ordered row-major over the strict upper triangle (the order of
+    np.triu_indices(U, 1)) in is_target and scores().
+    """
 
     vectors: np.ndarray  # (U, R)
-    speakers: np.ndarray  # (U,)
-    pairs: np.ndarray  # (n_trials, 2) int indices, i < j
-    is_target: np.ndarray  # (n_trials,) bool
+    trials: np.ndarray  # (U, U) bool, the strict upper triangle
+    targets: np.ndarray  # (U, U) bool, the same-speaker trials
 
     @classmethod
     def all_trials(cls, vectors, speakers):
@@ -115,24 +120,33 @@ class TrialBatch:
         if vectors.ndim != 2 or vectors.shape[0] != speakers.shape[0]:
             raise ShapeError("one speaker label per vector required")
         n = vectors.shape[0]
-        idx_i, idx_j = np.triu_indices(n, k=1)
-        pairs = np.stack([idx_i, idx_j], axis=1)
-        is_target = speakers[idx_i] == speakers[idx_j]
-        return cls(vectors, speakers, pairs, is_target)
+        trials = np.triu(np.ones((n, n), dtype=bool), k=1)
+        targets = trials & (speakers[:, None] == speakers[None, :])
+        return cls(vectors, trials, targets)
 
     @property
     def n_trials(self):
-        return self.pairs.shape[0]
+        n = self.vectors.shape[0]
+        return n * (n - 1) // 2
+
+    @property
+    def is_target(self):
+        return self.targets[self.trials]
+
+    def score_matrix(self, params: DpldaParams):
+        """(U, U) scores of every ordered pair: 2 Phi L Phi' + s 1' + 1 s' + k,
+        with s_i = phi_i' G phi_i + c' phi_i."""
+        phis = self.vectors
+        own = ((phis @ params.gamma) * phis).sum(axis=1) + phis @ params.c
+        return 2.0 * (phis @ params.lam) @ phis.T + own[:, None] + own[None, :] + params.k
 
     def scores(self, params: DpldaParams):
-        return score_pairs(
-            params, self.vectors[self.pairs[:, 0]], self.vectors[self.pairs[:, 1]]
-        )
+        return self.score_matrix(params)[self.trials]
 
 
 @dataclass
 class ObjectiveConfig:
-    p_target: float = DEFAULT_TARGET_PRIOR
+    p_target: float
     l2_weight: float = 0.0
 
     def __post_init__(self):
@@ -166,32 +180,30 @@ def bxe_objective(params: DpldaParams, batch: TrialBatch, cfg: ObjectiveConfig):
     """
     if batch.n_trials == 0:
         raise ObjectiveError("empty trial batch")
-    n_target = int(batch.is_target.sum())
+    n_target = int(batch.targets.sum())
     n_non = batch.n_trials - n_target
     if n_target == 0 or n_non == 0:
         raise ObjectiveError("batch must contain both target and non-target trials")
     theta = np.log(cfg.p_target / (1.0 - cfg.p_target))
-    z = batch.scores(params) + theta
+    z = batch.score_matrix(params) + theta
     alpha = cfg.p_target / n_target
     beta = (1.0 - cfg.p_target) / n_non
-    tgt = batch.is_target
-    loss = alpha * _softplus(-z[tgt]).sum() + beta * _softplus(z[~tgt]).sum()
+    non = batch.trials & ~batch.targets
+    loss = alpha * _softplus(-z[batch.targets]).sum() + beta * _softplus(z[non]).sum()
     loss += cfg.l2_weight * (
         (params.lam**2).sum() + (params.gamma**2).sum() + (params.c**2).sum()
     )
 
-    # per-trial dloss/dscore
-    w = np.where(tgt, alpha * (_sigmoid(z) - 1.0), beta * _sigmoid(z))
-    n_utts = batch.vectors.shape[0]
-    m = np.zeros((n_utts, n_utts))
-    np.add.at(m, (batch.pairs[:, 0], batch.pairs[:, 1]), w)
+    # dloss/dscore of each trial, in its cell of the upper triangle
+    sig = _sigmoid(z)
+    m = np.where(batch.targets, alpha * (sig - 1.0), np.where(non, beta * sig, 0.0))
     sym = m + m.T
     per_utt = sym.sum(axis=1)  # total trial weight touching each utterance
     phis = batch.vectors
     d_lam = phis.T @ sym @ phis + 2.0 * cfg.l2_weight * params.lam
     d_gamma = (phis * per_utt[:, None]).T @ phis + 2.0 * cfg.l2_weight * params.gamma
     d_c = phis.T @ per_utt + 2.0 * cfg.l2_weight * params.c
-    d_k = float(w.sum())
+    d_k = float(m.sum())
     d_vectors = (
         2.0 * (sym @ phis) @ params.lam
         + 2.0 * per_utt[:, None] * (phis @ params.gamma)
@@ -225,9 +237,7 @@ def train_dplda_fullbatch(
     vectors,
     speakers,
     cfg: ObjectiveConfig,
-    max_iters=200,
-    grad_tol=1e-6,
-    history_size=10,
+    max_iters,
 ):
     """Minimize the weighted cross-entropy over all trials with L-BFGS.
 
@@ -251,7 +261,7 @@ def train_dplda_fullbatch(
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     for it in range(max_iters):
-        if np.linalg.norm(g) < grad_tol:
+        if np.linalg.norm(g) < _GRAD_TOL:
             break
         d = -_two_loop(g, s_hist, y_hist)
         descent = float(d @ g)
@@ -275,7 +285,7 @@ def train_dplda_fullbatch(
         if float(s @ y) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             s_hist.append(s)
             y_hist.append(y)
-            if len(s_hist) > history_size:
+            if len(s_hist) > _LBFGS_HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         x, f, g = x_new, f_new, g_new

@@ -35,7 +35,7 @@ from .dplda import (
 from .errors import ConfigError, InputError, ShapeError
 from .frontend import context_expand, stmvn
 from .gmm import DiagGmm, sufficient_stats
-from .ivecnet import DEFAULT_RELEVANCE, IvecNet, PcaModel, map_supervector
+from .ivecnet import IvecNet, PcaModel, map_supervector
 from .metrics import ScoredTrials, c_primary, eer
 from .statsnet import StatsNet, pooled_stats_backward
 
@@ -75,7 +75,7 @@ class E2eSystem:
     pca: PcaModel
     ivec_net: IvecNet
     dplda: DpldaParams
-    relevance: float = DEFAULT_RELEVANCE
+    relevance: float
     snapshot: netcore.ParamSnapshot | None = None
 
     @property
@@ -150,8 +150,7 @@ class E2eSystem:
 
 
 def assemble_system(
-    frontend, stats_net, ubm, pca, ivec_net, dplda, relevance=DEFAULT_RELEVANCE,
-    snapshot_weight=0.0,
+    frontend, stats_net, ubm, pca, ivec_net, dplda, relevance, snapshot_weight=0.0,
 ) -> E2eSystem:
     """Wire copies of the individually trained stages together and freeze the snapshot.
 

@@ -15,8 +15,6 @@ from .errors import InputError, ShapeError
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_VAR_FLOOR_FRAC = 1e-3
-
 _E_STEP_CHUNK = 65536
 
 
@@ -127,11 +125,6 @@ def responsibilities(g: DiagGmm, frames):
     return resp
 
 
-def log_likelihood(g: DiagGmm, frames):
-    """Total log-likelihood of the frames under the mixture."""
-    return float(_logsumexp_rows(log_densities(g, frames)).sum())
-
-
 def _logsumexp_rows(x):
     m = x.max(axis=1)
     shifted = x - m[:, None]
@@ -156,13 +149,7 @@ def sufficient_stats(resp, frames):
     return SuffStats(resp.sum(axis=0), resp.T @ frames, frames.shape[0])
 
 
-def train_ubm(
-    frames,
-    n_components,
-    n_iters=10,
-    floor_frac=DEFAULT_VAR_FLOOR_FRAC,
-    seed=0,
-):
+def train_ubm(frames, n_components, n_iters, floor_frac, seed):
     """EM training of a diagonal GMM.
 
     frames: the (N, D) matrix of all training frames; callers with

@@ -16,10 +16,8 @@ from . import netcore
 from .errors import InputError, ShapeError
 from .gmm import DiagGmm, SuffStats
 
-DEFAULT_RELEVANCE = 16.0
 
-
-def map_supervector(ubm: DiagGmm, stats: SuffStats, relevance=DEFAULT_RELEVANCE):
+def map_supervector(ubm: DiagGmm, stats: SuffStats, relevance):
     """Relevance-MAP adapted mean supervector, component-major layout.
 
     Per component: (f_c + r * m_c) / (n_c + r). Zero counts fall back to the
@@ -33,7 +31,7 @@ def map_supervector(ubm: DiagGmm, stats: SuffStats, relevance=DEFAULT_RELEVANCE)
     return adapted.ravel()
 
 
-def map_supervectors(ubm, stats_list, relevance=DEFAULT_RELEVANCE):
+def map_supervectors(ubm, stats_list, relevance):
     return np.stack([map_supervector(ubm, s, relevance) for s in stats_list])
 
 

@@ -67,7 +67,7 @@ def _centered_stats(ubm: DiagGmm, stats_list):
     return n, f - n[:, :, None] * ubm.means[None, :, :]
 
 
-def train_tv(stats_list, ubm: DiagGmm, ivec_dim, n_iters=5, seed=0):
+def train_tv(stats_list, ubm: DiagGmm, ivec_dim, n_iters, seed):
     """EM for the total-variability model.
 
     Returns (model, elbo_history); elbo_history[i] is the per-corpus evidence

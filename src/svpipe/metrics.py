@@ -14,8 +14,6 @@ import numpy as np
 from .errors import MetricError
 
 OPERATING_POINTS = (0.01, 0.005)
-COST_MISS = 1.0
-COST_FA = 1.0
 
 
 @dataclass
@@ -71,18 +69,18 @@ def eer(trials: ScoredTrials):
     return float(p_miss[k - 1] + t * d_miss)
 
 
-def min_dcf(trials: ScoredTrials, p_target, c_miss=COST_MISS, c_fa=COST_FA):
+def min_dcf(trials: ScoredTrials, p_target):
     """Minimum normalized detection cost at the given target prior.
 
-    min over thresholds of c_miss*p*Pmiss + c_fa*(1-p)*Pfa, divided by the
-    cost of the better default decision; with unit costs the reject-all
-    decision bounds the result above by 1.
+    min over thresholds of p*Pmiss + (1-p)*Pfa (unit costs), divided by the
+    cost of the better default decision, so the reject-all decision bounds
+    the result above by 1.
     """
     if not 0.0 < p_target < 1.0:
         raise MetricError("target prior must lie strictly inside (0, 1)")
     p_miss, p_fa = _operating_points(trials)
-    costs = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
-    norm = min(c_miss * p_target, c_fa * (1.0 - p_target))
+    costs = p_target * p_miss + (1.0 - p_target) * p_fa
+    norm = min(p_target, 1.0 - p_target)
     return float(costs.min() / norm)
 
 

@@ -24,6 +24,11 @@ ACTIVATIONS = ("linear", "sigmoid", "tanh", "softmax", "lengthnorm")
 ACTIVATION_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
 ACTIVATION_NAMES = {i: name for name, i in ACTIVATION_CODES.items()}
 
+# Adam moment decay rates and denominator guard (Kingma and Ba's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 @dataclass
 class Layer:
@@ -344,26 +349,20 @@ def train_sgd(net: Mlp, inputs, targets, loss_fn, schedule: SgdSchedule):
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators plus hyperparameters."""
+    """Per-parameter first/second moment accumulators plus the learning rate."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def create(cls, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def create(cls, params, lr):
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             step=0,
             lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
         )
 
 
@@ -373,19 +372,19 @@ def adam_step(state: AdamState, params, grads):
         raise OptimizerError("Adam state does not match the parameter list")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - _ADAM_BETA1**t
+    c2 = 1.0 - _ADAM_BETA2**t
     out = []
     for i, (p, g) in enumerate(zip(params, grads, strict=True)):
         if g.shape != p.shape:
             raise OptimizerError(f"gradient {i} shape {g.shape} != param {p.shape}")
         if not np.isfinite(g).all():
             raise OptimizerError("non-finite gradient in adam_step")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        state.m[i] = _ADAM_BETA1 * state.m[i] + (1.0 - _ADAM_BETA1) * g
+        state.v[i] = _ADAM_BETA2 * state.v[i] + (1.0 - _ADAM_BETA2) * g * g
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS))
     return out
 
 

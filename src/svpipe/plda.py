@@ -70,7 +70,7 @@ def _chol_logdet(mat, what):
     return chol, 2.0 * float(np.log(np.diag(chol)).sum())
 
 
-def train_plda(vectors, labels, n_iters=10):
+def train_plda(vectors, labels, n_iters):
     """EM for the two-covariance model.
 
     Needs at least two speakers and at least one speaker with two or more
@@ -211,7 +211,7 @@ def plda_llr_pairs(model: TwoCovPlda, enroll, test):
     return -0.5 * quad_joint - quad_cross + 0.5 * quad_marg + const
 
 
-def to_dplda(model: TwoCovPlda, verify=True) -> DpldaParams:
+def to_dplda(model: TwoCovPlda) -> DpldaParams:
     """Closed-form conversion of the LLR into the quadratic scoring form.
 
     Diagonalizing the shared-speaker covariance over the sum/difference of
@@ -244,14 +244,13 @@ def to_dplda(model: TwoCovPlda, verify=True) -> DpldaParams:
         - 0.5 * w_logdet
     )
     params = DpldaParams(lam, gamma, c, k)
-    if verify:
-        rng = np.random.default_rng(0)
-        scale = np.sqrt(np.trace(model.between + model.within) / model.dim)
-        e = model.mu + scale * rng.standard_normal((8, model.dim))
-        t = model.mu + scale * rng.standard_normal((8, model.dim))
-        gap = np.abs(score_pairs(params, e, t) - plda_llr_pairs(model, e, t)).max()
-        if not gap < _CONVERSION_TOL:
-            raise ModelError(
-                f"quadratic-form conversion failed its self-check (gap {gap:.3e})"
-            )
+    rng = np.random.default_rng(0)
+    scale = np.sqrt(np.trace(model.between + model.within) / model.dim)
+    e = model.mu + scale * rng.standard_normal((8, model.dim))
+    t = model.mu + scale * rng.standard_normal((8, model.dim))
+    gap = np.abs(score_pairs(params, e, t) - plda_llr_pairs(model, e, t)).max()
+    if not gap < _CONVERSION_TOL:
+        raise ModelError(
+            f"quadratic-form conversion failed its self-check (gap {gap:.3e})"
+        )
     return params

@@ -74,7 +74,7 @@ DEFAULTS = {
     "plda.iters": ("10", _count),
     # discriminative backend
     "dplda.l2": ("1e-3", float),
-    "dplda.p_target": ("0.0075", float),
+    "dplda.p_target": ("0.0075", float),  # midpoint of the 0.01 / 0.005 operating points
     "dplda.max_iters": ("200", _count),
     # neural modules
     "statsnet.hidden": ("128,128", _parse_ints),

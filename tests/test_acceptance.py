@@ -92,9 +92,8 @@ def _run_desk_chain(seed):
     plda_model, plda_ll = recipe.train_plda(cfg, train_vecs, train_spk)
 
     dev_batch = dplda.TrialBatch.all_trials(dev_vecs, dev_spk)
-    plda_scores = plda.plda_llr_pairs(
-        plda_model, dev_vecs[dev_batch.pairs[:, 0]], dev_vecs[dev_batch.pairs[:, 1]]
-    )
+    dev_i, dev_j = np.nonzero(dev_batch.trials)
+    plda_scores = plda.plda_llr_pairs(plda_model, dev_vecs[dev_i], dev_vecs[dev_j])
     eer_plda, c_plda = _dev_metrics(plda_scores, dev_batch.is_target)
     dplda_params, c_dplda, picked_l2 = _dev_picked_dplda(
         seed, plda.to_dplda(plda_model), c_plda, train_vecs, train_spk, dev_batch
@@ -194,11 +193,11 @@ def _make_ckpt_system(seed):
     feats = [u.features for u in corp.utterances]
     speakers = np.array([u.speaker for u in corp.utterances])
     norm = [frontend.stmvn(f, 0.5, 100.0) for f in feats[:10]]
-    ubm, _ = gmm.train_ubm(np.vstack(norm), 4, n_iters=3, seed=seed)
+    ubm, _ = gmm.train_ubm(np.vstack(norm), 4, n_iters=3, floor_frac=1e-3, seed=seed)
     fc = e2e.FrontendConfig(window_s=0.5, frame_rate_hz=100.0, context=4, n_dct=3)
     snet = statsnet.make_stats_net(6 * 3, 4, hidden=(10,), seed=seed)
     stats = [gmm.sufficient_stats(gmm.responsibilities(ubm, x), x) for x in norm]
-    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, stats), 8)
+    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, stats, 16.0), 8)
     ivnet = ivecnet.make_ivec_net(8, 5, hidden=(7,), seed=seed + 1)
     params = dplda.DpldaParams(
         0.3 * rng.standard_normal((5, 5)),
@@ -206,7 +205,7 @@ def _make_ckpt_system(seed):
         0.3 * rng.standard_normal(5),
         0.05,
     )
-    system = e2e.assemble_system(fc, snet, ubm, pca, ivnet, params)
+    system = e2e.assemble_system(fc, snet, ubm, pca, ivnet, params, relevance=16.0)
     return system, feats, speakers
 
 
@@ -465,7 +464,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
             acts = netcore.forward(live_net, coords[idx])
             batch = dplda.TrialBatch.all_trials(acts[-1], speakers_all[idx])
             _, d_params, d_emb = dplda.bxe_objective(
-                live_dplda, batch, dplda.ObjectiveConfig()
+                live_dplda, batch, dplda.ObjectiveConfig(p_target=0.0075)
             )
             net_grads, _ = netcore.backward(live_net, acts, d_emb)
             grads = net_grads + [
@@ -517,10 +516,7 @@ def test_criterion_9_persistence(desk_chains, tmp_path):
         models = r["models"]
         reloaded = {}
         for name, model in models.items():
-            if name == "system":
-                tensors = model.to_tensors()
-            else:
-                tensors = model.to_tensors()
+            tensors = model.to_tensors()
             path = tmp_path / f"{name}.svm"
             fileio.write_container(path, tensors)
             back = fileio.read_container(path)
@@ -541,12 +537,13 @@ def test_criterion_9_persistence(desk_chains, tmp_path):
         emb_after = e2e.embed_utterances(system_back, [u.features for u in dev])
         assert np.array_equal(emb_before, emb_after)
 
+        dev_i, dev_j = np.nonzero(dev_batch.trials)
         trials = corpus_mod.TrialList(
             [
                 corpus_mod.Trial(t_enroll, t_test)
                 for t_enroll, t_test in zip(
-                    [corp.split("dev")[i].uid for i in dev_batch.pairs[:50, 0]],
-                    [corp.split("dev")[j].uid for j in dev_batch.pairs[:50, 1]],
+                    [corp.split("dev")[i].uid for i in dev_i[:50]],
+                    [corp.split("dev")[j].uid for j in dev_j[:50]],
                 )
             ]
         )

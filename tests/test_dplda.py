@@ -47,6 +47,22 @@ def test_score_pairs_matches_single():
         assert abs(batch[i] - dplda.dplda_score(params, e[i], t[i])) < 1e-12
 
 
+@pytest.mark.parametrize("n_utts, dim", [(2, 3), (3, 1), (7, 20), (40, 3), (120, 20)])
+def test_all_trials_match_the_pair_form(n_utts, dim):
+    rng = np.random.default_rng(n_utts * dim)
+    params = random_params(rng, dim)
+    vectors = rng.standard_normal((n_utts, dim))
+    speakers = rng.integers(0, max(2, n_utts // 3), n_utts)
+    # draw_groups can return one utterance twice when the pool refreshes mid-draw
+    vectors[-1], speakers[-1] = vectors[0], speakers[0]
+    batch = dplda.TrialBatch.all_trials(vectors, speakers)
+    i, j = np.triu_indices(n_utts, 1)
+    assert batch.n_trials == n_utts * (n_utts - 1) // 2
+    assert np.array_equal(batch.is_target, speakers[i] == speakers[j])
+    pair_scores = dplda.score_pairs(params, vectors[i], vectors[j])
+    assert max_rel_err(batch.scores(params), pair_scores, floor=1e-8) < 1e-10
+
+
 def test_bxe_zero_params_equal_prior_is_log2():
     rng = np.random.default_rng(3)
     vectors = rng.standard_normal((8, 3))
@@ -98,8 +114,7 @@ def test_bxe_gradients_match_finite_differences():
 
 
 def test_target_prior_defaults():
-    assert dplda.DEFAULT_TARGET_PRIOR == 0.0075
-    assert dplda.ObjectiveConfig().p_target == 0.0075
+    assert recipe.Config().get("dplda.p_target") == 0.0075
     assert recipe.Config(recipe.PAPER).get("dplda.p_target") == 0.0075
 
 
@@ -109,7 +124,7 @@ def test_bxe_single_class_batch_rejected():
     batch = dplda.TrialBatch.all_trials(vectors, np.array([0, 0, 0]))
     params = random_params(rng, 2)
     with pytest.raises(ObjectiveError):
-        dplda.bxe_objective(params, batch, dplda.ObjectiveConfig())
+        dplda.bxe_objective(params, batch, dplda.ObjectiveConfig(p_target=0.0075))
 
 
 def test_fullbatch_training_from_stationary_point():
@@ -119,11 +134,11 @@ def test_fullbatch_training_from_stationary_point():
     speakers = np.repeat(np.arange(4), 4)
     cfg = dplda.ObjectiveConfig(p_target=0.2)
     init = dplda.DpldaParams(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3), 0.0)
-    trained, history = dplda.train_dplda_fullbatch(init, vectors, speakers, cfg)
+    trained, history = dplda.train_dplda_fullbatch(init, vectors, speakers, cfg, max_iters=200)
     assert history[-1] <= history[0]
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
     # re-running from the optimum barely moves
-    again, history2 = dplda.train_dplda_fullbatch(trained, vectors, speakers, cfg)
+    again, history2 = dplda.train_dplda_fullbatch(trained, vectors, speakers, cfg, max_iters=200)
     assert history2[0] - history2[-1] < 1e-10
 
 
@@ -134,7 +149,7 @@ def test_fullbatch_training_separates_toy_problem():
     speakers = np.repeat(np.arange(5), 4)
     init = dplda.DpldaParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 0.0)
     trained, _ = dplda.train_dplda_fullbatch(
-        init, vectors, speakers, dplda.ObjectiveConfig(p_target=0.1)
+        init, vectors, speakers, dplda.ObjectiveConfig(p_target=0.1), max_iters=200
     )
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
     trials = metrics.ScoredTrials(batch.scores(trained), batch.is_target)

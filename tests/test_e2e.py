@@ -11,11 +11,11 @@ def tiny_system(small_corpus):
     fc = e2e.FrontendConfig(window_s=0.5, frame_rate_hz=100.0, context=4, n_dct=3)
     train = small_corpus.split("train")
     norm = [frontend.stmvn(u.features, fc.window_s, fc.frame_rate_hz) for u in train]
-    ubm, _ = gmm.train_ubm(np.vstack(norm), 4, n_iters=3, seed=0)
+    ubm, _ = gmm.train_ubm(np.vstack(norm), 4, n_iters=3, floor_frac=1e-3, seed=0)
     width = small_corpus.utterances[0].features.shape[1] * fc.n_dct
     snet = statsnet.make_stats_net(width, 4, hidden=(6,), seed=1)
     stats = [gmm.sufficient_stats(gmm.responsibilities(ubm, x), x) for x in norm]
-    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, stats), 10)
+    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, stats, 16.0), 10)
     ivnet = ivecnet.make_ivec_net(10, 5, hidden=(8,), seed=2)
     params = dplda.DpldaParams(
         0.2 * rng.standard_normal((5, 5)),
@@ -23,7 +23,9 @@ def tiny_system(small_corpus):
         0.2 * rng.standard_normal(5),
         0.1,
     )
-    return e2e.assemble_system(fc, snet, ubm, pca, ivnet, params, snapshot_weight=1e-2)
+    return e2e.assemble_system(
+        fc, snet, ubm, pca, ivnet, params, relevance=16.0, snapshot_weight=1e-2
+    )
 
 
 def _score(system, features_a, features_b):
@@ -236,7 +238,7 @@ def test_assemble_system_copies_the_networks(tiny_system):
     before = [p.copy() for p in snet.net.parameters() + ivnet.net.parameters()]
     system = e2e.assemble_system(
         tiny_system.frontend, snet, tiny_system.ubm, tiny_system.pca, ivnet,
-        tiny_system.dplda,
+        tiny_system.dplda, tiny_system.relevance,
     )
     system.set_trainable_parameters([p + 1.0 for p in system.trainable_parameters()])
     after = snet.net.parameters() + ivnet.net.parameters()

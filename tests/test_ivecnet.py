@@ -17,17 +17,17 @@ def test_map_zero_counts_give_background_means():
     rng = np.random.default_rng(0)
     ubm = random_ubm(rng)
     stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)), 0)
-    assert np.array_equal(ivecnet.map_supervector(ubm, stats), ubm.means.ravel())
+    assert np.array_equal(ivecnet.map_supervector(ubm, stats, 16.0), ubm.means.ravel())
 
 
 def test_map_defaults_and_limit():
-    assert ivecnet.DEFAULT_RELEVANCE == 16.0
+    assert recipe.Config().get("ivecnet.relevance") == 16.0
     rng = np.random.default_rng(1)
     ubm = random_ubm(rng)
     xbar = rng.standard_normal((3, 2))
     n = np.full(3, 1e6)
     stats = gmm.SuffStats(n, n[:, None] * xbar, int(3e6))
-    sv = ivecnet.map_supervector(ubm, stats).reshape(3, 2)
+    sv = ivecnet.map_supervector(ubm, stats, 16.0).reshape(3, 2)
     assert np.abs(sv - xbar).max() < 1e-4
 
 

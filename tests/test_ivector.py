@@ -196,4 +196,4 @@ def test_train_tv_rejects_empty():
     rng = np.random.default_rng(11)
     ubm = random_ubm(rng)
     with pytest.raises(InputError):
-        ivector.train_tv([], ubm, 2)
+        ivector.train_tv([], ubm, 2, n_iters=5, seed=0)

@@ -98,7 +98,7 @@ def test_network_stats_feed_classic_extraction(small_corpus):
 
     train = small_corpus.split("train")[:12]
     norm = [frontend.stmvn(u.features, 0.5, 100.0) for u in train]
-    ubm, _ = gmm.train_ubm(np.vstack(norm), 4, n_iters=3, seed=0)
+    ubm, _ = gmm.train_ubm(np.vstack(norm), 4, n_iters=3, floor_frac=1e-3, seed=0)
     expanded = [frontend.context_expand(x, 4, 3) for x in norm]
     targets = [gmm.responsibilities(ubm, x) for x in norm]
     net = statsnet.make_stats_net(expanded[0].shape[1], 4, hidden=(10,), seed=1)
