@@ -79,7 +79,7 @@ def _load_corpus(cfg):
 
 
 def _train_split(cfg):
-    """The train utterances and the frame rate; the rest of the corpus is released on return."""
+    """The train utterances and the frame rate; no dev or eval feature file is read."""
     corpus = _load_corpus(cfg)
     return corpus.split("train"), corpus.frame_rate_hz
 
@@ -255,39 +255,46 @@ def _trials_path(cfg, key, default_name):
     return Path(configured) if configured else cfg.path(default_name)
 
 
+def _trial_pairs(trials, uids, vectors):
+    """The enroll and test rows of every trial; row i of vectors belongs to uids[i]."""
+    row = {uid: i for i, uid in enumerate(uids)}
+    try:
+        enroll = np.array([row[t.enroll] for t in trials.trials], dtype=np.intp)
+        test = np.array([row[t.test] for t in trials.trials], dtype=np.intp)
+    except KeyError as exc:
+        raise InputError(f"trial references unknown utterance {exc}") from None
+    return vectors[enroll], vectors[test]
+
+
 def cmd_score(cfg, args):
-    corpus = _load_corpus(cfg)
-    trials = parse_trial_list(_trials_path(cfg, "score.trials", "trials_dev.txt"))
     backend = cfg.get("score.backend")
+    if backend not in ("plda", "dplda", "e2e"):
+        raise ConfigError(f"score.backend must be plda, dplda or e2e, not {backend!r}")
+    corpus = _load_corpus(cfg)
+    trials_path = _trials_path(cfg, "score.trials", "trials_dev.txt")
+    trials = parse_trial_list(trials_path)
+    if not trials.trials:
+        raise InputError(f"{trials_path}: no trials to score")
     if backend in ("plda", "dplda"):
         vectors = _load_vectors(cfg)
-        try:
-            enroll = np.stack([vectors[t.enroll] for t in trials.trials])
-            test = np.stack([vectors[t.test] for t in trials.trials])
-        except KeyError as exc:
-            raise InputError(f"trial references unknown utterance {exc}") from None
+        enroll, test = _trial_pairs(trials, list(vectors), np.stack(list(vectors.values())))
         if backend == "plda":
             model = _read(cfg, "plda.svm", plda.TwoCovPlda)
             scores = plda.plda_llr_pairs(model, enroll, test)
         else:
             params = _read(cfg, "dplda.svm", dplda.DpldaParams)
             scores = dplda.score_pairs(params, enroll, test)
-    elif backend == "e2e":
+    else:
         system = _read(cfg, "system.svm", e2e.E2eSystem)
         by_id = corpus.by_id()
         uids = sorted({t.enroll for t in trials.trials} | {t.test for t in trials.trials})
         try:
-            embeddings = {
-                uid: e2e.embed_utterance(system, by_id[uid].features)
-                for uid in uids
-            }
+            utts = [by_id[uid] for uid in uids]
         except KeyError as exc:
             raise InputError(f"trial references unknown utterance {exc}") from None
-        enroll = np.stack([embeddings[t.enroll] for t in trials.trials])
-        test = np.stack([embeddings[t.test] for t in trials.trials])
+        embeddings = np.stack([e2e.embed_utterance(system, u.features) for u in utts])
+        enroll, test = _trial_pairs(trials, uids, embeddings)
         scores = dplda.score_pairs(system.dplda, enroll, test)
-    else:
-        raise ConfigError(f"score.backend must be plda, dplda or e2e, not {backend!r}")
     write_scores(cfg.path("scores.txt"), trials, scores)
     logger.info("wrote %s (%d trials)", cfg.path("scores.txt"), len(scores))
 

@@ -15,6 +15,7 @@ grid so feature files round-trip losslessly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,12 +37,27 @@ _OBS_NOISE_FRAC = 1.0 / 30.0
 _SPLIT_FRACTIONS = (0.5, 0.25, 0.25)  # train, dev, eval shares of the speakers
 
 
-@dataclass
 class Utterance:
-    uid: str
-    speaker: str
-    split: str
-    features: np.ndarray  # (T, D)
+    """One utterance: uid, speaker, split tag and its (T, D) float64 features.
+
+    Built with a feature matrix, it holds that matrix. Built by load_corpus,
+    it holds the path of its feature file and reads it on the first access
+    to ``features`` (a malformed file raises FormatError there); the matrix
+    is kept from then on.
+    """
+
+    def __init__(self, uid, speaker, split, features=None, *, path=None):
+        self.uid = uid
+        self.speaker = speaker
+        self.split = split
+        self._features = features
+        self._path = path
+
+    @property
+    def features(self):
+        if self._features is None:
+            self._features = read_features(self._path)
+        return self._features
 
 
 @dataclass
@@ -156,10 +172,13 @@ def save_corpus(corpus: Corpus, directory):
 
 
 def load_corpus(directory) -> Corpus:
+    """Parse and check the corpus index; each feature file is read on first use."""
     directory = Path(directory)
     index = directory / "corpus.tsv"
     if not index.is_file():
         raise FormatError(f"{index}: corpus index not found")
+    feature_dir = directory / "features"
+    feature_files = _file_names(feature_dir)
     utterances = []
     frame_rate = 100.0
     for lineno, line in enumerate(read_text(index).splitlines(), start=1):
@@ -179,13 +198,20 @@ def load_corpus(directory) -> Corpus:
             raise FormatError(f"{index}:{lineno}: unknown split {split!r}")
         if not uid or "/" in uid or "\0" in uid:
             raise FormatError(f"{index}:{lineno}: uid {uid!r} is not a file name")
-        path = directory / "features" / f"{uid}.svf"
-        try:
-            features = read_features(path)
-        except FileNotFoundError:
-            raise FormatError(f"{index}:{lineno}: no feature file {path}") from None
-        utterances.append(Utterance(uid, speaker, split, features))
+        path = feature_dir / f"{uid}.svf"
+        if path.name not in feature_files:
+            raise FormatError(f"{index}:{lineno}: no feature file {path}")
+        utterances.append(Utterance(uid, speaker, split, path=path))
     return Corpus(utterances, frame_rate_hz=frame_rate)
+
+
+def _file_names(directory):
+    """Names of the regular files in directory; none if it is missing or not a directory."""
+    try:
+        with os.scandir(directory) as entries:
+            return {entry.name for entry in entries if entry.is_file()}
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +275,7 @@ def write_scores(path, trial_list: TrialList, scores):
         raise InputError("score count does not match the trial list")
     lines = [
         f"{t.enroll} {t.test} {s:.17g}"
-        for t, s in zip(trial_list.trials, scores)
+        for t, s in zip(trial_list.trials, np.asarray(scores, dtype=np.float64).tolist())
     ]
     write_text(path, "\n".join(lines) + "\n")
 

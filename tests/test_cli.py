@@ -148,6 +148,87 @@ def test_dplda_scores_match_library(workdir):
     assert np.isfinite(scores).all()
 
 
+# feature files each stage reads: every utterance of the named splits, or of the trial list
+@pytest.mark.parametrize(
+    "stage, reads",
+    [
+        ("extract-stats", "train dev eval"),
+        ("train-ubm", "train"),
+        ("train-f2s", "train"),
+        ("train-s2i", "train"),
+        ("train-tv", ""),
+        ("extract-ivec", ""),
+        ("train-plda", ""),
+        ("train-dplda", ""),
+        ("fit-pca", ""),
+        ("train-joint", "train dev"),
+        ("train-e2e", "train dev"),
+        ("score plda", ""),
+        ("score dplda", ""),
+        ("score e2e", "trials_dev.txt"),
+        ("score e2e", "trials_eval.txt"),
+    ],
+)
+def test_stages_read_only_the_features_they_use(workdir, tmp_path, monkeypatch, stage, reads):
+    from svpipe import cli, corpus
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    stage, _, backend = stage.partition(" ")
+    overrides = f"score.backend={backend}\n" if backend else ""
+    utts = corpus.load_corpus(work / "corpus").utterances
+    expected = []
+    for name in reads.split():
+        if name.endswith(".txt"):
+            overrides += f"score.trials={work / name}\n"
+            trials = corpus.parse_trial_list(work / name).trials
+            expected += sorted({t.enroll for t in trials} | {t.test for t in trials})
+        else:
+            expected += [u.uid for u in utts if u.split == name]
+    override_cfg = tmp_path / "override.cfg"
+    override_cfg.write_text(cfg.read_text() + overrides)
+    read = []
+    read_features = corpus.read_features
+    monkeypatch.setattr(corpus, "read_features", lambda path: read.append(path.stem) or read_features(path))
+    assert cli.main(["--config", str(override_cfg), "--workdir", str(work), stage]) == 0
+    assert sorted(read) == sorted(expected)
+
+
+def test_corrupt_dev_features_fail_only_the_stages_that_read_them(workdir, tmp_path):
+    from svpipe.corpus import load_corpus
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    uid = load_corpus(work / "corpus").split("dev")[0].uid
+    (work / "corpus" / "features" / f"{uid}.svf").write_bytes(b"SVF1\x00")
+    e2e_cfg = tmp_path / "e2e.cfg"
+    e2e_cfg.write_text(cfg.read_text() + "score.backend=e2e\n")
+    for stage in ["train-plda", "train-dplda"]:
+        result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
+        assert result.returncode == 0, result.stderr
+    result = run_cli("--config", str(e2e_cfg), "--workdir", str(work), "score")
+    assert result.returncode == 3, result.stderr
+    assert f"{uid}.svf" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("backend", ["plda", "dplda", "e2e"])
+@pytest.mark.parametrize(
+    "lines, message",
+    [("# no trials\n", "no trials to score"), ("nobody spk000_u0\n", "unknown utterance 'nobody'")],
+)
+def test_bad_trial_list_exit_code(workdir, tmp_path, backend, lines, message):
+    root, cfg = workdir
+    trials = tmp_path / "trials.txt"
+    trials.write_text(lines)
+    override_cfg = tmp_path / "override.cfg"
+    override_cfg.write_text(cfg.read_text() + f"score.backend={backend}\nscore.trials={trials}\n")
+    result = run_cli("--config", str(override_cfg), "score")
+    assert result.returncode == 3, result.stderr
+    assert message in result.stderr and "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize(
     "override, stage, model",
     [
@@ -270,6 +351,15 @@ def test_missing_data_exit_code(tmp_path):
     cfg.write_text(f"paths.workdir={tmp_path / 'nowhere'}\n")
     result = run_cli("--config", str(cfg), "train-ubm")
     assert result.returncode == 3
+
+
+def test_unknown_score_backend_exit_code(tmp_path):
+    # the backend is checked before any input is read
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"paths.workdir={tmp_path / 'nowhere'}\nscore.backend=svm\n")
+    result = run_cli("--config", str(cfg), "score")
+    assert result.returncode == 2
+    assert "score.backend" in result.stderr and "Traceback" not in result.stderr
 
 
 def test_missing_scores_exit_code(tmp_path):

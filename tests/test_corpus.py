@@ -131,3 +131,44 @@ def test_corpus_index_bad_line_is_format_error(tmp_path, small_corpus, line):
     n_lines = len(index.read_text().splitlines())
     with pytest.raises(FormatError, match=f"corpus.tsv:{n_lines}:"):
         corpus.load_corpus(tmp_path / "c")
+
+
+def test_load_corpus_reads_each_feature_file_on_first_use(tmp_path, small_corpus, monkeypatch):
+    corpus.save_corpus(small_corpus, tmp_path / "c")
+    reads = []
+    read_features = corpus.read_features
+    monkeypatch.setattr(corpus, "read_features", lambda path: reads.append(path) or read_features(path))
+    back = corpus.load_corpus(tmp_path / "c")
+    assert reads == []
+    utt = back.utterances[3]
+    first = utt.features
+    assert utt.features is first and len(reads) == 1
+    assert np.array_equal(first, small_corpus.utterances[3].features)
+    assert first.dtype == np.float64
+
+
+def test_malformed_feature_file_fails_on_first_use(tmp_path, small_corpus):
+    corpus.save_corpus(small_corpus, tmp_path / "c")
+    uid = small_corpus.utterances[1].uid
+    (tmp_path / "c" / "features" / f"{uid}.svf").write_bytes(b"SVF1garbage")
+    back = corpus.load_corpus(tmp_path / "c")
+    assert np.array_equal(back.utterances[0].features, small_corpus.utterances[0].features)
+    with pytest.raises(FormatError, match=f"{uid}.svf"):
+        back.utterances[1].features
+
+
+def test_write_scores_bytes_match_numpy_scalar_formatting(tmp_path):
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+               1e-300, -1e-300, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 1 / 3]
+    scores = np.concatenate([
+        special,
+        rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+        rng.integers(0, 2**64, 200, dtype=np.uint64).view(np.float64),  # random bit patterns
+    ])
+    trials = corpus.TrialList([corpus.Trial(f"e{i}", f"t{i}") for i in range(len(scores))])
+    path = tmp_path / "scores.txt"
+    corpus.write_scores(path, trials, scores)
+    # the per-element numpy scalar formatting the writer used before
+    old = "\n".join(f"e{i} t{i} {s:.17g}" for i, s in enumerate(scores)) + "\n"
+    assert path.read_bytes() == old.encode("utf-8")

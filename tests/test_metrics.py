@@ -128,3 +128,27 @@ def test_single_class_errors():
         metrics.min_dcf(
             metrics.ScoredTrials(np.array([1.0, 2.0]), np.array([1, 0], bool)), 1.5
         )
+
+
+def test_shared_operating_points_give_bit_identical_metrics():
+    rng = np.random.default_rng(3)
+    for n, levels in [(500, 7), (2000, 40), (300, None)]:
+        scores = rng.standard_normal(n)
+        if levels is not None:  # many tied scores
+            scores = np.round(scores * levels / 4) / levels
+        is_target = rng.random(n) < 0.2
+        shared = metrics.ScoredTrials(scores, is_target)
+        got = [
+            metrics.c_primary(shared),
+            metrics.eer(shared),
+            metrics.min_dcf(shared, 0.01),
+            metrics.min_dcf(shared, 0.005),
+        ]
+        fresh = [
+            metrics.c_primary(metrics.ScoredTrials(scores, is_target)),
+            metrics.eer(metrics.ScoredTrials(scores, is_target)),
+            metrics.min_dcf(metrics.ScoredTrials(scores, is_target), 0.01),
+            metrics.min_dcf(metrics.ScoredTrials(scores, is_target), 0.005),
+        ]
+        assert [v.hex() for v in got] == [v.hex() for v in fresh]
+        assert shared.operating_points is shared.operating_points
