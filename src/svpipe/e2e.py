@@ -2,17 +2,21 @@
 
 The scoring path is features -> normalization/context expansion -> statistics
 network -> MAP supervector -> fixed PCA -> embedding network -> quadratic
-trial scoring. Joint training runs Adam on the prior-weighted cross-entropy
-over sampled trial batches, regularized toward a snapshot of the initial
-parameters, halving the learning rate when the dev-set cost stops improving
-and returning the best-on-dev parameters.
+trial scoring. Its embedding half, pca_coords then embed_coords, runs one
+utterance at a time and is the only inference path: scoring, the cascade
+backend and the dev pass of joint training all see the same bits. Joint
+training runs Adam on the prior-weighted cross-entropy over sampled trial
+batches, regularized toward a snapshot of the initial parameters, halving
+the learning rate when the dev-set cost stops improving and returning the
+best-on-dev parameters.
 
 Backpropagation through the statistics network is memory-checkpointed: the
 batch keeps each utterance's frontend output (it depends on no parameter),
 the per-frame network activations are dropped once an utterance's statistics
 exist and only they are recomputed from that output during the backward
 pass, which leaves gradients bit-identical to the full-graph pass while only
-one utterance's frame-level activations are ever live.
+one utterance's frame-level activations are ever live (the tests count the
+live caches through weak references).
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .dplda import (
 from .errors import ConfigError, InputError, ShapeError
 from .frontend import context_expand, stmvn
 from .gmm import DiagGmm, sufficient_stats
-from .ivecnet import IvecNet, PcaModel, map_supervector
+from .ivecnet import IvecNet, PcaModel, map_supervector, map_supervectors, pca_project
 from .metrics import ScoredTrials, c_primary, eer
-from .statsnet import StatsNet, pooled_stats_backward
+from .statsnet import StatsNet, pooled_stats, pooled_stats_backward
 
 logger = logging.getLogger(__name__)
 
@@ -48,21 +52,6 @@ class FrontendConfig:
     frame_rate_hz: float
     context: int
     n_dct: int
-
-
-class ActivationLedger:
-    """Counts utterances whose frame-level activations are currently live."""
-
-    def __init__(self):
-        self.live = 0
-        self.max_live = 0
-
-    def acquire(self):
-        self.live += 1
-        self.max_live = max(self.max_live, self.live)
-
-    def release(self):
-        self.live -= 1
 
 
 @dataclass
@@ -149,14 +138,13 @@ class E2eSystem:
         )
 
 
-def assemble_system(
-    frontend, stats_net, ubm, pca, ivec_net, dplda, relevance, snapshot_weight=0.0,
-) -> E2eSystem:
-    """Wire copies of the individually trained stages together and freeze the snapshot.
+def assemble_system(frontend, stats_net, ubm, pca, ivec_net, dplda, relevance) -> E2eSystem:
+    """Wire copies of the individually trained stages together.
 
-    Training the system never changes the caller's networks or backend.
+    Training the system never changes the caller's networks or backend. The
+    system has no snapshot until the caller freezes one to train toward.
     """
-    system = E2eSystem(
+    return E2eSystem(
         frontend=frontend,
         stats_net=StatsNet(stats_net.net.copy()),
         ubm=ubm,
@@ -165,10 +153,6 @@ def assemble_system(
         dplda=dplda.copy(),
         relevance=relevance,
     )
-    system.snapshot = netcore.make_snapshot(
-        system.trainable_parameters(), snapshot_weight
-    )
-    return system
 
 
 def preprocess(system: E2eSystem, features):
@@ -177,32 +161,19 @@ def preprocess(system: E2eSystem, features):
     return norm, context_expand(norm, system.frontend.context, system.frontend.n_dct)
 
 
-def _utterance_stats(system, features, ledger=None, keep_cache=False):
-    norm, expanded = preprocess(system, features)
-    if ledger is not None:
-        ledger.acquire()
-    acts = netcore.forward(system.stats_net.net, expanded)
-    stats = sufficient_stats(acts[-1], norm)
-    if not keep_cache:
-        acts = None
-        if ledger is not None:
-            ledger.release()
-    return norm, expanded, stats, acts
-
-
-def _utterance_coords(system, features):
-    _, _, stats, _ = _utterance_stats(system, features)
-    supervector = map_supervector(system.ubm, stats, system.relevance)
-    return (supervector - system.pca.mean) @ system.pca.basis
-
-
 def pca_coords(system: E2eSystem, features_list):
-    """(U, P) PCA coordinates of the utterances' MAP supervectors.
+    """(U, P) PCA coordinates of the utterances' MAP supervectors, one at a time.
 
     They depend on the statistics network, so they stay valid only while
     it is frozen; embed_coords turns them into embeddings.
     """
-    return np.stack([_utterance_coords(system, f) for f in features_list])
+    rows = []
+    for features in features_list:
+        norm, expanded = preprocess(system, features)
+        stats = pooled_stats(system.stats_net, expanded, norm)
+        supervector = map_supervector(system.ubm, stats, system.relevance)
+        rows.append(pca_project(system.pca, supervector))
+    return np.stack(rows)
 
 
 def embed_coords(system: E2eSystem, coords):
@@ -217,77 +188,64 @@ def embed_utterance(system: E2eSystem, features):
     return embed_coords(system, pca_coords(system, [features]))[0]
 
 
-def embed_utterances(system: E2eSystem, features_list):
-    return embed_coords(system, pca_coords(system, features_list))
-
-
-def _system_grads(system, features_list, loss_fn, ledger, keep_caches):
+def _system_grads(system, features_list, loss_fn, keep_caches):
     """Shared forward/backward machinery for both checkpointing modes.
 
     loss_fn maps the (U, R') embedding matrix to (loss, d_embeddings).
     Returns (loss, grads) with grads aligned to the statistics-net plus
-    embedding-net parameters.
+    embedding-net parameters. Without keep_caches each utterance's
+    statistics-net activations are dropped before the next forward pass.
     """
     if not features_list:
         raise InputError("empty utterance batch")
+    net = system.stats_net.net
     norms = []
     expanded_list = []
     stats_list = []
     caches = []
     for features in features_list:
-        norm, expanded, stats, acts = _utterance_stats(
-            system, features, ledger=ledger, keep_cache=keep_caches
-        )
+        norm, expanded = preprocess(system, features)
+        acts = netcore.forward(net, expanded)
+        stats_list.append(sufficient_stats(acts[-1], norm))
         norms.append(norm)
         expanded_list.append(expanded)
-        stats_list.append(stats)
-        caches.append(acts)
+        caches.append(acts if keep_caches else None)
+        del acts
 
-    supervectors = np.stack(
-        [map_supervector(system.ubm, s, system.relevance) for s in stats_list]
-    )
-    coords = (supervectors - system.pca.mean) @ system.pca.basis
+    supervectors = map_supervectors(system.ubm, stats_list, system.relevance)
+    coords = pca_project(system.pca, supervectors)
     ivec_acts = netcore.forward(system.ivec_net.net, coords)
     loss, d_emb = loss_fn(ivec_acts[-1])
     ivec_grads, d_coords = netcore.backward(system.ivec_net.net, ivec_acts, d_emb)
     d_super = d_coords @ system.pca.basis.T
 
     c, d = system.ubm.n_components, system.ubm.dim
-    stats_grads = [np.zeros_like(p) for p in system.stats_net.net.parameters()]
+    stats_grads = [np.zeros_like(p) for p in net.parameters()]
     for u in range(len(features_list)):
         d_sv = d_super[u].reshape(c, d)
         denom = stats_list[u].n + system.relevance
         d_f = d_sv / denom[:, None]
         d_n = -(d_sv * supervectors[u].reshape(c, d)).sum(axis=1) / denom
-        if keep_caches:
-            acts = caches[u]
-        else:
-            if ledger is not None:
-                ledger.acquire()
-            acts = netcore.forward(system.stats_net.net, expanded_list[u])
+        acts = caches[u] if keep_caches else netcore.forward(net, expanded_list[u])
         grads_u = pooled_stats_backward(system.stats_net, acts, norms[u], d_n, d_f)
-        if not keep_caches and ledger is not None:
-            ledger.release()
+        del acts
         for g, gu in zip(stats_grads, grads_u):
             g += gu
-    if keep_caches and ledger is not None:
-        for _ in features_list:
-            ledger.release()
     return loss, stats_grads + ivec_grads
 
 
-def checkpointed_grads(system, features_list, loss_fn, ledger=None):
+def checkpointed_grads(system, features_list, loss_fn):
     """Gradients with per-utterance recomputation of frame-level activations.
 
     Identical arithmetic to full_graph_grads; only one utterance's
     statistics-network activations are live at any time.
     """
-    return _system_grads(system, features_list, loss_fn, ledger, keep_caches=False)
+    return _system_grads(system, features_list, loss_fn, keep_caches=False)
 
 
-def full_graph_grads(system, features_list, loss_fn, ledger=None):
+def full_graph_grads(system, features_list, loss_fn):
     """Reference backward pass that keeps every activation in memory."""
-    return _system_grads(system, features_list, loss_fn, ledger, keep_caches=True)
+    return _system_grads(system, features_list, loss_fn, keep_caches=True)
 
 
 @dataclass
@@ -380,18 +338,16 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
     def set_params(params):
         system.set_trainable_parameters(frozen + params)
 
-    if train_stats_net:
-        def dev_embeddings():
-            return embed_utterances(system, dev_feats)
-    else:
+    if not train_stats_net:
         if train_coords is None:
             train_coords = pca_coords(system, train_feats)
         elif np.shape(train_coords) != (len(train_feats), system.pca.basis.shape[1]):
             raise ShapeError("train_coords must hold one PCA row per train utterance")
         dev_coords = pca_coords(system, dev_feats)
 
-        def dev_embeddings():
-            return netcore.forward(system.ivec_net.net, dev_coords)[-1]
+    def dev_embeddings():
+        coords = pca_coords(system, dev_feats) if train_stats_net else dev_coords
+        return embed_coords(system, coords)
 
     utts_by_speaker = {
         spk: np.flatnonzero(train_speakers == spk)

@@ -137,11 +137,3 @@ def train_ivec_net(net: IvecNet, inputs, refs, schedule: netcore.SgdSchedule):
         raise InputError("reference vectors must be length-normalized")
     model, history = netcore.train_sgd(net.net, inputs, refs, cosine_loss, schedule)
     return IvecNet(model), history
-
-
-def extract_embedding(pca: PcaModel, net: IvecNet, supervectors):
-    """Unit-norm embedding(s) for one supervector or a batch of them."""
-    coords = pca_project(pca, supervectors)
-    single = coords.ndim == 1
-    out = netcore.forward(net.net, np.atleast_2d(coords))[-1]
-    return out[0] if single else out

@@ -1,6 +1,11 @@
+import contextlib
+import types
+import weakref
+
 import numpy as np
 import pytest
 
+from svpipe import netcore
 from svpipe.corpus import SynthConfig, synth_corpus
 
 
@@ -28,6 +33,40 @@ def max_rel_err(approx, exact, floor=1e-8):
         (np.abs(np.asarray(approx) - np.asarray(exact))
          / np.maximum(floor, np.abs(exact))).max()
     )
+
+
+@contextlib.contextmanager
+def live_activation_caches(net):
+    """Count the forward caches of net that are alive, by weak reference.
+
+    Wraps netcore.forward. Each call on net opens one cache, which stays
+    alive until the last array the call created has been freed, wherever
+    the caller kept it. Yields the counts: live now and max_live so far.
+    """
+    caches = types.SimpleNamespace(live=0, max_live=0)
+    forward = netcore.forward
+
+    def counting_forward(called_net, x):
+        acts = forward(called_net, x)
+        if called_net is net:
+            caches.live += 1
+            caches.max_live = max(caches.max_live, caches.live)
+            remaining = [len(acts) - 1]
+
+            def freed():
+                remaining[0] -= 1
+                if remaining[0] == 0:
+                    caches.live -= 1
+
+            for array in acts[1:]:
+                weakref.finalize(array, freed)
+        return acts
+
+    netcore.forward = counting_forward
+    try:
+        yield caches
+    finally:
+        netcore.forward = forward
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import live_activation_caches
 from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, recipe, statsnet
 
 
@@ -23,9 +24,9 @@ def tiny_system(small_corpus):
         0.2 * rng.standard_normal(5),
         0.1,
     )
-    return e2e.assemble_system(
-        fc, snet, ubm, pca, ivnet, params, relevance=16.0, snapshot_weight=1e-2
-    )
+    system = e2e.assemble_system(fc, snet, ubm, pca, ivnet, params, relevance=16.0)
+    system.snapshot = netcore.make_snapshot(system.trainable_parameters(), 1e-2)
+    return system
 
 
 def _score(system, features_a, features_b):
@@ -59,9 +60,17 @@ def test_score_matches_stage_by_stage_composition(tiny_system, small_corpus):
         expanded = frontend.context_expand(norm, fc.context, fc.n_dct)
         stats = statsnet.pooled_stats(tiny_system.stats_net, expanded, norm)
         sv = ivecnet.map_supervector(tiny_system.ubm, stats, tiny_system.relevance)
-        embeddings.append(ivecnet.extract_embedding(tiny_system.pca, tiny_system.ivec_net, sv))
+        coords = ivecnet.pca_project(tiny_system.pca, sv[None, :])
+        embeddings.append(netcore.forward(tiny_system.ivec_net.net, coords)[-1][0])
     composed = dplda.dplda_score(tiny_system.dplda, embeddings[0], embeddings[1])
     assert abs(_score(tiny_system, a, b) - composed) < 1e-12
+
+
+def test_embed_utterance_unit_norm_and_determinism(tiny_system, small_corpus):
+    feats = small_corpus.utterances[4].features
+    out = e2e.embed_utterance(tiny_system, feats)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    assert np.array_equal(out, e2e.embed_utterance(tiny_system, feats.copy()))
 
 
 def _bxe_loss_fn(system, speakers, cfg):
@@ -79,17 +88,18 @@ def test_checkpointed_equals_full_graph(tiny_system, small_corpus):
     feats = [u.features for u in utts]
     speakers = np.array([u.speaker for u in utts])
     loss_fn = _bxe_loss_fn(tiny_system, speakers, dplda.ObjectiveConfig(p_target=0.1))
-    led_a, led_b = e2e.ActivationLedger(), e2e.ActivationLedger()
-    loss_a, grads_a = e2e.checkpointed_grads(tiny_system, feats, loss_fn, ledger=led_a)
-    loss_b, grads_b = e2e.full_graph_grads(tiny_system, feats, loss_fn, ledger=led_b)
+    with live_activation_caches(tiny_system.stats_net.net) as live_a:
+        loss_a, grads_a = e2e.checkpointed_grads(tiny_system, feats, loss_fn)
+    with live_activation_caches(tiny_system.stats_net.net) as live_b:
+        loss_b, grads_b = e2e.full_graph_grads(tiny_system, feats, loss_fn)
     assert loss_a == loss_b
     for ga, gb in zip(grads_a, grads_b):
         denom = np.maximum(np.abs(gb), 1e-300)
         assert (np.abs(ga - gb) / denom).max() < 1e-12
-    # memory accounting: one utterance live at a time vs all of them
-    assert led_a.max_live == 1
-    assert led_a.live == 0
-    assert led_b.max_live == len(feats)
+    # measured memory: one utterance's activations live at a time vs all of them
+    assert live_a.max_live == 1
+    assert live_a.live == 0
+    assert live_b.max_live == len(feats)
 
 
 def test_zero_loss_gives_zero_grads(tiny_system, small_corpus):
@@ -103,7 +113,7 @@ def test_zero_loss_gives_zero_grads(tiny_system, small_corpus):
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
 
 
-def test_zero_snapshot_weight_penalty_is_exactly_zero(tiny_system):
+def test_zero_weight_snapshot_penalty_is_exactly_zero(tiny_system):
     params = tiny_system.trainable_parameters()
     snapshot = netcore.make_snapshot(params, 0.0)
     perturbed = [p + 1.0 for p in params]
@@ -206,12 +216,36 @@ def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, train
     final_records = [r.dev_c_primary for r in history]
     # returned system reproduces the best recorded dev cost
     dev = small_corpus.split("dev")
-    emb = e2e.embed_utterances(system, [u.features for u in dev])
+    emb = np.stack([e2e.embed_utterance(system, u.features) for u in dev])
     batch = dplda.TrialBatch.all_trials(emb, np.array([u.speaker for u in dev]))
     from svpipe.metrics import ScoredTrials, c_primary
 
     value = c_primary(ScoredTrials(batch.scores(system.dplda), batch.is_target))
     assert value <= min(final_records) + 1e-12
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_dev_pass_embeds_what_scoring_embeds(tiny_system, small_corpus, trainer, monkeypatch):
+    # best-on-dev selection and LR halving must see, bit for bit, the
+    # embeddings that scoring writes; the first dev pass is the initialization
+    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    dev = [u.features for u in small_corpus.split("dev")]
+    expected = np.stack([e2e.embed_utterance(system, f) for f in dev])
+    seen = []
+    dev_metrics = e2e._dev_metrics
+
+    def spying_dev_metrics(embeddings, speakers, params):
+        seen.append(embeddings.copy())
+        return dev_metrics(embeddings, speakers, params)
+
+    monkeypatch.setattr(e2e, "_dev_metrics", spying_dev_metrics)
+    schedule = e2e.TrainSchedule(
+        n_pairs=3, lr=1e-3, epoch_batches=2, max_epochs=1,
+        objective=dplda.ObjectiveConfig(p_target=0.1),
+    )
+    getattr(e2e, trainer)(system, small_corpus, schedule, np.random.default_rng(2))
+    assert len(seen) == schedule.max_epochs + 1
+    assert np.array_equal(seen[0], expected)
 
 
 def test_epoch_log_format():
@@ -273,10 +307,10 @@ def test_e2e_training_preprocesses_batch_utterances_once(
 
     batch_calls = 0
 
-    def checking_grads(system, features_list, loss_fn, ledger=None):
+    def checking_grads(system, features_list, loss_fn):
         nonlocal batch_calls
         before = len(calls)
-        out = checkpointed(system, features_list, loss_fn, ledger)
+        out = checkpointed(system, features_list, loss_fn)
         assert sorted(calls[before:]) == sorted(id(f) for f in features_list)
         batch_calls += len(calls) - before
         return out

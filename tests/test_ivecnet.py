@@ -115,9 +115,7 @@ def test_cosine_loss_perfect_and_random_baseline():
     for seed in range(20):
         net = ivecnet.make_ivec_net(10, 50, hidden=(12,), seed=seed)
         inputs = rng.standard_normal((20, 10))
-        out = ivecnet.extract_embedding(
-            ivecnet.PcaModel(np.zeros(10), np.eye(10)), net, inputs
-        )
+        out = netcore.forward(net.net, inputs)[-1]
         sims.extend(np.abs((out * refs).sum(axis=1)).tolist())
     assert np.mean(sims) < 0.2
 
@@ -131,16 +129,6 @@ def test_training_halves_the_loss():
     cfg = netcore.SgdSchedule(lr=0.1, n_epochs=150, batch_size=16, seed=0, l1_weight=1e-6)
     trained, history = ivecnet.train_ivec_net(net, inputs, refs, cfg)
     assert history[-1] < 0.5 * history[0]
-
-
-def test_extract_embedding_unit_norm_and_determinism():
-    rng = np.random.default_rng(10)
-    pca = ivecnet.PcaModel(rng.standard_normal(6), np.linalg.qr(rng.standard_normal((6, 4)))[0])
-    net = ivecnet.make_ivec_net(4, 3, hidden=(5,), seed=1)
-    sv = rng.standard_normal(6)
-    out = ivecnet.extract_embedding(pca, net, sv)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-    assert np.array_equal(out, ivecnet.extract_embedding(pca, net, sv.copy()))
 
 
 def test_zero_norm_reference_rejected():
