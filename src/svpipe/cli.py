@@ -39,11 +39,8 @@ from .errors import (
     InputError,
     MetricError,
     ModelError,
-    ObjectiveError,
     OptimizerError,
     PipelineError,
-    ShapeError,
-    StateError,
 )
 from .fileio import read_container, read_text, write_container, write_text
 from .recipe import DEFAULTS, Config
@@ -385,9 +382,6 @@ def main(argv=None):
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2
-    except (FormatError, InputError, ShapeError, StateError, MetricError, ObjectiveError) as exc:
-        logger.error("%s", exc)
-        return 3
     except (OptimizerError, ModelError, np.linalg.LinAlgError, FloatingPointError) as exc:
         logger.error("numerical failure: %s", exc)
         return 4

@@ -6,9 +6,9 @@ Scores a trial from two embeddings through the symmetric quadratic form
         + (phi_i + phi_j)' c + k
 
 and trains (L, G, c, k) directly on target/non-target trials with a
-prior-weighted binary cross-entropy: full-batch quasi-Newton when trained
-alone, minibatches drawn from per-speaker utterance pairs when trained
-jointly with the upstream networks.
+prior-weighted binary cross-entropy: full-batch with scipy's L-BFGS-B, until
+the gradient 2-norm is at most 1e-6, when trained alone; minibatches drawn from
+per-speaker utterance pairs when trained jointly with the upstream networks.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .errors import InputError, ObjectiveError, OptimizerError, ShapeError
 
 logger = logging.getLogger(__name__)
 
-_GRAD_TOL = 1e-6  # L-BFGS stops when the gradient norm falls below this
+_GRAD_TOL = 1e-6  # L-BFGS-B stops when the gradient 2-norm is at most this
 _LBFGS_HISTORY = 10
 
 
@@ -52,6 +53,10 @@ class DpldaParams:
 
     def copy(self):
         return DpldaParams(self.lam.copy(), self.gamma.copy(), self.c.copy(), self.k)
+
+    def parameters(self):
+        """[lam, gamma, c, k] as arrays; DpldaParams(*p) rebuilds them."""
+        return [self.lam, self.gamma, self.c, np.asarray(self.k, dtype=np.float64)]
 
     def to_tensors(self, prefix=""):
         return {
@@ -214,12 +219,10 @@ def bxe_objective(params: DpldaParams, batch: TrialBatch, cfg: ObjectiveConfig):
 
 
 # ---------------------------------------------------------------------------
-# full-batch quasi-Newton training
+# full-batch training with scipy's L-BFGS-B
 
 def pack_params(params: DpldaParams):
-    return np.concatenate(
-        [params.lam.ravel(), params.gamma.ravel(), params.c, [params.k]]
-    )
+    return np.concatenate([p.ravel() for p in params.parameters()])
 
 
 def unpack_params(flat, dim):
@@ -239,77 +242,51 @@ def train_dplda_fullbatch(
     cfg: ObjectiveConfig,
     max_iters,
 ):
-    """Minimize the weighted cross-entropy over all trials with L-BFGS.
+    """Minimize the weighted cross-entropy over all trials with L-BFGS-B.
 
-    Two-loop recursion (history 10) with Armijo backtracking; a non-finite
-    loss rejects the step and halves it, and a step below 1e-16 stops with a
-    warning. Returns (params, loss_history); the final loss never exceeds
-    the initial one.
+    scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; history 10, no bounds)
+    stops when the 2-norm of the gradient is at most 1e-6 (its per-entry
+    gtol is that over sqrt(#parameters)) or after max_iters iterations; a
+    failed line search stops with a warning. Returns (params, loss_history):
+    the loss at init and after each iteration, never rising.
     """
     batch = TrialBatch.all_trials(vectors, speakers)
     dim = batch.vectors.shape[1]
     if init.dim != dim:
         raise ShapeError("initial parameters do not match the vectors")
+    history: list[float] = []
 
     def evaluate(flat):
         loss, grads, _ = bxe_objective(unpack_params(flat, dim), batch, cfg)
+        if not history:  # the first evaluation is at init
+            history.append(loss)
         return loss, pack_params(grads)
 
-    x = pack_params(init)
-    f, g = evaluate(x)
-    history = [f]
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    for it in range(max_iters):
-        if np.linalg.norm(g) < _GRAD_TOL:
-            break
-        d = -_two_loop(g, s_hist, y_hist)
-        descent = float(d @ g)
-        if descent >= 0.0:  # curvature info unusable; fall back to steepest
-            d = -g
-            descent = float(d @ g)
-        step = 1.0 if s_hist else min(1.0, 1.0 / max(1.0, np.linalg.norm(g)))
-        accepted = False
-        while step >= 1e-16:
-            x_new = x + step * d
-            f_new, g_new = evaluate(x_new)
-            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * descent:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            logger.warning("line search step underflow at iteration %d", it)
-            break
-        s = x_new - x
-        y = g_new - g
-        if float(s @ y) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > _LBFGS_HISTORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        x, f, g = x_new, f_new, g_new
-        history.append(f)
-    if not np.isfinite(f):
+    def record(intermediate_result):
+        history.append(float(intermediate_result.fun))
+
+    x0 = pack_params(init)
+    if max_iters < 1:  # L-BFGS-B takes one iteration before it reads maxiter
+        evaluate(x0)
+        return unpack_params(x0, dim), history
+    res = minimize(
+        evaluate,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        callback=record,
+        options={
+            "maxiter": max_iters,
+            "maxcor": _LBFGS_HISTORY,
+            "ftol": 0.0,
+            "gtol": _GRAD_TOL / np.sqrt(x0.size),
+        },
+    )
+    if res.status == 2:
+        logger.warning("L-BFGS-B stopped early: %s", res.message)
+    if not np.isfinite(res.fun):
         raise OptimizerError("non-finite loss after optimization")
-    return unpack_params(x, dim), history
-
-
-def _two_loop(g, s_hist, y_hist):
-    q = g.copy()
-    alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        rho = 1.0 / float(y @ s)
-        a = rho * float(s @ q)
-        q -= a * y
-        alphas.append((a, rho))
-    if s_hist:
-        s, y = s_hist[-1], y_hist[-1]
-        q *= float(s @ y) / float(y @ y)
-    for (a, rho), s, y in zip(reversed(alphas), s_hist, y_hist):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return q
+    return unpack_params(res.x, dim), history
 
 
 # ---------------------------------------------------------------------------

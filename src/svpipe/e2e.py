@@ -80,7 +80,7 @@ class E2eSystem:
         return (
             self.stats_net.net.parameters()
             + self.ivec_net.net.parameters()
-            + [self.dplda.lam, self.dplda.gamma, self.dplda.c, np.asarray(self.dplda.k, dtype=np.float64)]
+            + self.dplda.parameters()
         )
 
     def set_trainable_parameters(self, params):
@@ -89,8 +89,7 @@ class E2eSystem:
             raise ShapeError("trainable parameter list has the wrong length")
         self.stats_net.net.set_parameters(params[:n_s])
         self.ivec_net.net.set_parameters(params[n_s : n_s + n_i])
-        lam, gamma, c, k = params[n_s + n_i :]
-        self.dplda = DpldaParams(lam, gamma, c, float(k))
+        self.dplda = DpldaParams(*params[n_s + n_i :])
 
     def to_tensors(self):
         tensors = {
@@ -377,8 +376,7 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
             net_grads, _ = netcore.backward(
                 system.ivec_net.net, acts, d_emb, input_grad=False
             )
-        d = holder["d"]
-        grads = net_grads + [d.lam, d.gamma, d.c, np.asarray(d.k, dtype=np.float64)]
+        grads = net_grads + holder["d"].parameters()
         params = params_of()
         penalty, pen_grads = netcore.penalty_to_snapshot(params, snapshot)
         grads = [g + pg for g, pg in zip(grads, pen_grads)]

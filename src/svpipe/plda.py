@@ -168,32 +168,17 @@ def _llr_terms(model: TwoCovPlda):
     return tot_inv, diag, cross, const
 
 
-def plda_llr(model: TwoCovPlda, enroll, test):
-    """Verification log-likelihood ratio for one trial.
+def plda_llr_pairs(model: TwoCovPlda, enroll, test):
+    """Verification log-likelihood ratio of each row-aligned trial.
 
     log p(e, t | same speaker) - log p(e) p(t), both hypotheses evaluated as
     Gaussian densities of the two-covariance model. The cross term is
     evaluated symmetrically, so swapping enroll and test is exact.
     """
-    enroll = np.asarray(enroll, dtype=np.float64)
-    test = np.asarray(test, dtype=np.float64)
-    if enroll.shape != (model.dim,) or test.shape != (model.dim,):
-        raise ShapeError("vector dimension does not match the model")
-    tot_inv, diag, cross, const = _llr_terms(model)
-    phi_e = enroll - model.mu
-    phi_t = test - model.mu
-    quad_joint = phi_e @ diag @ phi_e + phi_t @ diag @ phi_t
-    plus = phi_e + phi_t
-    minus = phi_e - phi_t
-    quad_cross = 0.25 * (plus @ cross @ plus - minus @ cross @ minus)
-    quad_marg = phi_e @ tot_inv @ phi_e + phi_t @ tot_inv @ phi_t
-    return float(-0.5 * quad_joint - quad_cross + 0.5 * quad_marg + const)
-
-
-def plda_llr_pairs(model: TwoCovPlda, enroll, test):
-    """Vectorized plda_llr over row-aligned matrices."""
     enroll = np.atleast_2d(np.asarray(enroll, dtype=np.float64))
     test = np.atleast_2d(np.asarray(test, dtype=np.float64))
+    if enroll.shape != test.shape or enroll.shape[1] != model.dim:
+        raise ShapeError("enroll/test matrices must align with the model")
     tot_inv, diag, cross, const = _llr_terms(model)
     phi_e = enroll - model.mu
     phi_t = test - model.mu
@@ -224,7 +209,7 @@ def to_dplda(model: TwoCovPlda) -> DpldaParams:
                 - log|W + 2B| / 2 - log|W| / 2
 
     The construction is verified, not trusted: scores on a few random pairs
-    must match plda_llr to 1e-8 or a ModelError is raised.
+    must match plda_llr_pairs to 1e-8 or a ModelError is raised.
     """
     w_inv = np.linalg.inv(model.within)
     wide = model.within + 2.0 * model.between

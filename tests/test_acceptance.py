@@ -447,10 +447,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
         train = corp.split("train")
         speakers_all = np.array([u.speaker for u in train])
         coords = e2e.pca_coords(system, [u.features for u in train])
-        params = system.ivec_net.net.parameters() + [
-            system.dplda.lam, system.dplda.gamma, system.dplda.c,
-            np.asarray(system.dplda.k, dtype=np.float64),
-        ]
+        params = system.ivec_net.net.parameters() + system.dplda.parameters()
         snapshot = netcore.make_snapshot(params, 1e6)
         adam = netcore.AdamState.create(params, lr=1e-4)
         rng = np.random.default_rng(0)
@@ -469,17 +466,13 @@ def test_criterion_7_directional_reproduction(desk_chains):
                 live_dplda, batch, dplda.ObjectiveConfig(p_target=0.0075)
             )
             net_grads, _ = netcore.backward(live_net, acts, d_emb)
-            grads = net_grads + [
-                d_params.lam, d_params.gamma, d_params.c,
-                np.asarray(d_params.k, dtype=np.float64),
-            ]
+            grads = net_grads + d_params.parameters()
             _, pen_grads = netcore.penalty_to_snapshot(params, snapshot)
             grads = [g + pg for g, pg in zip(grads, pen_grads)]
             params = netcore.adam_step(adam, params, grads)
             n_net = 2 * len(live_net.layers)
             live_net.set_parameters(params[:n_net])
-            lam, gamma, c, k = params[n_net:]
-            live_dplda = dplda.DpldaParams(lam, gamma, c, float(k))
+            live_dplda = dplda.DpldaParams(*params[n_net:])
             step_drift = max(
                 float(np.abs(p - p0).max())
                 for p, p0 in zip(params, snapshot.values)

@@ -156,6 +156,31 @@ def test_fullbatch_training_separates_toy_problem():
     assert metrics.eer(trials) == 0.0
 
 
+def test_fullbatch_contract_on_a_convex_problem():
+    # with an L2 term the objective is strictly convex in (lam, gamma, c, k)
+    rng = np.random.default_rng(9)
+    vectors = rng.standard_normal((12, 3))
+    speakers = np.repeat(np.arange(4), 3)
+    cfg = dplda.ObjectiveConfig(p_target=0.3, l2_weight=1e-2)
+    init = random_params(rng, 3)
+    batch = dplda.TrialBatch.all_trials(vectors, speakers)
+
+    same, history = dplda.train_dplda_fullbatch(init, vectors, speakers, cfg, max_iters=0)
+    assert np.array_equal(dplda.pack_params(same), dplda.pack_params(init))
+    assert history == [dplda.bxe_objective(init, batch, cfg)[0]]
+
+    for max_iters in (1, 3, 500):
+        trained, history = dplda.train_dplda_fullbatch(
+            init, vectors, speakers, cfg, max_iters=max_iters
+        )
+        assert len(history) <= max_iters + 1
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        loss, grads, _ = dplda.bxe_objective(trained, batch, cfg)
+        assert history[-1] == loss
+    # the 500-iteration run ended on the gradient rule, not on max_iters
+    assert np.linalg.norm(dplda.pack_params(grads)) <= dplda._GRAD_TOL
+
+
 def test_pair_pool_group_sizes():
     rng = np.random.default_rng(8)
     pool = dplda.make_pair_pool({"a": [0], "b": [1, 2, 3, 4, 5], "c": [6, 7, 8, 9]}, rng)

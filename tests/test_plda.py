@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from svpipe import dplda, plda
-from svpipe.errors import InputError
+from svpipe.errors import InputError, ShapeError
 
 def random_model(rng, dim=5, between_scale=1.0):
     a = rng.standard_normal((dim, dim))
@@ -29,6 +29,11 @@ def sample_from_model(rng, model, n_speakers, utts_per_speaker):
     return np.stack(vectors), np.array(labels)
 
 
+def llr(model, e, t):
+    """The LLR of one trial, through the one-row case of plda_llr_pairs."""
+    return plda.plda_llr_pairs(model, e[None], t[None])[0]
+
+
 def test_llr_zero_when_between_is_zero():
     rng = np.random.default_rng(0)
     dim = 4
@@ -37,7 +42,7 @@ def test_llr_zero_when_between_is_zero():
     model = plda.TwoCovPlda(rng.standard_normal(dim), np.zeros((dim, dim)), w)
     for _ in range(5):
         e, t = rng.standard_normal(dim), rng.standard_normal(dim)
-        assert abs(plda.plda_llr(model, e, t)) < 1e-10
+        assert abs(llr(model, e, t)) < 1e-10
 
 
 def test_llr_matches_density_evaluation_oracle():
@@ -53,10 +58,10 @@ def test_llr_matches_density_evaluation_oracle():
         diff = multivariate_normal.logpdf(e, model.mu, tot) + multivariate_normal.logpdf(
             t, model.mu, tot
         )
-        assert abs(plda.plda_llr(model, e, t) - (same - diff)) < 1e-8
+        assert abs(llr(model, e, t) - (same - diff)) < 1e-8
     # the e = t = mu special case: quadratic terms vanish except the constant
     assert abs(
-        plda.plda_llr(model, model.mu.copy(), model.mu.copy())
+        llr(model, model.mu.copy(), model.mu.copy())
         - (
             multivariate_normal.logpdf(np.concatenate([model.mu] * 2), joint_mean, joint_cov)
             - 2 * multivariate_normal.logpdf(model.mu, model.mu, tot)
@@ -69,7 +74,16 @@ def test_llr_swap_symmetry_exact():
     model = random_model(rng)
     for _ in range(20):
         e, t = rng.standard_normal(model.dim), rng.standard_normal(model.dim)
-        assert plda.plda_llr(model, e, t) == plda.plda_llr(model, t, e)
+        assert llr(model, e, t) == llr(model, t, e)
+
+
+def test_llr_rejects_vectors_of_another_dimension():
+    model = random_model(np.random.default_rng(2))
+    wrong = np.zeros((3, model.dim + 1))
+    with pytest.raises(ShapeError):
+        plda.plda_llr_pairs(model, wrong, wrong)
+    with pytest.raises(ShapeError):
+        plda.plda_llr_pairs(model, np.zeros((3, model.dim)), np.zeros((2, model.dim)))
 
 
 def test_train_collapses_between_on_pure_noise_speakers():
