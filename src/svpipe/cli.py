@@ -163,7 +163,7 @@ def cmd_extract_ivec(cfg, args):
     stats = dict(zip([u.uid for u in utts], _load_stats(cfg, utts)))
     tv = _read(cfg, "tv.svm", ivector.TvModel)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
-    prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, utts, stats, args.threads)
+    prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, utts, stats)
     _write_model(cfg, "prep.svm", prep.to_tensors())
     _write_model(cfg, "ivec.svm", vectors)
 

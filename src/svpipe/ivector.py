@@ -4,6 +4,9 @@ The latent-factor model lives in statistics space: centered first-order
 statistics are explained by a low-rank matrix T acting on a standard-normal
 latent vector, with the background-model variances as residual covariance.
 The extracted i-vector is the exact posterior mean of that latent vector.
+Training and extraction share one batched posterior: every utterance's
+precision matrix is stacked and all of them are solved in one call, in each
+EM iteration of train_tv and once on the final model in extract_ivectors.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, ShapeError
-from .gmm import DiagGmm, SuffStats
+from .gmm import DiagGmm
 
 logger = logging.getLogger(__name__)
 
@@ -62,9 +65,33 @@ class TvModel:
 
 
 def _centered_stats(ubm: DiagGmm, stats_list):
+    """Stacked counts (M, C) and centered first-order statistics (M, C, D)."""
+    if not stats_list:
+        raise InputError("no statistics")
+    c, d = ubm.n_components, ubm.dim
+    for s in stats_list:
+        if s.n.shape != (c,) or s.f.shape != (c, d):
+            raise ShapeError("statistics do not match the background model")
+        if not (np.isfinite(s.n).all() and np.isfinite(s.f).all()):
+            raise InputError("non-finite statistics")
     n = np.stack([s.n for s in stats_list])  # (M, C)
     f = np.stack([s.f for s in stats_list])  # (M, C, D)
     return n, f - n[:, :, None] * ubm.means[None, :, :]
+
+
+def _posterior(model: TvModel, ubm: DiagGmm, n, f_cent):
+    """Posterior of every utterance's latent factor under model, as one batched solve.
+
+    Returns (precision, proj, w): the precisions I + T' Sigma^-1 N T (M, R, R),
+    the projections T' Sigma^-1 f~ (M, R) and the posterior means (M, R).
+    """
+    tc = model.per_component()  # (C, D, R)
+    ts = tc * (1.0 / ubm.vars)[:, :, None]  # Sigma^-1 T per component
+    gram = np.einsum("cdr,cds->crs", tc, ts)  # (C, R, R)
+    precision = np.eye(model.ivec_dim)[None] + np.einsum("mc,crs->mrs", n, gram)
+    proj = np.einsum("cdr,mcd->mr", ts, f_cent)
+    w = np.linalg.solve(precision, proj[..., None])[..., 0]
+    return precision, proj, w
 
 
 def train_tv(stats_list, ubm: DiagGmm, ivec_dim, n_iters, seed):
@@ -74,30 +101,17 @@ def train_tv(stats_list, ubm: DiagGmm, ivec_dim, n_iters, seed):
     (up to a T-independent constant) of the model entering iteration i, which
     plain EM makes non-decreasing.
     """
-    if not stats_list:
-        raise InputError("no statistics to train on")
+    n, f_cent = _centered_stats(ubm, stats_list)
     c, d = ubm.n_components, ubm.dim
-    for s in stats_list:
-        if s.n.shape != (c,) or s.f.shape != (c, d):
-            raise ShapeError("statistics do not match the background model")
-        if not (np.isfinite(s.n).all() and np.isfinite(s.f).all()):
-            raise InputError("non-finite statistics")
     rng = np.random.default_rng(seed)
     scale = 0.1 * np.sqrt(ubm.vars.mean())
     t = rng.standard_normal((c * d, ivec_dim)) * scale
     model = TvModel(t, c, d)
 
-    n, f_cent = _centered_stats(ubm, stats_list)
-    inv_var = 1.0 / ubm.vars  # (C, D)
     eye = np.eye(ivec_dim)
     history = []
     for it in range(n_iters):
-        tc = model.per_component()  # (C, D, R)
-        ts = tc * inv_var[:, :, None]  # Sigma^-1 T per component
-        gram = np.einsum("cdr,cds->crs", tc, ts)  # (C, R, R)
-        precision = eye[None] + np.einsum("mc,crs->mrs", n, gram)
-        proj = np.einsum("cdr,mcd->mr", ts, f_cent)  # T' Sigma^-1 f~
-        w = np.linalg.solve(precision, proj[..., None])[..., 0]  # posterior means
+        precision, proj, w = _posterior(model, ubm, n, f_cent)
         cov = np.linalg.inv(precision)  # posterior covariances
         sign, logdet = np.linalg.slogdet(precision)
         if (sign <= 0).any():
@@ -114,32 +128,18 @@ def train_tv(stats_list, ubm: DiagGmm, ivec_dim, n_iters, seed):
     return model, history
 
 
-def extract_ivector(tv: TvModel, ubm: DiagGmm, stats: SuffStats):
-    """Posterior mean of the latent factor for one utterance.
+def extract_ivectors(tv: TvModel, ubm: DiagGmm, stats_list):
+    """Posterior means of the latent factor, one row per utterance: (M, R).
 
-    w = (I + T' Sigma^-1 N T)^-1 T' Sigma^-1 (f - N m).
+    w = (I + T' Sigma^-1 N T)^-1 T' Sigma^-1 (f - N m), from the posterior
+    train_tv's E-step computes.
     """
-    c, d = ubm.n_components, ubm.dim
-    if stats.n.shape != (c,) or stats.f.shape != (c, d):
-        raise ShapeError("statistics do not match the background model")
-    if not (np.isfinite(stats.n).all() and np.isfinite(stats.f).all()):
-        raise InputError("non-finite statistics")
-    tc = tv.per_component()
-    ts = tc / ubm.vars[:, :, None]
-    f_cent = stats.f - stats.n[:, None] * ubm.means
-    precision = np.eye(tv.ivec_dim) + np.einsum(
-        "c,cdr,cds->rs", stats.n, tc, ts
-    )
-    proj = np.einsum("cdr,cd->r", ts, f_cent)
-    return np.linalg.solve(precision, proj)
+    return _posterior(tv, ubm, *_centered_stats(ubm, stats_list))[2]
 
 
 def lengthnorm(x):
-    """Scale rows (or a single vector) to unit norm; zero stays zero."""
+    """Scale the rows of a matrix to unit norm; a zero row stays zero."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        norm = np.linalg.norm(x)
-        return x / norm if norm > 0.0 else np.zeros_like(x)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     return np.where(norms > 0.0, x / np.where(norms > 0.0, norms, 1.0), 0.0)
 
@@ -194,19 +194,16 @@ def fit_prep(ivectors, labels, out_dim):
     s_within += _LDA_RIDGE * (np.trace(s_within) / dim) * np.eye(dim)
     eigvals, eigvecs = scipy.linalg.eigh(s_between, s_within)
     order = np.argsort(eigvals)[::-1][:out_dim]
-    return IvecPrep(mean, eigvecs[:, order])
+    return IvecPrep(mean, np.ascontiguousarray(eigvecs[:, order]))
 
 
 def prep_apply(prep: IvecPrep, w):
-    """lengthnorm(lda' @ lengthnorm(w - mean)); accepts a vector or matrix.
+    """lengthnorm(lengthnorm(w - mean) @ lda) for a matrix w of row vectors.
 
-    The one degenerate input, w equal to the global mean, maps to the zero
-    vector; everything else comes out unit-norm.
+    The one degenerate input, a row equal to the global mean, maps to the
+    zero vector; every other row comes out unit-norm.
     """
     w = np.asarray(w, dtype=np.float64)
-    single = w.ndim == 1
-    rows = np.atleast_2d(w)
-    if rows.shape[1] != prep.mean.shape[0]:
-        raise ShapeError("vector dimension does not match the preprocessing")
-    out = lengthnorm(lengthnorm(rows - prep.mean) @ prep.lda)
-    return out[0] if single else out
+    if w.ndim != 2 or w.shape[1] != prep.mean.shape[0]:
+        raise ShapeError("vectors do not match the preprocessing dimension")
+    return lengthnorm(lengthnorm(w - prep.mean) @ prep.lda)

@@ -258,14 +258,15 @@ def train_tv(cfg, ubm, stats_list):
     )
 
 
-def extract_ivectors(cfg, tv, ubm, utts, stats, threads=1):
-    """The prep fitted on the train utterances and every prepped i-vector, by uid."""
-    raw = _map_over(utts, lambda u: ivector.extract_ivector(tv, ubm, stats[u.uid]), threads)
-    train = [(w, u.speaker) for u, w in zip(utts, raw) if u.split == "train"]
-    prep = ivector.fit_prep(
-        np.stack([w for w, _ in train]), [s for _, s in train], cfg.get("prep.dim")
-    )
-    return prep, {u.uid: ivector.prep_apply(prep, w) for u, w in zip(utts, raw)}
+def extract_ivectors(cfg, tv, ubm, utts, stats):
+    """The prep fitted on the train utterances and every prepped i-vector, by uid.
+
+    The i-vectors come from one batched solve of train_tv's E-step posterior.
+    """
+    raw = ivector.extract_ivectors(tv, ubm, [stats[u.uid] for u in utts])
+    train = [i for i, u in enumerate(utts) if u.split == "train"]
+    prep = ivector.fit_prep(raw[train], [utts[i].speaker for i in train], cfg.get("prep.dim"))
+    return prep, dict(zip([u.uid for u in utts], ivector.prep_apply(prep, raw)))
 
 
 def train_plda(cfg, vectors, speakers):

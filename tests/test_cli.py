@@ -271,6 +271,24 @@ def test_training_count_exit_codes(workdir, tmp_path, override, stage, model):
         assert "no iterations run" in result.stderr
 
 
+def test_non_finite_stats_exit_code_writes_nothing(workdir, tmp_path):
+    from svpipe.fileio import read_container, write_container
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    for name in ["ivec.svm", "prep.svm"]:
+        (work / name).unlink()
+    tensors = read_container(work / "stats.svm")
+    first_f = next(name for name in tensors if name.endswith(".f"))
+    tensors[first_f][0, 0] = np.nan
+    write_container(work / "stats.svm", tensors)
+    result = run_cli("--config", str(cfg), "--workdir", str(work), "extract-ivec")
+    assert result.returncode == 3, result.stderr
+    assert "non-finite statistics" in result.stderr and "Traceback" not in result.stderr
+    assert not (work / "ivec.svm").exists() and not (work / "prep.svm").exists()
+
+
 def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     # the CLI stages only wrap the recipe with file IO: every tensor of every
     # artifact through train-joint equals the in-memory recipe run

@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from svpipe import gmm, ivector, recipe
-from svpipe.errors import InputError
+from svpipe.errors import InputError, ShapeError
+from svpipe.fileio import read_container, write_container
 
 RNG = np.random.default_rng(0)
 
@@ -27,7 +28,7 @@ def test_zero_stats_give_prior_mean():
     ubm = random_ubm(rng)
     tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
     stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)), 0)
-    assert np.array_equal(ivector.extract_ivector(tv, ubm, stats), np.zeros(2))
+    assert np.array_equal(ivector.extract_ivectors(tv, ubm, [stats]), np.zeros((1, 2)))
 
 
 def test_scalar_case_closed_form():
@@ -39,7 +40,31 @@ def test_scalar_case_closed_form():
     f_cent = stats.f - stats.n[:, None] * ubm.means
     numer = float((t[:, 0] / ubm.vars[:, 0] * f_cent[:, 0]).sum())
     denom = 1.0 + float((stats.n * t[:, 0] ** 2 / ubm.vars[:, 0]).sum())
-    assert np.allclose(ivector.extract_ivector(tv, ubm, stats), [numer / denom], atol=1e-12)
+    assert np.allclose(ivector.extract_ivectors(tv, ubm, [stats]), [[numer / denom]], atol=1e-12)
+
+
+def explicit_solve(tv, ubm, stats):
+    """Oracle: the precision built with loops and inverted with a different routine."""
+    c, d, r = tv.n_components, tv.dim, tv.ivec_dim
+    t_bycomp = tv.t.reshape(c, d, r)
+    precision = np.eye(r)
+    proj = np.zeros(r)
+    for k in range(c):
+        sigma_inv = np.diag(1.0 / ubm.vars[k])
+        precision = precision + stats.n[k] * t_bycomp[k].T @ sigma_inv @ t_bycomp[k]
+        f_cent = stats.f[k] - stats.n[k] * ubm.means[k]
+        proj = proj + t_bycomp[k].T @ sigma_inv @ f_cent
+    return np.linalg.inv(precision) @ proj
+
+
+def random_stats(rng, n_utts, n_components, dim):
+    """Statistics whose rows have different counts, zero counts included."""
+    out = []
+    for i in range(n_utts):
+        n = np.abs(rng.standard_normal(n_components)) * 4 * (i + 1)
+        n[i % n_components] = 0.0
+        out.append(gmm.SuffStats(n, rng.standard_normal((n_components, dim)) * (i + 1), 12))
+    return out
 
 
 def test_extraction_matches_explicit_solve_oracle():
@@ -47,17 +72,29 @@ def test_extraction_matches_explicit_solve_oracle():
     ubm = random_ubm(rng, n_components=3, dim=2)
     tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
     stats = gmm.SuffStats(np.abs(rng.standard_normal(3)) * 4, rng.standard_normal((3, 2)), 12)
-    # oracle: build the precision with loops and invert with a different routine
-    t_bycomp = tv.t.reshape(3, 2, 2)
-    precision = np.eye(2)
-    proj = np.zeros(2)
-    for c in range(3):
-        sigma_inv = np.diag(1.0 / ubm.vars[c])
-        precision = precision + stats.n[c] * t_bycomp[c].T @ sigma_inv @ t_bycomp[c]
-        f_cent = stats.f[c] - stats.n[c] * ubm.means[c]
-        proj = proj + t_bycomp[c].T @ sigma_inv @ f_cent
-    expect = np.linalg.inv(precision) @ proj
-    assert np.allclose(ivector.extract_ivector(tv, ubm, stats), expect, rtol=1e-10)
+    expect = explicit_solve(tv, ubm, stats)
+    assert np.allclose(ivector.extract_ivectors(tv, ubm, [stats])[0], expect, rtol=1e-10)
+
+
+def test_batch_extraction_matches_explicit_solve_oracle():
+    rng = np.random.default_rng(12)
+    ubm = random_ubm(rng, n_components=4, dim=3)
+    tv = ivector.TvModel(rng.standard_normal((12, 5)), 4, 3)
+    stats = random_stats(rng, 7, 4, 3)
+    w = ivector.extract_ivectors(tv, ubm, stats)
+    assert w.shape == (7, 5)
+    for row, s in zip(w, stats):
+        assert np.allclose(row, explicit_solve(tv, ubm, s), rtol=1e-10)
+
+
+def test_batch_rows_match_single_utterance_extraction():
+    rng = np.random.default_rng(13)
+    ubm = random_ubm(rng, n_components=4, dim=3)
+    tv = ivector.TvModel(rng.standard_normal((12, 5)), 4, 3)
+    stats = random_stats(rng, 6, 4, 3)
+    w = ivector.extract_ivectors(tv, ubm, stats)
+    for row, s in zip(w, stats):
+        assert np.abs(row - ivector.extract_ivectors(tv, ubm, [s])[0]).max() < 1e-12
 
 
 def test_extraction_linear_in_centered_stats():
@@ -68,11 +105,31 @@ def test_extraction_linear_in_centered_stats():
     f_a = rng.standard_normal((4, 3)) + n[:, None] * ubm.means
     f_b = rng.standard_normal((4, 3)) + n[:, None] * ubm.means
     base = n[:, None] * ubm.means
-    w_a = ivector.extract_ivector(tv, ubm, gmm.SuffStats(n, f_a, 9))
-    w_b = ivector.extract_ivector(tv, ubm, gmm.SuffStats(n, f_b, 9))
-    combo = gmm.SuffStats(n, base + 0.3 * (f_a - base) + 0.7 * (f_b - base), 9)
-    w_c = ivector.extract_ivector(tv, ubm, combo)
+    combo = base + 0.3 * (f_a - base) + 0.7 * (f_b - base)
+    w_a, w_b, w_c = ivector.extract_ivectors(
+        tv, ubm, [gmm.SuffStats(n, f, 9) for f in (f_a, f_b, combo)]
+    )
     assert np.abs(w_c - (0.3 * w_a + 0.7 * w_b)).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (gmm.SuffStats(np.ones(2), np.zeros((2, 2)), 4), ShapeError),
+        (gmm.SuffStats(np.ones(3), np.zeros((3, 3)), 4), ShapeError),
+        (gmm.SuffStats(np.array([1.0, np.nan, 1.0]), np.zeros((3, 2)), 4), InputError),
+        (gmm.SuffStats(np.ones(3), np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]]), 4), InputError),
+    ],
+)
+def test_bad_stats_raise_from_training_and_extraction(bad, error):
+    rng = np.random.default_rng(14)
+    ubm = random_ubm(rng)
+    tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
+    stats = random_stats(rng, 3, 3, 2) + [bad]
+    with pytest.raises(error):
+        ivector.train_tv(stats, ubm, 2, n_iters=2, seed=0)
+    with pytest.raises(error):
+        ivector.extract_ivectors(tv, ubm, stats)
 
 
 def synth_stats_from_model(rng, t_true, ubm, n_utts, frames_per_utt=200):
@@ -175,9 +232,9 @@ def test_fit_prep_needs_enough_speakers():
 def test_prep_apply_degenerate_norm_and_oracle():
     rng = np.random.default_rng(10)
     prep = ivector.IvecPrep(rng.standard_normal(5), rng.standard_normal((5, 3)))
-    assert np.array_equal(ivector.prep_apply(prep, prep.mean.copy()), np.zeros(3))
+    assert np.array_equal(ivector.prep_apply(prep, prep.mean[None]), np.zeros((1, 3)))
     w = rng.standard_normal(5)
-    out = ivector.prep_apply(prep, w)
+    out = ivector.prep_apply(prep, w[None])[0]
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     # step-by-step scalar recomputation
     centered = w - prep.mean
@@ -186,10 +243,21 @@ def test_prep_apply_degenerate_norm_and_oracle():
     expect = projected / np.linalg.norm(projected)
     assert np.allclose(out, expect, atol=1e-12)
     # matrix input
-    batch = rng.standard_normal((4, 5))
-    outs = ivector.prep_apply(prep, batch)
+    outs = ivector.prep_apply(prep, rng.standard_normal((4, 5)))
     assert outs.shape == (4, 3)
-    assert np.allclose(outs[0], ivector.prep_apply(prep, batch[0]), atol=1e-15)
+    assert np.allclose(np.linalg.norm(outs, axis=1), 1.0, atol=1e-12)
+
+
+def test_reloaded_prep_applies_bit_identically(tmp_path):
+    # the desk-default shapes: 40-dim i-vectors of 25 speakers, LDA to 20
+    rng = np.random.default_rng(15)
+    centers = rng.standard_normal((25, 40)) * 3.0
+    x = np.vstack([rng.standard_normal((20, 40)) * 0.4 + c for c in centers])
+    prep = ivector.fit_prep(x, np.repeat(np.arange(25), 20), 20)
+    write_container(tmp_path / "prep.svm", prep.to_tensors())
+    reloaded = ivector.IvecPrep.from_tensors(read_container(tmp_path / "prep.svm"))
+    batch = rng.standard_normal((100, 40))
+    assert np.array_equal(ivector.prep_apply(reloaded, batch), ivector.prep_apply(prep, batch))
 
 
 def test_train_tv_rejects_empty():

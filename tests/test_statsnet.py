@@ -110,7 +110,7 @@ def test_network_stats_feed_classic_extraction(small_corpus):
     for s in stats:
         assert np.isfinite(s.n).all() and np.isfinite(s.f).all()
     tv, _ = ivector.train_tv(stats, ubm, 3, n_iters=2, seed=0)
-    vectors = np.stack([ivector.extract_ivector(tv, ubm, s) for s in stats])
+    vectors = ivector.extract_ivectors(tv, ubm, stats)
     assert np.isfinite(vectors).all()
     assert vectors.shape == (12, 3)
 
