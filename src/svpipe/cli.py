@@ -42,7 +42,14 @@ from .errors import (
     OptimizerError,
     PipelineError,
 )
-from .fileio import read_container, read_text, write_container, write_text
+from .fileio import (
+    from_tensors,
+    read_container,
+    read_text,
+    to_tensors,
+    write_container,
+    write_text,
+)
 from .recipe import DEFAULTS, Config
 
 logger = logging.getLogger("svpipe")
@@ -82,21 +89,17 @@ def _train_split(cfg):
 
 
 def _read(cfg, name, model_type):
-    return model_type.from_tensors(read_container(cfg.path(name)))
+    return from_tensors(model_type, read_container(cfg.path(name)))
 
 
 def _load_stats(cfg, utts):
     tensors = read_container(cfg.path("stats.svm"))
-    return [gmm.SuffStats.from_tensors(tensors, f"{u.uid}.") for u in utts]
-
-
-def _load_vectors(cfg):
-    return {uid: np.asarray(v) for uid, v in read_container(cfg.path("ivec.svm")).items()}
+    return [from_tensors(gmm.SuffStats, tensors, f"{u.uid}.") for u in utts]
 
 
 def _train_vectors(cfg, corpus):
     """The train utterances' prepped i-vectors, stacked, and their speakers."""
-    vectors = _load_vectors(cfg)
+    vectors = read_container(cfg.path("ivec.svm"))
     train = corpus.split("train")
     return np.stack([vectors[u.uid] for u in train]), [u.speaker for u in train]
 
@@ -135,7 +138,7 @@ def cmd_train_ubm(cfg, args):
     frames = recipe.ubm_frames(cfg, *_train_split(cfg))
     model, history = recipe.train_ubm(cfg, frames)
     _log_progress("ubm log-likelihood", history, 2)
-    _write_model(cfg, "ubm.svm", model.to_tensors())
+    _write_model(cfg, "ubm.svm", to_tensors(model))
 
 
 def cmd_extract_stats(cfg, args):
@@ -146,7 +149,7 @@ def cmd_extract_stats(cfg, args):
     )
     tensors = {}
     for uid, s in stats.items():
-        tensors.update(s.to_tensors(f"{uid}."))
+        tensors.update(to_tensors(s, f"{uid}."))
     _write_model(cfg, "stats.svm", tensors)
 
 
@@ -155,7 +158,7 @@ def cmd_train_tv(cfg, args):
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     model, history = recipe.train_tv(cfg, ubm, _load_stats(cfg, corpus.split("train")))
     _log_progress("tv evidence", history, 2)
-    _write_model(cfg, "tv.svm", model.to_tensors())
+    _write_model(cfg, "tv.svm", to_tensors(model))
 
 
 def cmd_extract_ivec(cfg, args):
@@ -164,21 +167,21 @@ def cmd_extract_ivec(cfg, args):
     tv = _read(cfg, "tv.svm", ivector.TvModel)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, utts, stats)
-    _write_model(cfg, "prep.svm", prep.to_tensors())
+    _write_model(cfg, "prep.svm", to_tensors(prep))
     _write_model(cfg, "ivec.svm", vectors)
 
 
 def cmd_train_plda(cfg, args):
     model, history = recipe.train_plda(cfg, *_train_vectors(cfg, _load_corpus(cfg)))
     _log_progress("plda log-likelihood", history, 2)
-    _write_model(cfg, "plda.svm", model.to_tensors())
+    _write_model(cfg, "plda.svm", to_tensors(model))
 
 
 def cmd_train_dplda(cfg, args):
     init = plda.to_dplda(_read(cfg, "plda.svm", plda.TwoCovPlda))
     params, history = recipe.train_dplda(cfg, init, *_train_vectors(cfg, _load_corpus(cfg)))
     _log_progress("dplda loss", history, 6)
-    _write_model(cfg, "dplda.svm", params.to_tensors())
+    _write_model(cfg, "dplda.svm", to_tensors(params))
 
 
 def cmd_train_f2s(cfg, args):
@@ -186,14 +189,14 @@ def cmd_train_f2s(cfg, args):
     frames, targets = recipe.f2s_matrices(cfg, ubm, *_train_split(cfg))
     net, history = recipe.train_stats_net(cfg, frames, targets)
     _log_progress("statsnet cross-entropy", history, 4)
-    _write_model(cfg, "statsnet.svm", net.to_tensors())
+    _write_model(cfg, "statsnet.svm", to_tensors(net))
 
 
 def cmd_fit_pca(cfg, args):
     corpus = _load_corpus(cfg)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     pca = recipe.fit_pca(cfg, ubm, _load_stats(cfg, corpus.split("train")))
-    _write_model(cfg, "pca.svm", pca.to_tensors())
+    _write_model(cfg, "pca.svm", to_tensors(pca))
 
 
 def cmd_train_s2i(cfg, args):
@@ -212,7 +215,7 @@ def cmd_train_s2i(cfg, args):
     pca = _read(cfg, "pca.svm", ivecnet.PcaModel)
     net, history = recipe.train_ivec_net(cfg, ubm, pca, stats, refs)
     _log_progress("ivecnet cosine loss", history, 4)
-    _write_model(cfg, "ivecnet.svm", net.to_tensors())
+    _write_model(cfg, "ivecnet.svm", to_tensors(net))
 
 
 def cmd_train_joint(cfg, args):
@@ -229,7 +232,7 @@ def cmd_train_joint(cfg, args):
     recipe.set_backend(cfg, system, backend)
     system, history = recipe.train_joint(cfg, system, corpus, coords)
     _write_training_log(cfg.path("train_joint.log"), history)
-    _write_model(cfg, "system.svm", system.to_tensors())
+    _write_model(cfg, "system.svm", to_tensors(system))
 
 
 def cmd_train_e2e(cfg, args):
@@ -237,7 +240,7 @@ def cmd_train_e2e(cfg, args):
     system = _read(cfg, "system.svm", e2e.E2eSystem)
     system, history = recipe.train_e2e(cfg, system, corpus)
     _write_training_log(cfg.path("train_e2e.log"), history)
-    _write_model(cfg, "system.svm", system.to_tensors())
+    _write_model(cfg, "system.svm", to_tensors(system))
 
 
 def _write_training_log(path, history):
@@ -273,7 +276,7 @@ def cmd_score(cfg, args):
     if not trials.trials:
         raise InputError(f"{trials_path}: no trials to score")
     if backend in ("plda", "dplda"):
-        vectors = _load_vectors(cfg)
+        vectors = read_container(cfg.path("ivec.svm"))
         enroll, test = _trial_pairs(trials, list(vectors), np.stack(list(vectors.values())))
         if backend == "plda":
             model = _read(cfg, "plda.svm", plda.TwoCovPlda)
@@ -390,6 +393,10 @@ def main(argv=None):
         return 3
     except FileNotFoundError as exc:
         logger.error("missing input file %s", exc.filename)
+        return 3
+    except OSError as exc:  # e.g. a workdir that is a file, a model path that is a directory
+        where = f"{exc.filename}: " if exc.filename else ""
+        logger.error("%s%s", where, exc.strerror or exc)
         return 3
     return 0
 

@@ -58,23 +58,6 @@ class DpldaParams:
         """[lam, gamma, c, k] as arrays; DpldaParams(*p) rebuilds them."""
         return [self.lam, self.gamma, self.c, np.asarray(self.k, dtype=np.float64)]
 
-    def to_tensors(self, prefix=""):
-        return {
-            f"{prefix}lam": self.lam,
-            f"{prefix}gamma": self.gamma,
-            f"{prefix}c": self.c,
-            f"{prefix}k": np.float64(self.k),
-        }
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(
-            tensors[f"{prefix}lam"],
-            tensors[f"{prefix}gamma"],
-            tensors[f"{prefix}c"],
-            float(tensors[f"{prefix}k"]),
-        )
-
 
 def dplda_score(params: DpldaParams, phi_i, phi_j):
     """Score one trial; term-by-term evaluation of the quadratic form."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import netcore
+from . import fileio, netcore
 from .corpus import Corpus
 from .dplda import (
     DpldaParams,
@@ -59,12 +59,12 @@ class E2eSystem:
     """All stages wired together; pca and the MAP prior stay frozen."""
 
     frontend: FrontendConfig
+    relevance: float
     stats_net: StatsNet
     ubm: DiagGmm
     pca: PcaModel
     ivec_net: IvecNet
     dplda: DpldaParams
-    relevance: float
     snapshot: netcore.ParamSnapshot | None = None
 
     @property
@@ -91,48 +91,35 @@ class E2eSystem:
         self.ivec_net.net.set_parameters(params[n_s : n_s + n_i])
         self.dplda = DpldaParams(*params[n_s + n_i :])
 
-    def to_tensors(self):
-        tensors = {
-            "frontend.window_s": np.float64(self.frontend.window_s),
-            "frontend.frame_rate_hz": np.float64(self.frontend.frame_rate_hz),
-            "frontend.context": np.float64(self.frontend.context),
-            "frontend.n_dct": np.float64(self.frontend.n_dct),
-            "relevance": np.float64(self.relevance),
-        }
-        tensors.update(self.stats_net.to_tensors("stats_net."))
-        tensors.update(self.ubm.to_tensors("ubm."))
-        tensors.update(self.pca.to_tensors("pca."))
-        tensors.update(self.ivec_net.to_tensors("ivec_net."))
-        tensors.update(self.dplda.to_tensors("dplda."))
+    def to_tensors(self, prefix=""):
+        tensors = fileio.to_tensors(self.frontend, f"{prefix}frontend.")
+        tensors[f"{prefix}relevance"] = np.float64(self.relevance)
+        for name in ("stats_net", "ubm", "pca", "ivec_net", "dplda"):
+            tensors.update(fileio.to_tensors(getattr(self, name), f"{prefix}{name}."))
         if self.snapshot is not None:
-            tensors["snapshot.weights"] = self.snapshot.weights
+            tensors[f"{prefix}snapshot.weights"] = self.snapshot.weights
             for i, value in enumerate(self.snapshot.values):
-                tensors[f"snapshot.values.{i}"] = value
+                tensors[f"{prefix}snapshot.values.{i}"] = value
         return tensors
 
     @classmethod
-    def from_tensors(cls, tensors):
+    def from_tensors(cls, tensors, prefix=""):
         snapshot = None
-        if "snapshot.weights" in tensors:
-            weights = np.atleast_1d(np.asarray(tensors["snapshot.weights"]))
+        if f"{prefix}snapshot.weights" in tensors:
+            weights = np.atleast_1d(np.asarray(tensors[f"{prefix}snapshot.weights"]))
             values = [
-                np.asarray(tensors[f"snapshot.values.{i}"])
+                np.asarray(tensors[f"{prefix}snapshot.values.{i}"])
                 for i in range(weights.shape[0])
             ]
             snapshot = netcore.ParamSnapshot(values, weights)
         return cls(
-            frontend=FrontendConfig(
-                window_s=float(tensors["frontend.window_s"]),
-                frame_rate_hz=float(tensors["frontend.frame_rate_hz"]),
-                context=int(tensors["frontend.context"]),
-                n_dct=int(tensors["frontend.n_dct"]),
-            ),
-            stats_net=StatsNet.from_tensors(tensors, "stats_net."),
-            ubm=DiagGmm.from_tensors(tensors, "ubm."),
-            pca=PcaModel.from_tensors(tensors, "pca."),
-            ivec_net=IvecNet.from_tensors(tensors, "ivec_net."),
-            dplda=DpldaParams.from_tensors(tensors, "dplda."),
-            relevance=float(tensors["relevance"]),
+            frontend=fileio.from_tensors(FrontendConfig, tensors, f"{prefix}frontend."),
+            relevance=fileio.read_scalar(tensors, f"{prefix}relevance", float),
+            stats_net=fileio.from_tensors(StatsNet, tensors, f"{prefix}stats_net."),
+            ubm=fileio.from_tensors(DiagGmm, tensors, f"{prefix}ubm."),
+            pca=fileio.from_tensors(PcaModel, tensors, f"{prefix}pca."),
+            ivec_net=fileio.from_tensors(IvecNet, tensors, f"{prefix}ivec_net."),
+            dplda=fileio.from_tensors(DpldaParams, tensors, f"{prefix}dplda."),
             snapshot=snapshot,
         )
 

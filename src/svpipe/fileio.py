@@ -7,6 +7,15 @@ Model container ("SVM1"): magic, u32 version, u32 tensor count, then per
 tensor {u32 name length, name bytes (utf-8), u8 rank, u64 dims...,
 float64 little-endian payload}. Tensor names must be unique.
 
+Model naming rule (to_tensors / from_tensors): a dataclass is one tensor
+per field, named prefix + field name, in field order. An int or float field
+is a rank-0 tensor, read back through the field's annotation; a field whose
+type is itself a dataclass nests under "<prefix><field>.". A class that
+defines its own to_tensors(prefix) / from_tensors(tensors, prefix) pair
+writes and reads itself. read_container returns a Container, whose lookup
+of a missing name is a FormatError naming the file and the tensor, so a
+model file of the wrong kind or from another corpus fails as a format error.
+
 Every writer goes through _atomic_open: the bytes land in a temporary file
 next to the target, which replaces the target only once it is complete, so
 a failed or killed write leaves the previous file (or none) in place.
@@ -15,9 +24,12 @@ a failed or killed write leaves the previous file (or none) in place.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import os
 import secrets
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +138,19 @@ def write_container(path, tensors):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+class Container(dict):
+    """{name: float64 tensor} read from path; a missing name is a FormatError."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise FormatError(f"{self.path}: no tensor {name!r}")
+
+
 def read_container(path):
-    """Read a container back into {name: float64 ndarray}."""
+    """Read a container back into a Container of float64 tensors."""
     data = Path(path).read_bytes()
     pos = 0
 
@@ -147,7 +170,7 @@ def read_container(path):
         raise FormatError(
             f"{path}: unsupported container version {version}", offset=4
         )
-    tensors = {}
+    tensors = Container(path)
     for _ in range(count):
         (name_len,) = struct.unpack("<I", need(4, "name length"))
         try:
@@ -176,3 +199,51 @@ def read_container(path):
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes", offset=pos)
     return tensors
+
+
+def read_scalar(tensors, name, kind):
+    """tensors[name] as one kind (int or float); anything else is a FormatError."""
+    value = tensors[name]
+    if np.ndim(value) != 0 or (kind is int and not float(value).is_integer()):
+        where = getattr(tensors, "path", "tensors")
+        raise FormatError(f"{where}: tensor {name!r} is not one {kind.__name__}")
+    return kind(value)
+
+
+@functools.cache
+def _fields(cls):
+    """(name, resolved annotation) of each dataclass field, in field order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def to_tensors(model, prefix=""):
+    """The named tensors of a model, by the naming rule in the module docstring."""
+    if hasattr(model, "to_tensors"):
+        return model.to_tensors(prefix)
+    tensors = {}
+    for name, kind in _fields(type(model)):
+        value = getattr(model, name)
+        if dataclasses.is_dataclass(kind):
+            tensors.update(to_tensors(value, f"{prefix}{name}."))
+        elif kind in (int, float):
+            tensors[prefix + name] = np.float64(value)
+        else:
+            tensors[prefix + name] = value
+    return tensors
+
+
+def from_tensors(cls, tensors, prefix=""):
+    """Rebuild a cls instance from the tensors to_tensors names for it."""
+    if hasattr(cls, "from_tensors"):
+        return cls.from_tensors(tensors, prefix)
+    values = {}
+    for name, kind in _fields(cls):
+        key = prefix + name
+        if dataclasses.is_dataclass(kind):
+            values[name] = from_tensors(kind, tensors, f"{key}.")
+        elif kind in (int, float):
+            values[name] = read_scalar(tensors, key, kind)
+        else:
+            values[name] = tensors[key]
+    return cls(**values)

@@ -47,21 +47,6 @@ class DiagGmm:
     def dim(self):
         return self.means.shape[1]
 
-    def to_tensors(self, prefix=""):
-        return {
-            f"{prefix}weights": self.weights,
-            f"{prefix}means": self.means,
-            f"{prefix}vars": self.vars,
-        }
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(
-            tensors[f"{prefix}weights"],
-            tensors[f"{prefix}means"],
-            tensors[f"{prefix}vars"],
-        )
-
 
 @dataclass
 class SuffStats:
@@ -69,22 +54,6 @@ class SuffStats:
 
     n: np.ndarray
     f: np.ndarray
-    frames_total: int
-
-    def to_tensors(self, prefix=""):
-        return {
-            f"{prefix}n": self.n,
-            f"{prefix}f": self.f,
-            f"{prefix}frames_total": np.float64(self.frames_total),
-        }
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(
-            tensors[f"{prefix}n"],
-            tensors[f"{prefix}f"],
-            int(tensors[f"{prefix}frames_total"]),
-        )
 
 
 def log_densities(g: DiagGmm, frames):
@@ -146,7 +115,7 @@ def sufficient_stats(resp, frames):
         raise InputError("responsibility rows do not align with frames")
     if (resp < 0).any():
         raise InputError("negative responsibilities")
-    return SuffStats(resp.sum(axis=0), resp.T @ frames, frames.shape[0])
+    return SuffStats(resp.sum(axis=0), resp.T @ frames)
 
 
 def train_ubm(frames, n_components, n_iters, floor_frac, seed):

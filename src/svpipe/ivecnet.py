@@ -40,13 +40,6 @@ class PcaModel:
     mean: np.ndarray  # (C*D,)
     basis: np.ndarray  # (C*D, P), orthonormal columns
 
-    def to_tensors(self, prefix=""):
-        return {f"{prefix}mean": self.mean, f"{prefix}basis": self.basis}
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(tensors[f"{prefix}mean"], tensors[f"{prefix}basis"])
-
 
 def fit_pca(supervectors, n_dims) -> PcaModel:
     """Top principal directions of the centered supervectors.

@@ -48,21 +48,6 @@ class TvModel:
     def per_component(self):
         return self.t.reshape(self.n_components, self.dim, self.ivec_dim)
 
-    def to_tensors(self, prefix=""):
-        return {
-            f"{prefix}t": self.t,
-            f"{prefix}n_components": np.float64(self.n_components),
-            f"{prefix}dim": np.float64(self.dim),
-        }
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(
-            tensors[f"{prefix}t"],
-            int(tensors[f"{prefix}n_components"]),
-            int(tensors[f"{prefix}dim"]),
-        )
-
 
 def _centered_stats(ubm: DiagGmm, stats_list):
     """Stacked counts (M, C) and centered first-order statistics (M, C, D)."""
@@ -150,13 +135,6 @@ class IvecPrep:
 
     mean: np.ndarray  # (R,)
     lda: np.ndarray  # (R, R')
-
-    def to_tensors(self, prefix=""):
-        return {f"{prefix}mean": self.mean, f"{prefix}lda": self.lda}
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(tensors[f"{prefix}mean"], tensors[f"{prefix}lda"])
 
 
 def fit_prep(ivectors, labels, out_dim):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fileio
 from .errors import ConfigError, InputError, OptimizerError, ShapeError, StateError
 
 logger = logging.getLogger(__name__)
@@ -123,15 +124,15 @@ class Mlp:
 
     @classmethod
     def from_tensors(cls, tensors, prefix=""):
-        n = int(tensors[f"{prefix}n_layers"])
+        n = fileio.read_scalar(tensors, f"{prefix}n_layers", int)
         layers = []
         for i in range(n):
-            code = int(tensors[f"{prefix}layers.{i}.activation"])
+            code = fileio.read_scalar(tensors, f"{prefix}layers.{i}.activation", int)
             layers.append(
                 Layer(
                     np.array(tensors[f"{prefix}layers.{i}.weight"], dtype=np.float64),
                     np.array(tensors[f"{prefix}layers.{i}.bias"], dtype=np.float64),
-                    ACTIVATION_NAMES[code],
+                    ACTIVATION_NAMES.get(code, f"code {code}"),  # validate rejects it
                 )
             )
         return cls(layers)

@@ -46,21 +46,6 @@ class TwoCovPlda:
     def dim(self):
         return self.mu.shape[0]
 
-    def to_tensors(self, prefix=""):
-        return {
-            f"{prefix}mu": self.mu,
-            f"{prefix}between": self.between,
-            f"{prefix}within": self.within,
-        }
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(
-            tensors[f"{prefix}mu"],
-            tensors[f"{prefix}between"],
-            tensors[f"{prefix}within"],
-        )
-
 
 def _chol_logdet(mat, what):
     try:

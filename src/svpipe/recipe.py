@@ -41,13 +41,13 @@ def _int_at_least(low):
     return parse
 
 
-_count = _int_at_least(0)  # iterations or epochs; zero trains nothing
+_count = _int_at_least(0)  # the seed, iterations or epochs; zero epochs train nothing
 _size = _int_at_least(1)  # dimensions, components, batch sizes, batch counts
 
 
 # key -> (default value, parser); every value is parsed when a Config is built
 DEFAULTS = {
-    "seed": ("0", int),
+    "seed": ("0", _count),
     "paths.workdir": ("work", str),
     # synthetic corpus (desk scale)
     "corpus.speakers": ("50", int),

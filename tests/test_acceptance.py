@@ -442,7 +442,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
         # measured on the raw optimization steps so best-on-dev checkpointing
         # cannot mask drift
         r = desk_chains[DESK_SEEDS[0]]
-        system = e2e.E2eSystem.from_tensors(r["models"]["system"].to_tensors())
+        system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(r["models"]["system"]))
         corp = r["corpus"]
         train = corp.split("train")
         speakers_all = np.array([u.speaker for u in train])
@@ -511,7 +511,7 @@ def test_criterion_9_persistence(desk_chains, tmp_path):
         models = r["models"]
         reloaded = {}
         for name, model in models.items():
-            tensors = model.to_tensors()
+            tensors = fileio.to_tensors(model)
             path = tmp_path / f"{name}.svm"
             fileio.write_container(path, tensors)
             back = fileio.read_container(path)
@@ -523,10 +523,10 @@ def test_criterion_9_persistence(desk_chains, tmp_path):
         # model in the scoring chain
         dev_batch = r["dev_batch"]
         before = dev_batch.scores(models["dplda"])
-        dplda_back = dplda.DpldaParams.from_tensors(reloaded["dplda"])
+        dplda_back = fileio.from_tensors(dplda.DpldaParams, reloaded["dplda"])
         after = dev_batch.scores(dplda_back)
         assert np.array_equal(before, after)
-        system_back = e2e.E2eSystem.from_tensors(reloaded["system"])
+        system_back = fileio.from_tensors(e2e.E2eSystem, reloaded["system"])
         dev = corp.split("dev")[:6]
         emb_before = np.stack([e2e.embed_utterance(models["system"], u.features) for u in dev])
         emb_after = np.stack([e2e.embed_utterance(system_back, u.features) for u in dev])

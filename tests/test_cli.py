@@ -97,17 +97,17 @@ def test_remaining_stages_run(workdir):
 
 def test_e2e_lambda_init_reweights_the_joint_snapshot(workdir, tmp_path):
     from svpipe.e2e import E2eSystem
-    from svpipe.fileio import read_container
+    from svpipe.fileio import from_tensors, read_container
 
     root, cfg = workdir
     work = tmp_path / "work"
     shutil.copytree(root / "work", work)
-    joint = E2eSystem.from_tensors(read_container(work / "system.svm")).snapshot
+    joint = from_tensors(E2eSystem, read_container(work / "system.svm")).snapshot
     override = tmp_path / "e2e.cfg"
     override.write_text(cfg.read_text() + "e2e.lambda_init=0.25\n")
     result = run_cli("--config", str(override), "--workdir", str(work), "train-e2e")
     assert result.returncode == 0, result.stderr
-    snapshot = E2eSystem.from_tensors(read_container(work / "system.svm")).snapshot
+    snapshot = from_tensors(E2eSystem, read_container(work / "system.svm")).snapshot
     assert np.all(joint.weights == 1e-2)  # joint.lambda_init default
     assert np.all(snapshot.weights == 0.25)
     for before, after in zip(joint.values, snapshot.values, strict=True):
@@ -246,6 +246,7 @@ def test_bad_trial_list_exit_code(workdir, tmp_path, backend, lines, message):
         ("plda.iters=-1", "train-plda", None),
         ("joint.epochs=-1", "train-joint", None),
         ("dplda.max_iters=-1", "train-dplda", None),
+        ("seed=-3", "train-ubm", None),
         ("tv.dim=0", "train-tv", None),
         ("prep.dim=0", "extract-ivec", None),
     ],
@@ -289,11 +290,76 @@ def test_non_finite_stats_exit_code_writes_nothing(workdir, tmp_path):
     assert not (work / "ivec.svm").exists() and not (work / "prep.svm").exists()
 
 
+@pytest.mark.parametrize(
+    "model, stage",
+    [
+        ("tv.svm", "extract-ivec"),
+        ("plda.svm", "train-dplda"),
+        ("pca.svm", "train-s2i"),
+        ("statsnet.svm", "train-s2i"),
+        ("ivecnet.svm", "train-joint"),
+        ("system.svm", "train-e2e"),
+    ],
+)
+def test_wrong_kind_model_file_exit_code(workdir, tmp_path, model, stage):
+    # the background model copied over another stage's model: the first
+    # tensor the stage looks up is missing, a format error naming the file
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    shutil.copyfile(work / "ubm.svm", work / model)
+    result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
+    assert result.returncode == 3, result.stderr
+    assert f"{model}: no tensor" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("stage, model", [("train-tv", "stats.svm"), ("train-plda", "ivec.svm")])
+def test_models_of_a_smaller_corpus_exit_code(workdir, tmp_path, stage, model):
+    # synth-data grows the corpus over a workdir whose statistics and
+    # i-vectors cover 12 speakers; a stage reading them names the file and
+    # the first utterance it lacks
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    grown = tmp_path / "grown.cfg"
+    grown.write_text(cfg.read_text() + "corpus.speakers=30\n")
+    argv = ["--config", str(grown), "--workdir", str(work)]
+    assert run_cli(*argv, "synth-data").returncode == 0
+    result = run_cli(*argv, stage)
+    assert result.returncode == 3, result.stderr
+    assert f"{model}: no tensor 'spk012_u0" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_workdir_that_is_a_file_exit_code(tmp_path):
+    work = tmp_path / "work"
+    work.write_text("")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CONFIG.format(workdir=work))
+    result = run_cli("--config", str(cfg), "synth-data")
+    assert result.returncode == 3, result.stderr
+    assert f"{work}: File exists" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_model_path_that_is_a_directory_exit_code(workdir, tmp_path):
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    (work / "tv.svm").unlink()
+    (work / "tv.svm").mkdir()
+    result = run_cli("--config", str(cfg), "--workdir", str(work), "extract-ivec")
+    assert result.returncode == 3, result.stderr
+    assert f"{work / 'tv.svm'}: Is a directory" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     # the CLI stages only wrap the recipe with file IO: every tensor of every
     # artifact through train-joint equals the in-memory recipe run
     from svpipe import cli, plda, recipe
-    from svpipe.fileio import read_container
+    from svpipe.fileio import read_container, to_tensors
 
     cfg_path = tmp_path / "small.cfg"
     cfg_path.write_text(SMALL_CONFIG.format(workdir=tmp_path / "work"))
@@ -331,19 +397,19 @@ def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
 
     stats_tensors = {}
     for uid, s in stats.items():
-        stats_tensors.update(s.to_tensors(f"{uid}."))
+        stats_tensors.update(to_tensors(s, f"{uid}."))
     expected = {
-        "ubm.svm": ubm.to_tensors(),
+        "ubm.svm": to_tensors(ubm),
         "stats.svm": stats_tensors,
-        "tv.svm": tv.to_tensors(),
-        "prep.svm": prep.to_tensors(),
+        "tv.svm": to_tensors(tv),
+        "prep.svm": to_tensors(prep),
         "ivec.svm": vectors,
-        "plda.svm": plda_model.to_tensors(),
-        "dplda.svm": dplda_params.to_tensors(),
-        "statsnet.svm": snet.to_tensors(),
-        "pca.svm": pca.to_tensors(),
-        "ivecnet.svm": ivnet.to_tensors(),
-        "system.svm": system.to_tensors(),
+        "plda.svm": to_tensors(plda_model),
+        "dplda.svm": to_tensors(dplda_params),
+        "statsnet.svm": to_tensors(snet),
+        "pca.svm": to_tensors(pca),
+        "ivecnet.svm": to_tensors(ivnet),
+        "system.svm": to_tensors(system),
     }
     for name, tensors in expected.items():
         written = read_container(cfg.path(name))
@@ -471,4 +537,13 @@ def test_config_values_are_parsed_at_load(tmp_path):
     assert result.returncode == 2
     assert "ubm.components" in result.stderr
     assert "Traceback" not in result.stderr
+    assert not (tmp_path / "work").exists()
+
+
+def test_negative_seed_flag_exit_code(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CONFIG.format(workdir=tmp_path / "work"))
+    result = run_cli("--config", str(cfg), "--seed", "-1", "synth-data")
+    assert result.returncode == 2, result.stderr
+    assert "seed" in result.stderr and "Traceback" not in result.stderr
     assert not (tmp_path / "work").exists()

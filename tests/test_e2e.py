@@ -129,7 +129,7 @@ TRAINERS = ["train_joint_s2i_dplda", "train_e2e_full"]
 
 @pytest.mark.parametrize("trainer", TRAINERS)
 def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer):
-    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     before = [p.copy() for p in system.trainable_parameters()]
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=0.0, epoch_batches=2, max_epochs=1,
@@ -143,7 +143,7 @@ def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer
 
 
 def test_e2e_loss_decreases_over_fixed_batch(tiny_system, small_corpus):
-    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     train = small_corpus.split("train")
     utts = [train[i] for i in (0, 1, 6, 7, 12, 13, 18, 19)]
     feats = [u.features for u in utts]
@@ -173,7 +173,7 @@ def test_e2e_loss_decreases_over_fixed_batch(tiny_system, small_corpus):
 def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
     # a huge snapshot weight keeps every live parameter glued to the snapshot
     # while Adam steps on the trial objective keep firing
-    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     train = small_corpus.split("train")
     utts = [train[i] for i in (0, 1, 6, 7, 12, 18)]
     feats = [u.features for u in utts]
@@ -206,7 +206,7 @@ def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
 
 @pytest.mark.parametrize("trainer", TRAINERS)
 def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, trainer):
-    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
         objective=dplda.ObjectiveConfig(p_target=0.1),
@@ -228,7 +228,7 @@ def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, train
 def test_dev_pass_embeds_what_scoring_embeds(tiny_system, small_corpus, trainer, monkeypatch):
     # best-on-dev selection and LR halving must see, bit for bit, the
     # embeddings that scoring writes; the first dev pass is the initialization
-    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     dev = [u.features for u in small_corpus.split("dev")]
     expected = np.stack([e2e.embed_utterance(system, f) for f in dev])
     seen = []
@@ -282,8 +282,8 @@ def test_assemble_system_copies_the_networks(tiny_system):
 
 def test_system_roundtrip_bit_exact(tiny_system, small_corpus, tmp_path):
     path = tmp_path / "system.svm"
-    fileio.write_container(path, tiny_system.to_tensors())
-    back = e2e.E2eSystem.from_tensors(fileio.read_container(path))
+    fileio.write_container(path, fileio.to_tensors(tiny_system))
+    back = fileio.from_tensors(e2e.E2eSystem, fileio.read_container(path))
     a = small_corpus.utterances[0].features
     b = small_corpus.utterances[5].features
     assert _score(tiny_system, a, b) == _score(back, a, b)
@@ -317,7 +317,7 @@ def test_e2e_training_preprocesses_batch_utterances_once(
 
     monkeypatch.setattr(e2e, "preprocess", counting_preprocess)
     monkeypatch.setattr(e2e, "checkpointed_grads", checking_grads)
-    system = e2e.E2eSystem.from_tensors(tiny_system.to_tensors())
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
         objective=dplda.ObjectiveConfig(p_target=0.1),

@@ -124,3 +124,122 @@ def test_failed_container_overwrite_keeps_the_old_file(tmp_path):
         fileio.write_container(path, {"a": 2.0, "b": "not a number"})
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["model.svm"]
+
+
+def _mlp_names(prefix, n_layers):
+    names = [f"{prefix}n_layers"]
+    for i in range(n_layers):
+        names += [f"{prefix}layers.{i}.{part}" for part in ("weight", "bias", "activation")]
+    return names
+
+
+def _persisted_models():
+    """A small instance of every persisted type and its tensor names, in order."""
+    from svpipe import dplda, e2e, gmm, ivecnet, ivector, netcore, plda, statsnet
+
+    rng = np.random.default_rng(3)
+    ubm = gmm.DiagGmm(
+        np.array([0.25, 0.75]), rng.standard_normal((2, 3)), rng.random((2, 3)) + 0.5
+    )
+    cov = np.eye(3) + 0.1 * np.ones((3, 3))
+    backend = dplda.DpldaParams(
+        rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), rng.standard_normal(2), -0.75
+    )
+    pca = ivecnet.PcaModel(rng.standard_normal(6), np.linalg.qr(rng.standard_normal((6, 4)))[0])
+    snet = statsnet.make_stats_net(9, 2, hidden=(5,), seed=1)
+    ivnet = ivecnet.make_ivec_net(4, 2, hidden=(3,), seed=2)
+    system = e2e.assemble_system(
+        e2e.FrontendConfig(window_s=0.5, frame_rate_hz=100.0, context=1, n_dct=3),
+        snet, ubm, pca, ivnet, backend, relevance=16.0,
+    )
+    system.snapshot = netcore.make_snapshot(system.trainable_parameters(), 1e-2)
+    system_names = (
+        ["frontend.window_s", "frontend.frame_rate_hz", "frontend.context", "frontend.n_dct"]
+        + ["relevance"]
+        + _mlp_names("stats_net.", 2)
+        + ["ubm.weights", "ubm.means", "ubm.vars", "pca.mean", "pca.basis"]
+        + _mlp_names("ivec_net.", 2)
+        + ["dplda.lam", "dplda.gamma", "dplda.c", "dplda.k", "snapshot.weights"]
+        + [f"snapshot.values.{i}" for i in range(12)]
+    )
+    return [
+        (ubm, ["weights", "means", "vars"]),
+        (gmm.SuffStats(rng.random(2) * 5, rng.standard_normal((2, 3))), ["n", "f"]),
+        (ivector.TvModel(rng.standard_normal((6, 2)), 2, 3), ["t", "n_components", "dim"]),
+        (ivector.IvecPrep(rng.standard_normal(3), rng.standard_normal((3, 2))), ["mean", "lda"]),
+        (plda.TwoCovPlda(rng.standard_normal(3), cov, 2 * cov), ["mu", "between", "within"]),
+        (backend, ["lam", "gamma", "c", "k"]),
+        (pca, ["mean", "basis"]),
+        (snet, _mlp_names("", 2)),
+        (ivnet, _mlp_names("", 2)),
+        (system, system_names),
+    ]
+
+
+@pytest.mark.parametrize(
+    "model, names", [pytest.param(m, n, id=type(m).__name__) for m, n in _persisted_models()]
+)
+def test_model_tensor_names_and_bit_exact_round_trip(tmp_path, model, names):
+    tensors = fileio.to_tensors(model)
+    assert list(tensors) == names
+    nested = fileio.to_tensors(model, "outer.")
+    assert list(nested) == [f"outer.{name}" for name in names]
+    path = tmp_path / "model.svm"
+    fileio.write_container(path, tensors)
+    back = fileio.from_tensors(type(model), fileio.read_container(path))
+    again = fileio.to_tensors(back)
+    assert list(again) == names
+    for name in names:
+        assert np.array_equal(np.asarray(again[name]), np.asarray(tensors[name]))
+    path2 = tmp_path / "again.svm"
+    fileio.write_container(path2, again)
+    assert path2.read_bytes() == path.read_bytes()
+
+
+def test_scalar_fields_read_back_through_their_annotations():
+    from svpipe import e2e, ivector
+
+    tv = fileio.from_tensors(
+        ivector.TvModel, fileio.to_tensors(ivector.TvModel(np.zeros((6, 2)), 2, 3), "tv."), "tv."
+    )
+    assert type(tv.n_components) is int and type(tv.dim) is int
+    fc = fileio.from_tensors(
+        e2e.FrontendConfig, fileio.to_tensors(e2e.FrontendConfig(0.5, 100.0, 4, 3))
+    )
+    assert fc == e2e.FrontendConfig(0.5, 100.0, 4, 3)
+    assert type(fc.window_s) is float and type(fc.context) is int
+
+
+def test_missing_or_malformed_tensor_is_format_error(tmp_path):
+    from svpipe import gmm, ivector
+
+    path = tmp_path / "tv.svm"
+    fileio.write_container(path, {"t": np.zeros((6, 2)), "n_components": np.ones(2), "dim": 3.0})
+    tensors = fileio.read_container(path)
+    with pytest.raises(FormatError, match=r"tv\.svm: tensor 'n_components' is not one int"):
+        fileio.from_tensors(ivector.TvModel, tensors)
+    for bad in (2.5, np.nan):
+        tensors["n_components"] = np.float64(bad)
+        with pytest.raises(FormatError, match="'n_components' is not one int"):
+            fileio.from_tensors(ivector.TvModel, tensors)
+    with pytest.raises(FormatError, match=r"tv\.svm: no tensor 'weights'"):
+        fileio.from_tensors(gmm.DiagGmm, tensors)
+    assert "weights" not in tensors and tensors.get("weights") is None
+
+
+def test_malformed_network_and_system_scalars_are_pipeline_errors():
+    from svpipe import e2e, statsnet
+    from svpipe.errors import ShapeError
+
+    system = _persisted_models()[-1][0]
+    tensors = fileio.to_tensors(system)
+    tensors["relevance"] = np.ones(2)
+    with pytest.raises(FormatError, match="'relevance' is not one float"):
+        fileio.from_tensors(e2e.E2eSystem, tensors)
+    tensors = fileio.to_tensors(statsnet.make_stats_net(4, 2, hidden=(3,)))
+    tensors["layers.1.activation"] = np.float64(9.0)
+    with pytest.raises(ShapeError, match="unknown activation 'code 9'"):
+        fileio.from_tensors(statsnet.StatsNet, tensors)
+    tensors["n_layers"] = np.arange(2.0)
+    with pytest.raises(FormatError, match="'n_layers' is not one int"):
+        fileio.from_tensors(statsnet.StatsNet, tensors)

@@ -100,7 +100,6 @@ def test_sufficient_stats_one_hot_and_conservation():
     soft /= soft.sum(axis=1, keepdims=True)
     stats = gmm.sufficient_stats(soft, frames)
     assert np.allclose(stats.f.sum(axis=0), frames.sum(axis=0), atol=1e-12)
-    assert stats.frames_total == 6
 
 
 def test_sufficient_stats_matches_loop_oracle():

@@ -16,7 +16,7 @@ def random_ubm(rng, n_components=3, dim=2):
 def test_map_zero_counts_give_background_means():
     rng = np.random.default_rng(0)
     ubm = random_ubm(rng)
-    stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)), 0)
+    stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)))
     assert np.array_equal(ivecnet.map_supervector(ubm, stats, 16.0), ubm.means.ravel())
 
 
@@ -26,7 +26,7 @@ def test_map_defaults_and_limit():
     ubm = random_ubm(rng)
     xbar = rng.standard_normal((3, 2))
     n = np.full(3, 1e6)
-    stats = gmm.SuffStats(n, n[:, None] * xbar, int(3e6))
+    stats = gmm.SuffStats(n, n[:, None] * xbar)
     sv = ivecnet.map_supervector(ubm, stats, 16.0).reshape(3, 2)
     assert np.abs(sv - xbar).max() < 1e-4
 
@@ -36,7 +36,7 @@ def test_map_is_convex_combination_per_component():
     ubm = random_ubm(rng)
     n = np.abs(rng.standard_normal(3)) * 10 + 0.1
     xbar = rng.standard_normal((3, 2))
-    stats = gmm.SuffStats(n, n[:, None] * xbar, 30)
+    stats = gmm.SuffStats(n, n[:, None] * xbar)
     sv = ivecnet.map_supervector(ubm, stats, relevance=16.0).reshape(3, 2)
     alpha = (n / (n + 16.0))[:, None]
     assert np.allclose(sv, alpha * xbar + (1 - alpha) * ubm.means, atol=1e-12)

@@ -4,7 +4,7 @@ from scipy.linalg import subspace_angles
 
 from svpipe import gmm, ivector, recipe
 from svpipe.errors import InputError, ShapeError
-from svpipe.fileio import read_container, write_container
+from svpipe.fileio import from_tensors, read_container, to_tensors, write_container
 
 RNG = np.random.default_rng(0)
 
@@ -27,7 +27,7 @@ def test_zero_stats_give_prior_mean():
     rng = np.random.default_rng(1)
     ubm = random_ubm(rng)
     tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
-    stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)), 0)
+    stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)))
     assert np.array_equal(ivector.extract_ivectors(tv, ubm, [stats]), np.zeros((1, 2)))
 
 
@@ -36,7 +36,7 @@ def test_scalar_case_closed_form():
     ubm = random_ubm(rng, n_components=2, dim=1)
     t = rng.standard_normal((2, 1))
     tv = ivector.TvModel(t, 2, 1)
-    stats = gmm.SuffStats(np.array([3.0, 1.5]), rng.standard_normal((2, 1)), 5)
+    stats = gmm.SuffStats(np.array([3.0, 1.5]), rng.standard_normal((2, 1)))
     f_cent = stats.f - stats.n[:, None] * ubm.means
     numer = float((t[:, 0] / ubm.vars[:, 0] * f_cent[:, 0]).sum())
     denom = 1.0 + float((stats.n * t[:, 0] ** 2 / ubm.vars[:, 0]).sum())
@@ -63,7 +63,7 @@ def random_stats(rng, n_utts, n_components, dim):
     for i in range(n_utts):
         n = np.abs(rng.standard_normal(n_components)) * 4 * (i + 1)
         n[i % n_components] = 0.0
-        out.append(gmm.SuffStats(n, rng.standard_normal((n_components, dim)) * (i + 1), 12))
+        out.append(gmm.SuffStats(n, rng.standard_normal((n_components, dim)) * (i + 1)))
     return out
 
 
@@ -71,7 +71,7 @@ def test_extraction_matches_explicit_solve_oracle():
     rng = np.random.default_rng(3)
     ubm = random_ubm(rng, n_components=3, dim=2)
     tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
-    stats = gmm.SuffStats(np.abs(rng.standard_normal(3)) * 4, rng.standard_normal((3, 2)), 12)
+    stats = gmm.SuffStats(np.abs(rng.standard_normal(3)) * 4, rng.standard_normal((3, 2)))
     expect = explicit_solve(tv, ubm, stats)
     assert np.allclose(ivector.extract_ivectors(tv, ubm, [stats])[0], expect, rtol=1e-10)
 
@@ -107,7 +107,7 @@ def test_extraction_linear_in_centered_stats():
     base = n[:, None] * ubm.means
     combo = base + 0.3 * (f_a - base) + 0.7 * (f_b - base)
     w_a, w_b, w_c = ivector.extract_ivectors(
-        tv, ubm, [gmm.SuffStats(n, f, 9) for f in (f_a, f_b, combo)]
+        tv, ubm, [gmm.SuffStats(n, f) for f in (f_a, f_b, combo)]
     )
     assert np.abs(w_c - (0.3 * w_a + 0.7 * w_b)).max() < 1e-10
 
@@ -115,10 +115,10 @@ def test_extraction_linear_in_centered_stats():
 @pytest.mark.parametrize(
     "bad, error",
     [
-        (gmm.SuffStats(np.ones(2), np.zeros((2, 2)), 4), ShapeError),
-        (gmm.SuffStats(np.ones(3), np.zeros((3, 3)), 4), ShapeError),
-        (gmm.SuffStats(np.array([1.0, np.nan, 1.0]), np.zeros((3, 2)), 4), InputError),
-        (gmm.SuffStats(np.ones(3), np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]]), 4), InputError),
+        (gmm.SuffStats(np.ones(2), np.zeros((2, 2))), ShapeError),
+        (gmm.SuffStats(np.ones(3), np.zeros((3, 3))), ShapeError),
+        (gmm.SuffStats(np.array([1.0, np.nan, 1.0]), np.zeros((3, 2))), InputError),
+        (gmm.SuffStats(np.ones(3), np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]])), InputError),
     ],
 )
 def test_bad_stats_raise_from_training_and_extraction(bad, error):
@@ -142,7 +142,7 @@ def synth_stats_from_model(rng, t_true, ubm, n_utts, frames_per_utt=200):
         n = np.full(c, frames_per_utt / c)
         noise = rng.standard_normal((c, d)) * np.sqrt(ubm.vars * n[:, None])
         f = n[:, None] * shifted_means + noise
-        stats.append(gmm.SuffStats(n, f, frames_per_utt))
+        stats.append(gmm.SuffStats(n, f))
     return stats
 
 
@@ -164,7 +164,7 @@ def test_zero_count_stats_do_not_move_the_model():
     ubm = random_ubm(rng, n_components=3, dim=2)
     t_true = rng.standard_normal((6, 2))
     stats = synth_stats_from_model(rng, t_true, ubm, n_utts=40)
-    with_zero = stats + [gmm.SuffStats(np.zeros(3), np.zeros((3, 2)), 0)]
+    with_zero = stats + [gmm.SuffStats(np.zeros(3), np.zeros((3, 2)))]
     a, _ = ivector.train_tv(stats, ubm, 2, n_iters=3, seed=1)
     b, _ = ivector.train_tv(with_zero, ubm, 2, n_iters=3, seed=1)
     assert np.allclose(a.t, b.t, atol=1e-10)
@@ -254,8 +254,8 @@ def test_reloaded_prep_applies_bit_identically(tmp_path):
     centers = rng.standard_normal((25, 40)) * 3.0
     x = np.vstack([rng.standard_normal((20, 40)) * 0.4 + c for c in centers])
     prep = ivector.fit_prep(x, np.repeat(np.arange(25), 20), 20)
-    write_container(tmp_path / "prep.svm", prep.to_tensors())
-    reloaded = ivector.IvecPrep.from_tensors(read_container(tmp_path / "prep.svm"))
+    write_container(tmp_path / "prep.svm", to_tensors(prep))
+    reloaded = from_tensors(ivector.IvecPrep, read_container(tmp_path / "prep.svm"))
     batch = rng.standard_normal((100, 40))
     assert np.array_equal(ivector.prep_apply(reloaded, batch), ivector.prep_apply(prep, batch))
 
