@@ -19,6 +19,7 @@ import logging
 import resource
 import sys
 import time
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -257,10 +258,12 @@ def _trials_path(cfg, key, default_name):
 
 def _trial_pairs(trials, uids, vectors):
     """The enroll and test rows of every trial; row i of vectors belongs to uids[i]."""
-    row = {uid: i for i, uid in enumerate(uids)}
+    row = dict(zip(uids, range(len(uids))))
     try:
-        enroll = np.array([row[t.enroll] for t in trials.trials], dtype=np.intp)
-        test = np.array([row[t.test] for t in trials.trials], dtype=np.intp)
+        enroll, test = [
+            np.fromiter(map(row.__getitem__, column), dtype=np.intp, count=len(trials))
+            for column in (trials.enroll, trials.test)
+        ]
     except KeyError as exc:
         raise InputError(f"trial references unknown utterance {exc}") from None
     return vectors[enroll], vectors[test]
@@ -273,7 +276,7 @@ def cmd_score(cfg, args):
     corpus = _load_corpus(cfg)
     trials_path = _trials_path(cfg, "score.trials", "trials_dev.txt")
     trials = parse_trial_list(trials_path)
-    if not trials.trials:
+    if not trials.enroll:
         raise InputError(f"{trials_path}: no trials to score")
     if backend in ("plda", "dplda"):
         vectors = read_container(cfg.path("ivec.svm"))
@@ -287,7 +290,7 @@ def cmd_score(cfg, args):
     else:
         system = _read(cfg, "system.svm", e2e.E2eSystem)
         by_id = corpus.by_id()
-        uids = sorted({t.enroll for t in trials.trials} | {t.test for t in trials.trials})
+        uids = sorted(set(trials.enroll).union(trials.test))
         try:
             utts = [by_id[uid] for uid in uids]
         except KeyError as exc:
@@ -304,18 +307,18 @@ def cmd_eval(cfg, args):
     trials_path = _trials_path(cfg, "eval.trials", "trials_dev.txt")
     score_list, scores = read_scores(scores_path)
     labeled = parse_trial_list(trials_path)
-    labels = {(t.enroll, t.test): t.label for t in labeled.trials if t.label}
-    is_target = []
-    kept = []
-    for trial, score in zip(score_list.trials, scores):
-        label = labels.get((trial.enroll, trial.test))
-        if label is None:
-            continue
-        kept.append(score)
-        is_target.append(label == "target")
-    if not kept:
+    # a repeated pair takes its last label; an unlabeled line never matches
+    codes = map({"target": 1, "nontarget": 0}.get, labeled.labels)
+    labels = dict(compress(zip(zip(labeled.enroll, labeled.test), codes), labeled.labels))
+    found = np.fromiter(
+        map(labels.get, zip(score_list.enroll, score_list.test), repeat(-1)),
+        dtype=np.int8,
+        count=len(scores),
+    )
+    kept = found >= 0
+    if not kept.any():
         raise MetricError("no labeled trials matched the score file")
-    trials = metrics.ScoredTrials(np.asarray(kept), np.asarray(is_target))
+    trials = metrics.ScoredTrials(scores[kept], found[kept] == 1)
     report = [
         ("eer", metrics.eer(trials)),
         ("min_dcf@0.01", metrics.min_dcf(trials, 0.01)),
@@ -346,6 +349,26 @@ COMMANDS = {
     "eval": (cmd_eval, "compute EER and detection costs from a score file"),
 }
 
+# the stage that writes each work-directory input (by its path under the
+# work directory), named when that file is missing
+PRODUCERS = {
+    "corpus/corpus.tsv": "synth-data",
+    "trials_dev.txt": "synth-data",
+    "trials_eval.txt": "synth-data",
+    "ubm.svm": "train-ubm",
+    "stats.svm": "extract-stats",
+    "tv.svm": "train-tv",
+    "ivec.svm": "extract-ivec",
+    "prep.svm": "extract-ivec",
+    "plda.svm": "train-plda",
+    "dplda.svm": "train-dplda",
+    "statsnet.svm": "train-f2s",
+    "pca.svm": "fit-pca",
+    "ivecnet.svm": "train-s2i",
+    "system.svm": "train-joint",
+    "scores.txt": "score",
+}
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -369,6 +392,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    cfg = None
     try:
         overrides = load_config(args.config) if args.config else {}
         cfg = Config(overrides, seed=args.seed, workdir=args.workdir)
@@ -392,7 +416,10 @@ def main(argv=None):
         logger.error("%s", exc)
         return 3
     except FileNotFoundError as exc:
-        logger.error("missing input file %s", exc.filename)
+        producers = {cfg.path(name): stage for name, stage in PRODUCERS.items()} if cfg else {}
+        producer = producers.get(Path(str(exc.filename)))
+        written_by = f" (written by {producer})" if producer else ""
+        logger.error("missing input file %s%s", exc.filename, written_by)
         return 3
     except OSError as exc:  # e.g. a workdir that is a file, a model path that is a directory
         where = f"{exc.filename}: " if exc.filename else ""

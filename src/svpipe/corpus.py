@@ -175,8 +175,6 @@ def load_corpus(directory) -> Corpus:
     """Parse and check the corpus index; each feature file is read on first use."""
     directory = Path(directory)
     index = directory / "corpus.tsv"
-    if not index.is_file():
-        raise FormatError(f"{index}: corpus index not found")
     feature_dir = directory / "features"
     feature_files = _file_names(feature_dir)
     utterances = []
@@ -216,84 +214,136 @@ def _file_names(directory):
 
 # ---------------------------------------------------------------------------
 # trial lists and score files
-
-@dataclass
-class Trial:
-    enroll: str
-    test: str
-    label: str | None = None  # "target", "nontarget" or None for scoring-only
-
+#
+# A trial list is three parallel columns of strings, built and written with
+# C-level map/zip/join and no object per trial. A reader takes the columns
+# from one split of the whole file when the file is in the form the writers
+# emit. Any other file (blank lines, tabs, lines of different widths, a bad
+# label or score, or for a trial list any '#') goes through a line loop,
+# which names the first bad line in file order.
 
 @dataclass
 class TrialList:
-    trials: list[Trial] = field(default_factory=list)
+    """Trial i pairs enroll[i] with test[i]; labels[i] is "target",
+    "nontarget" or None for a scoring-only trial. Without labels, every
+    trial is scoring-only."""
+
+    enroll: list[str] = field(default_factory=list)
+    test: list[str] = field(default_factory=list)
+    labels: list[str | None] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not self.labels:
+            self.labels = [None] * len(self.enroll)
+        if not len(self.enroll) == len(self.test) == len(self.labels):
+            raise InputError("trial list columns differ in length")
+
+    def __len__(self):
+        return len(self.enroll)
 
 
 def make_trials(corpus: Corpus, split) -> TrialList:
-    """All unordered single-enrollment pairs within one split, labeled."""
+    """All unordered single-enrollment pairs within one split, labeled.
+
+    Pair (i, j), i < j, of the split's utterances in corpus order; i varies
+    slowest.
+    """
     utts = corpus.split(split)
-    trials = []
-    for i in range(len(utts)):
-        for j in range(i + 1, len(utts)):
-            label = "target" if utts[i].speaker == utts[j].speaker else "nontarget"
-            trials.append(Trial(utts[i].uid, utts[j].uid, label))
-    return TrialList(trials)
+    first, second = np.triu_indices(len(utts), k=1)
+    uids = np.array([u.uid for u in utts], dtype=object)
+    speakers = np.array([u.speaker for u in utts], dtype=object)
+    labels = np.where(speakers[first] == speakers[second], *TRIAL_LABELS)
+    return TrialList(uids[first].tolist(), uids[second].tolist(), labels.tolist())
+
+
+def _columns(text):
+    """The fields of a text whose every line is its fields joined by single
+    spaces and ended by a newline, column by column; None for other text.
+
+    One split of the whole text gives every field, and rebuilding the text
+    from the columns proves that splitting it line by line gives the same.
+    """
+    fields = text.split()
+    n_lines = text.count("\n")
+    if not n_lines or len(fields) % n_lines:
+        return None
+    width = len(fields) // n_lines
+    columns = [fields[i::width] for i in range(width)]
+    if "\n".join(map(" ".join, zip(*columns))) + "\n" != text:
+        return None
+    return columns
 
 
 def parse_trial_list(path) -> TrialList:
-    """Parse text lines "enroll test [label]"; label is optional."""
-    trials = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    """Parse text lines "enroll test [label]"; label is optional.
+
+    Blank lines and lines whose first field starts with '#' are skipped.
+    """
+    text = read_text(path)
+    columns = None if "#" in text else _columns(text)
+    width = len(columns) if columns else 0
+    if width == 2 or width == 3 and set(columns[2]).issubset(TRIAL_LABELS):
+        return TrialList(*columns)
+    enroll, test, labels = [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         if len(parts) == 2:
-            trials.append(Trial(parts[0], parts[1]))
-        elif len(parts) == 3:
-            if parts[2] not in TRIAL_LABELS:
-                raise FormatError(
-                    f"{path}:{lineno}: unknown trial label {parts[2]!r}"
-                )
-            trials.append(Trial(parts[0], parts[1], parts[2]))
-        else:
+            parts.append(None)
+        elif len(parts) != 3:
             raise FormatError(
                 f"{path}:{lineno}: expected 'enroll test [label]', got {len(parts)} fields"
             )
-    return TrialList(trials)
+        elif parts[2] not in TRIAL_LABELS:
+            raise FormatError(f"{path}:{lineno}: unknown trial label {parts[2]!r}")
+        enroll.append(parts[0])
+        test.append(parts[1])
+        labels.append(parts[2])
+    return TrialList(enroll, test, labels)
 
 
-def write_trial_list(path, trial_list: TrialList):
-    lines = []
-    for t in trial_list.trials:
-        lines.append(f"{t.enroll} {t.test}" + (f" {t.label}" if t.label else ""))
+def write_trial_list(path, trials: TrialList):
+    """One line "enroll test [label]" per trial; an unlabeled trial has two fields."""
+    columns = zip(trials.enroll, trials.test, trials.labels)
+    lines = (f"{e} {t} {label}" if label else f"{e} {t}" for e, t, label in columns)
     write_text(path, "\n".join(lines) + "\n")
 
 
-def write_scores(path, trial_list: TrialList, scores):
+def write_scores(path, trials: TrialList, scores):
     """Score file lines "enroll test score"; %.17g keeps doubles lossless."""
-    if len(scores) != len(trial_list.trials):
+    if len(scores) != len(trials):
         raise InputError("score count does not match the trial list")
-    lines = [
-        f"{t.enroll} {t.test} {s:.17g}"
-        for t, s in zip(trial_list.trials, np.asarray(scores, dtype=np.float64).tolist())
-    ]
-    write_text(path, "\n".join(lines) + "\n")
+    values = map("{:.17g}".format, np.asarray(scores, dtype=np.float64).tolist())
+    write_text(path, "\n".join(map(" ".join, zip(trials.enroll, trials.test, values))) + "\n")
 
 
 def read_scores(path):
-    """Read a score file into (TrialList without labels, score vector)."""
-    trials = []
-    scores = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
+    """Read a score file into (TrialList without labels, score vector).
+
+    Blank lines are skipped.
+    """
+    text = read_text(path)
+    columns = _columns(text)
+    if columns and len(columns) == 3:
+        enroll, test, values = columns
+        try:
+            scores = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+        except ValueError:
+            pass  # the line loop names the first bad score
+        else:
+            return TrialList(enroll, test), scores
+    enroll, test, scores = [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 'enroll test score'")
         try:
-            score = float(parts[2])
+            scores.append(float(parts[2]))
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad score {parts[2]!r}") from None
-        trials.append(Trial(parts[0], parts[1]))
-        scores.append(score)
-    return TrialList(trials), np.asarray(scores, dtype=np.float64)
+        enroll.append(parts[0])
+        test.append(parts[1])
+    return TrialList(enroll, test), np.asarray(scores, dtype=np.float64)

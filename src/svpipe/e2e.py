@@ -371,6 +371,7 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         return loss + penalty
 
     init_eer, best_c = _dev_metrics(dev_embeddings(), dev_speakers, system.dplda)
+    best_epoch = 0
     best_params = [p.copy() for p in params_of()]
     history = [EpochRecord(0, np.nan, init_eer, best_c, schedule.lr)]
     dev_curve = [best_c]
@@ -383,7 +384,9 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         history.append(record)
         logger.info("%s", format_epoch_log(record))
         if dev_c < best_c:
-            best_c = dev_c
+            best_epoch, best_c = epoch, dev_c
             best_params = [p.copy() for p in params_of()]
+    kept = f"epoch {best_epoch}" if best_epoch else "the initialization (epoch 0)"
+    logger.info("kept %s: dev C_primary %.6f", kept, best_c)
     set_params(best_params)
     return system, history

@@ -534,13 +534,8 @@ def test_criterion_9_persistence(desk_chains, tmp_path):
 
         dev_i, dev_j = np.nonzero(dev_batch.trials)
         trials = corpus_mod.TrialList(
-            [
-                corpus_mod.Trial(t_enroll, t_test)
-                for t_enroll, t_test in zip(
-                    [corp.split("dev")[i].uid for i in dev_i[:50]],
-                    [corp.split("dev")[j].uid for j in dev_j[:50]],
-                )
-            ]
+            [corp.split("dev")[i].uid for i in dev_i[:50]],
+            [corp.split("dev")[j].uid for j in dev_j[:50]],
         )
         path_a = tmp_path / "scores_before.txt"
         path_b = tmp_path / "scores_after.txt"

@@ -182,8 +182,8 @@ def test_stages_read_only_the_features_they_use(workdir, tmp_path, monkeypatch, 
     for name in reads.split():
         if name.endswith(".txt"):
             overrides += f"score.trials={work / name}\n"
-            trials = corpus.parse_trial_list(work / name).trials
-            expected += sorted({t.enroll for t in trials} | {t.test for t in trials})
+            trials = corpus.parse_trial_list(work / name)
+            expected += sorted(set(trials.enroll) | set(trials.test))
         else:
             expected += [u.uid for u in utts if u.split == name]
     override_cfg = tmp_path / "override.cfg"
@@ -353,6 +353,92 @@ def test_model_path_that_is_a_directory_exit_code(workdir, tmp_path):
     assert result.returncode == 3, result.stderr
     assert f"{work / 'tv.svm'}: Is a directory" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "artifact, stage, producer",
+    [
+        ("corpus/corpus.tsv", "train-ubm", "synth-data"),
+        ("corpus/corpus.tsv", "score e2e", "synth-data"),
+        ("trials_dev.txt", "score plda", "synth-data"),
+        ("ubm.svm", "extract-stats", "train-ubm"),
+        ("stats.svm", "train-tv", "extract-stats"),
+        ("tv.svm", "extract-ivec", "train-tv"),
+        ("ivec.svm", "train-plda", "extract-ivec"),
+        ("ivec.svm", "score dplda", "extract-ivec"),
+        ("plda.svm", "train-dplda", "train-plda"),
+        ("dplda.svm", "score dplda", "train-dplda"),
+        ("statsnet.svm", "train-s2i", "train-f2s"),
+        ("pca.svm", "train-s2i", "fit-pca"),
+        ("ivecnet.svm", "train-joint", "train-s2i"),
+        ("system.svm", "train-e2e", "train-joint"),
+        ("scores.txt", "eval", "score"),
+    ],
+)
+def test_missing_input_names_its_producer(workdir, tmp_path, artifact, stage, producer):
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    (work / artifact).unlink()
+    stage, _, backend = stage.partition(" ")
+    override_cfg = tmp_path / "override.cfg"
+    override_cfg.write_text(cfg.read_text() + (f"score.backend={backend}\n" if backend else ""))
+    result = run_cli("--config", str(override_cfg), "--workdir", str(work), stage)
+    assert result.returncode == 3, result.stderr
+    assert f"missing input file {work / artifact} (written by {producer})" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "key, stage", [("score.trials", "score"), ("eval.trials", "eval"), ("eval.scores", "eval")]
+)
+def test_missing_configured_input_names_no_producer(workdir, tmp_path, key, stage):
+    # a configured file outside the work directory has no producing stage,
+    # even when it shares a work-directory artifact's name
+    root, cfg = workdir
+    missing = tmp_path / "elsewhere" / ("scores.txt" if key == "eval.scores" else "trials_dev.txt")
+    override_cfg = tmp_path / "override.cfg"
+    override_cfg.write_text(cfg.read_text() + f"{key}={missing}\n")
+    result = run_cli("--config", str(override_cfg), "--workdir", str(root / "work"), stage)
+    assert result.returncode == 3, result.stderr
+    assert f"missing input file {missing}" in result.stderr
+    assert "(written by" not in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_eval_join_rules(tmp_path, monkeypatch):
+    # a repeated pair takes its last label, an unlabeled line never matches
+    # and a score line without a label is skipped
+    from svpipe import cli, metrics
+
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "trials_dev.txt").write_text(
+        "a b target\n"
+        "a c nontarget\n"
+        "a b nontarget\n"  # repeated: the last label wins
+        "a c\n"  # unlabeled repeat: a c stays nontarget
+        "d e\n"  # unlabeled only: d e never matches
+        "# h i nontarget\n"
+        "h i target\n"
+        "b a target\n"  # pairs are ordered: b a is not a b
+        "l m nontarget\n"
+    )
+    (work / "scores.txt").write_text(
+        "a b 3.0\na c 2.0\nd e 5.0\nf g 1.0\nh i 4.0\nl m -1.0\nh i 0.5\n"
+    )
+    seen = []
+    scored_trials = metrics.ScoredTrials
+
+    def recording(scores, is_target):
+        seen.append((np.asarray(scores).tolist(), np.asarray(is_target).tolist()))
+        return scored_trials(scores, is_target)
+
+    monkeypatch.setattr(metrics, "ScoredTrials", recording)
+    assert cli.main(["--workdir", str(work), "eval"]) == 0
+    assert seen == [([3.0, 2.0, 4.0, -1.0, 0.5], [False, False, True, False, True])]
+    (work / "scores.txt").write_text("d e 5.0\nf g 1.0\n")
+    assert cli.main(["--workdir", str(work), "eval"]) == 3
 
 
 def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):

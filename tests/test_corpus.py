@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svpipe import corpus
-from svpipe.errors import FormatError
+from svpipe.errors import FormatError, InputError
 
 
 def test_same_seed_bit_identical():
@@ -57,7 +57,7 @@ def test_trial_list_parsing(tmp_path):
     path = tmp_path / "trials.txt"
     path.write_text("e1 t1 target\ne1 t2\n# comment\ne2 t2 nontarget\n")
     tl = corpus.parse_trial_list(path)
-    assert [(t.enroll, t.test, t.label) for t in tl.trials] == [
+    assert list(zip(tl.enroll, tl.test, tl.labels)) == [
         ("e1", "t1", "target"),
         ("e1", "t2", None),
         ("e2", "t2", "nontarget"),
@@ -73,22 +73,22 @@ def test_trial_list_parsing(tmp_path):
 def test_trial_roundtrip_and_make_trials(small_corpus, tmp_path):
     tl = corpus.make_trials(small_corpus, "dev")
     n = len(small_corpus.split("dev"))
-    assert len(tl.trials) == n * (n - 1) // 2
-    assert {t.label for t in tl.trials} == {"target", "nontarget"}
+    assert len(tl) == n * (n - 1) // 2
+    assert set(tl.labels) == {"target", "nontarget"}
     corpus.write_trial_list(tmp_path / "t.txt", tl)
     back = corpus.parse_trial_list(tmp_path / "t.txt")
-    assert [(t.enroll, t.test, t.label) for t in back.trials] == [
-        (t.enroll, t.test, t.label) for t in tl.trials
-    ]
+    assert list(zip(back.enroll, back.test, back.labels)) == list(
+        zip(tl.enroll, tl.test, tl.labels)
+    )
 
 
 def test_score_file_roundtrip(tmp_path):
-    tl = corpus.TrialList([corpus.Trial("a", "b"), corpus.Trial("a", "c")])
+    tl = corpus.TrialList(["a", "a"], ["b", "c"])
     scores = np.array([1.2345678901234567e-3, -7.0])
     corpus.write_scores(tmp_path / "s.txt", tl, scores)
     back_tl, back = corpus.read_scores(tmp_path / "s.txt")
     assert np.array_equal(back, scores)
-    assert [(t.enroll, t.test) for t in back_tl.trials] == [("a", "b"), ("a", "c")]
+    assert list(zip(back_tl.enroll, back_tl.test)) == [("a", "b"), ("a", "c")]
     (tmp_path / "bad.txt").write_text("a b notafloat\n")
     with pytest.raises(FormatError):
         corpus.read_scores(tmp_path / "bad.txt")
@@ -166,9 +166,87 @@ def test_write_scores_bytes_match_numpy_scalar_formatting(tmp_path):
         rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
         rng.integers(0, 2**64, 200, dtype=np.uint64).view(np.float64),  # random bit patterns
     ])
-    trials = corpus.TrialList([corpus.Trial(f"e{i}", f"t{i}") for i in range(len(scores))])
+    n = len(scores)
+    trials = corpus.TrialList([f"e{i}" for i in range(n)], [f"t{i}" for i in range(n)])
     path = tmp_path / "scores.txt"
     corpus.write_scores(path, trials, scores)
     # the per-element numpy scalar formatting the writer used before
     old = "\n".join(f"e{i} t{i} {s:.17g}" for i, s in enumerate(scores)) + "\n"
     assert path.read_bytes() == old.encode("utf-8")
+
+
+def test_make_trials_bytes_match_the_per_pair_loop(small_corpus, tmp_path):
+    for split in ("dev", "eval"):
+        path = tmp_path / f"trials_{split}.txt"
+        corpus.write_trial_list(path, corpus.make_trials(small_corpus, split))
+        # the loop over (i, j), i < j, that wrote one line per pair before
+        utts = small_corpus.split(split)
+        old = "\n".join(
+            f"{a.uid} {b.uid}" + (" target" if a.speaker == b.speaker else " nontarget")
+            for i, a in enumerate(utts)
+            for b in utts[i + 1:]
+        ) + "\n"
+        assert path.read_bytes() == old.encode("utf-8")
+
+
+def test_unlabeled_trial_list_roundtrip(tmp_path):
+    path = tmp_path / "trials.txt"
+    path.write_text("e1 t1\ne2 t2\n")
+    tl = corpus.parse_trial_list(path)
+    assert list(zip(tl.enroll, tl.test, tl.labels)) == [("e1", "t1", None), ("e2", "t2", None)]
+    corpus.write_trial_list(tmp_path / "back.txt", tl)
+    assert (tmp_path / "back.txt").read_text() == "e1 t1\ne2 t2\n"
+    mixed = corpus.TrialList(["e1", "e2"], ["t1", "t2"], ["target", None])
+    corpus.write_trial_list(tmp_path / "mixed.txt", mixed)
+    assert (tmp_path / "mixed.txt").read_text() == "e1 t1 target\ne2 t2\n"
+    with pytest.raises(InputError, match="differ in length"):
+        corpus.TrialList(["e1", "e2"], ["t1"])
+
+
+FIELDS = "expected 'enroll test [label]', got"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # blank and comment lines count towards the line number
+        ("\n# header\ne1 t1 target\n\n  # indented\ne2 t2 bogus\n", ":6: unknown trial label 'bogus'"),
+        ("\n# header\ne1 t1 target\n\ne2 t2 target extra\n", f":5: {FIELDS} 4 fields"),
+        ("e1 t1 target\n# a b c d e\ne2\n", f":3: {FIELDS} 1 fields"),
+        # the first bad line in file order is the one reported
+        ("e1 t1 target\ne1 t2 bogus\ne2 t2 target extra\n", ":2: unknown trial label 'bogus'"),
+        ("e1 t1 target\ne2 t2 target extra\ne1 t2 bogus\n", f":2: {FIELDS} 4 fields"),
+        ("e1 t1 target\ne1 t2 nontarget\ne2 t3 Target\n", ":3: unknown trial label 'Target'"),
+    ],
+)
+def test_trial_list_error_names_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "trials.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        corpus.parse_trial_list(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b 1.0\n\na b x\na b c d\n", ":3: bad score 'x'"),
+        ("a b 1.0\n\na b c d\na b x\n", ":3: expected 'enroll test score'"),
+        ("a b 1.0\na b 2.0\na b\n", ":3: expected 'enroll test score'"),
+        ("a b 1.0\na b 2.0\na b 1,5\n", ":3: bad score '1,5'"),
+    ],
+)
+def test_score_file_error_names_the_first_bad_line(tmp_path, text, message):
+    path = tmp_path / "scores.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError) as err:
+        corpus.read_scores(path)
+    assert str(err.value) == f"{path}{message}"
+
+
+def test_score_file_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "scores.txt"
+    path.write_text("\na b 1.5\n\n#c d -inf\n")
+    tl, scores = corpus.read_scores(path)
+    assert list(zip(tl.enroll, tl.test, tl.labels)) == [("a", "b", None), ("#c", "d", None)]
+    assert scores.tolist() == [1.5, -np.inf]

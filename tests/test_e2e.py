@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,39 @@ def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer
     after = system.trainable_parameters()
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_training_that_keeps_its_initialization_says_so(
+    tiny_system, small_corpus, trainer, caplog
+):
+    # with lr 0 no epoch can beat the initialization on dev
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
+    schedule = e2e.TrainSchedule(
+        n_pairs=2, lr=0.0, epoch_batches=1, max_epochs=2,
+        objective=dplda.ObjectiveConfig(p_target=0.1),
+    )
+    train = getattr(e2e, trainer)
+    with caplog.at_level(logging.INFO, logger="svpipe.e2e"):
+        _, history = train(system, small_corpus, schedule, np.random.default_rng(0))
+    init_c = history[0].dev_c_primary
+    assert [r.dev_c_primary for r in history] == [init_c] * 3
+    kept = [m for m in caplog.messages if m.startswith("kept ")]
+    assert kept == [f"kept the initialization (epoch 0): dev C_primary {init_c:.6f}"]
+
+
+def test_training_names_the_epoch_it_keeps(tiny_system, small_corpus, caplog, monkeypatch):
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
+    schedule = e2e.TrainSchedule(
+        n_pairs=2, lr=1e-3, epoch_batches=1, max_epochs=3,
+        objective=dplda.ObjectiveConfig(p_target=0.1),
+    )
+    dev_costs = iter([0.5, 0.6, 0.25, 0.3])
+    monkeypatch.setattr(e2e, "_dev_metrics", lambda *args: (0.1, next(dev_costs)))
+    with caplog.at_level(logging.INFO, logger="svpipe.e2e"):
+        e2e.train_joint_s2i_dplda(system, small_corpus, schedule, np.random.default_rng(0))
+    kept = [m for m in caplog.messages if m.startswith("kept ")]
+    assert kept == ["kept epoch 2: dev C_primary 0.250000"]
 
 
 def test_e2e_loss_decreases_over_fixed_batch(tiny_system, small_corpus):
