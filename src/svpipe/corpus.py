@@ -70,10 +70,6 @@ class Corpus:
             raise InputError(f"unknown split {name!r}")
         return [u for u in self.utterances if u.split == name]
 
-    def speakers(self, split=None):
-        utts = self.utterances if split is None else self.split(split)
-        return sorted({u.speaker for u in utts})
-
     def by_id(self):
         return {u.uid: u for u in self.utterances}
 

@@ -286,10 +286,6 @@ class PairPool:
     groups: list[np.ndarray]
     source: dict
 
-    @property
-    def n_remaining(self):
-        return len(self.groups)
-
 
 def make_pair_pool(utts_by_speaker, rng) -> PairPool:
     """Randomly group each speaker's utterances into pairs.

@@ -39,7 +39,7 @@ from .dplda import (
 from .errors import ConfigError, InputError, ShapeError
 from .frontend import context_expand, stmvn
 from .gmm import DiagGmm, sufficient_stats
-from .ivecnet import IvecNet, PcaModel, map_supervector, map_supervectors, pca_project
+from .ivecnet import IvecNet, PcaModel, map_supervectors, pca_project
 from .metrics import ScoredTrials, c_primary, eer
 from .statsnet import StatsNet, pooled_stats, pooled_stats_backward
 
@@ -156,10 +156,10 @@ def pca_coords(system: E2eSystem, features_list):
     rows = []
     for features in features_list:
         norm, expanded = preprocess(system, features)
-        stats = pooled_stats(system.stats_net, expanded, norm)
-        supervector = map_supervector(system.ubm, stats, system.relevance)
+        n, f = pooled_stats(system.stats_net, expanded, norm)
+        supervector = map_supervectors(system.ubm, n[None], f[None], system.relevance)
         rows.append(pca_project(system.pca, supervector))
-    return np.stack(rows)
+    return np.concatenate(rows)
 
 
 def embed_coords(system: E2eSystem, coords):
@@ -185,35 +185,35 @@ def _system_grads(system, features_list, loss_fn, keep_caches):
     if not features_list:
         raise InputError("empty utterance batch")
     net = system.stats_net.net
+    n = np.empty((len(features_list), system.ubm.n_components))
+    f = np.empty((len(features_list), system.ubm.n_components, system.ubm.dim))
     norms = []
     expanded_list = []
-    stats_list = []
     caches = []
-    for features in features_list:
+    for u, features in enumerate(features_list):
         norm, expanded = preprocess(system, features)
         acts = netcore.forward(net, expanded)
-        stats_list.append(sufficient_stats(acts[-1], norm))
+        n[u], f[u] = sufficient_stats(acts[-1], norm)
         norms.append(norm)
         expanded_list.append(expanded)
         caches.append(acts if keep_caches else None)
         del acts
 
-    supervectors = map_supervectors(system.ubm, stats_list, system.relevance)
+    supervectors = map_supervectors(system.ubm, n, f, system.relevance)
     coords = pca_project(system.pca, supervectors)
     ivec_acts = netcore.forward(system.ivec_net.net, coords)
     loss, d_emb = loss_fn(ivec_acts[-1])
     ivec_grads, d_coords = netcore.backward(system.ivec_net.net, ivec_acts, d_emb)
-    d_super = d_coords @ system.pca.basis.T
 
-    c, d = system.ubm.n_components, system.ubm.dim
+    # adjoint of the MAP supervectors (f + r m) / (n + r), every utterance at once
+    d_sv = (d_coords @ system.pca.basis.T).reshape(f.shape)
+    denom = n + system.relevance
+    d_f = d_sv / denom[:, :, None]
+    d_n = -(d_sv * supervectors.reshape(f.shape)).sum(axis=2) / denom
     stats_grads = [np.zeros_like(p) for p in net.parameters()]
     for u in range(len(features_list)):
-        d_sv = d_super[u].reshape(c, d)
-        denom = stats_list[u].n + system.relevance
-        d_f = d_sv / denom[:, None]
-        d_n = -(d_sv * supervectors[u].reshape(c, d)).sum(axis=1) / denom
         acts = caches[u] if keep_caches else netcore.forward(net, expanded_list[u])
-        grads_u = pooled_stats_backward(system.stats_net, acts, norms[u], d_n, d_f)
+        grads_u = pooled_stats_backward(system.stats_net, acts, norms[u], d_n[u], d_f[u])
         del acts
         for g, gu in zip(stats_grads, grads_u):
             g += gu

@@ -9,11 +9,11 @@ float64 little-endian payload}. Tensor names must be unique.
 
 Model naming rule (to_tensors / from_tensors): a dataclass is one tensor
 per field, named prefix + field name, in field order. An int or float field
-is a rank-0 tensor, read back through the field's annotation; a field whose
-type is itself a dataclass nests under "<prefix><field>.". A class that
+is a rank-0 tensor, read back through the field's annotation. A class that
 defines its own to_tensors(prefix) / from_tensors(tensors, prefix) pair
-writes and reads itself. read_container returns a Container, whose lookup
-of a missing name is a FormatError naming the file and the tensor, so a
+writes and reads itself; the assembled system nests its stages that way,
+under "<field>.". read_container returns a Container, whose lookup of a
+missing name is a FormatError naming the file and the tensor, so a
 model file of the wrong kind or from another corpus fails as a format error.
 
 Every writer goes through _atomic_open: the bytes land in a temporary file
@@ -224,12 +224,7 @@ def to_tensors(model, prefix=""):
     tensors = {}
     for name, kind in _fields(type(model)):
         value = getattr(model, name)
-        if dataclasses.is_dataclass(kind):
-            tensors.update(to_tensors(value, f"{prefix}{name}."))
-        elif kind in (int, float):
-            tensors[prefix + name] = np.float64(value)
-        else:
-            tensors[prefix + name] = value
+        tensors[prefix + name] = np.float64(value) if kind in (int, float) else value
     return tensors
 
 
@@ -240,10 +235,5 @@ def from_tensors(cls, tensors, prefix=""):
     values = {}
     for name, kind in _fields(cls):
         key = prefix + name
-        if dataclasses.is_dataclass(kind):
-            values[name] = from_tensors(kind, tensors, f"{key}.")
-        elif kind in (int, float):
-            values[name] = read_scalar(tensors, key, kind)
-        else:
-            values[name] = tensors[key]
+        values[name] = read_scalar(tensors, key, kind) if kind in (int, float) else tensors[key]
     return cls(**values)

@@ -48,14 +48,6 @@ class DiagGmm:
         return self.means.shape[1]
 
 
-@dataclass
-class SuffStats:
-    """Per-utterance statistics: soft counts n (C,) and weighted sums f (C, D)."""
-
-    n: np.ndarray
-    f: np.ndarray
-
-
 def log_densities(g: DiagGmm, frames):
     """Per-frame log(weight * component density), shape (T, C)."""
     frames = np.asarray(frames, dtype=np.float64)
@@ -101,7 +93,7 @@ def _logsumexp_rows(x):
 
 
 def sufficient_stats(resp, frames):
-    """Accumulate zeroth/first order statistics from responsibilities.
+    """One utterance's zeroth/first order statistics (n (C,), f (C, D)).
 
     n_c = sum_t resp[t, c]; f_c = sum_t resp[t, c] * x_t. This is the exact
     classic accumulation, so swapping in predicted responsibilities leaves
@@ -115,7 +107,7 @@ def sufficient_stats(resp, frames):
         raise InputError("responsibility rows do not align with frames")
     if (resp < 0).any():
         raise InputError("negative responsibilities")
-    return SuffStats(resp.sum(axis=0), resp.T @ frames)
+    return resp.sum(axis=0), resp.T @ frames
 
 
 def train_ubm(frames, n_components, n_iters, floor_frac, seed):

@@ -14,25 +14,24 @@ import numpy as np
 
 from . import netcore
 from .errors import InputError, ShapeError
-from .gmm import DiagGmm, SuffStats
+from .gmm import DiagGmm
 
 
-def map_supervector(ubm: DiagGmm, stats: SuffStats, relevance):
-    """Relevance-MAP adapted mean supervector, component-major layout.
+def map_supervectors(ubm: DiagGmm, n, f, relevance):
+    """Relevance-MAP adapted mean supervectors, one component-major row per utterance.
 
-    Per component: (f_c + r * m_c) / (n_c + r). Zero counts fall back to the
+    Counts n (M, C) and sums f (M, C, D) give, per utterance and component,
+    (f_c + r * m_c) / (n_c + r): (M, C*D). Zero counts fall back to the
     background means; large counts approach the data means.
     """
     if relevance <= 0.0:
         raise InputError("relevance factor must be positive")
-    if stats.n.shape != (ubm.n_components,) or stats.f.shape != ubm.means.shape:
+    n = np.asarray(n, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    if n.shape[1:] != (ubm.n_components,) or f.shape != n.shape + (ubm.dim,):
         raise ShapeError("statistics do not match the background model")
-    adapted = (stats.f + relevance * ubm.means) / (stats.n + relevance)[:, None]
-    return adapted.ravel()
-
-
-def map_supervectors(ubm, stats_list, relevance):
-    return np.stack([map_supervector(ubm, s, relevance) for s in stats_list])
+    adapted = (f + relevance * ubm.means) / (n + relevance)[:, :, None]
+    return adapted.reshape(n.shape[0], -1)
 
 
 @dataclass
@@ -72,13 +71,11 @@ def fit_pca(supervectors, n_dims) -> PcaModel:
 
 
 def pca_project(pca: PcaModel, supervectors):
+    """PCA coordinates (M, P) of a matrix of supervector rows (M, C*D)."""
     supervectors = np.asarray(supervectors, dtype=np.float64)
-    single = supervectors.ndim == 1
-    rows = np.atleast_2d(supervectors)
-    if rows.shape[1] != pca.mean.shape[0]:
-        raise ShapeError("supervector dimension does not match the PCA")
-    out = (rows - pca.mean) @ pca.basis
-    return out[0] if single else out
+    if supervectors.ndim != 2 or supervectors.shape[1] != pca.mean.shape[0]:
+        raise ShapeError("supervectors do not match the PCA")
+    return (supervectors - pca.mean) @ pca.basis
 
 
 @dataclass

@@ -49,18 +49,16 @@ class TvModel:
         return self.t.reshape(self.n_components, self.dim, self.ivec_dim)
 
 
-def _centered_stats(ubm: DiagGmm, stats_list):
-    """Stacked counts (M, C) and centered first-order statistics (M, C, D)."""
-    if not stats_list:
+def _centered_stats(ubm: DiagGmm, n, f):
+    """Counts n (M, C) and first-order statistics f (M, C, D) centered on the UBM means."""
+    n = np.asarray(n, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    if not n.size:
         raise InputError("no statistics")
-    c, d = ubm.n_components, ubm.dim
-    for s in stats_list:
-        if s.n.shape != (c,) or s.f.shape != (c, d):
-            raise ShapeError("statistics do not match the background model")
-        if not (np.isfinite(s.n).all() and np.isfinite(s.f).all()):
-            raise InputError("non-finite statistics")
-    n = np.stack([s.n for s in stats_list])  # (M, C)
-    f = np.stack([s.f for s in stats_list])  # (M, C, D)
+    if n.shape[1:] != (ubm.n_components,) or f.shape != n.shape + (ubm.dim,):
+        raise ShapeError("statistics do not match the background model")
+    if not (np.isfinite(n).all() and np.isfinite(f).all()):
+        raise InputError("non-finite statistics")
     return n, f - n[:, :, None] * ubm.means[None, :, :]
 
 
@@ -79,14 +77,14 @@ def _posterior(model: TvModel, ubm: DiagGmm, n, f_cent):
     return precision, proj, w
 
 
-def train_tv(stats_list, ubm: DiagGmm, ivec_dim, n_iters, seed):
-    """EM for the total-variability model.
+def train_tv(n, f, ubm: DiagGmm, ivec_dim, n_iters, seed):
+    """EM for the total-variability model on counts n (M, C) and sums f (M, C, D).
 
     Returns (model, elbo_history); elbo_history[i] is the per-corpus evidence
     (up to a T-independent constant) of the model entering iteration i, which
     plain EM makes non-decreasing.
     """
-    n, f_cent = _centered_stats(ubm, stats_list)
+    n, f_cent = _centered_stats(ubm, n, f)
     c, d = ubm.n_components, ubm.dim
     rng = np.random.default_rng(seed)
     scale = 0.1 * np.sqrt(ubm.vars.mean())
@@ -113,13 +111,13 @@ def train_tv(stats_list, ubm: DiagGmm, ivec_dim, n_iters, seed):
     return model, history
 
 
-def extract_ivectors(tv: TvModel, ubm: DiagGmm, stats_list):
-    """Posterior means of the latent factor, one row per utterance: (M, R).
+def extract_ivectors(tv: TvModel, ubm: DiagGmm, n, f):
+    """Posterior means of the latent factor, one row per row of n and f: (M, R).
 
     w = (I + T' Sigma^-1 N T)^-1 T' Sigma^-1 (f - N m), from the posterior
     train_tv's E-step computes.
     """
-    return _posterior(tv, ubm, *_centered_stats(ubm, stats_list))[2]
+    return _posterior(tv, ubm, *_centered_stats(ubm, n, f))[2]
 
 
 def lengthnorm(x):

@@ -8,7 +8,6 @@ rebinds a module attribute, such as a tracer, sees every call.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,15 @@ def _int_at_least(low):
         if n < low:
             raise ValueError(f"must be >= {low}")
         return n
+
+    return parse
+
+
+def _one_of(*choices):
+    def parse(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return value
 
     return parse
 
@@ -87,7 +95,7 @@ DEFAULTS = {
     "ivecnet.l1": ("1e-5", float),
     "ivecnet.epochs": ("120", _count),
     "ivecnet.batch": ("32", _size),
-    "ivecnet.stats_source": ("statsnet", str),
+    "ivecnet.stats_source": ("statsnet", _one_of("statsnet", "ubm")),
     "ivecnet.relevance": ("16", float),
     # joint and end-to-end training
     "joint.pairs": ("50", _size),
@@ -102,7 +110,7 @@ DEFAULTS = {
     "e2e.lr": ("1e-4", float),
     "e2e.lambda_init": ("1e-2", float),
     # scoring / evaluation
-    "score.backend": ("plda", str),
+    "score.backend": ("plda", _one_of("plda", "dplda", "e2e")),
     "score.trials": ("", str),
     "eval.scores": ("", str),
     "eval.trials": ("", str),
@@ -161,13 +169,6 @@ class Config:
         return self.workdir / name
 
 
-def _map_over(items, fn, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _stacked_rows(utts, blocks_of):
     """Stack per-utterance row blocks into preallocated matrices.
 
@@ -195,6 +196,23 @@ def _stacked_rows(utts, blocks_of):
             dest[lo:hi] = block
         lo = hi
     return out
+
+
+def _stacked_stats(cfg, utts, frame_rate, n_components, stats_of):
+    """stats_of(normalized features) of each utterance, stacked: n (M, C), f (M, C, D).
+
+    Both matrices are allocated before the first utterance and filled row by
+    row. Stacking a per-utterance list after the loop instead fragments the
+    heap of a long-lived process (measured: +9 MB peak RSS per in-process
+    classic pass).
+    """
+    if not utts:
+        raise InputError("no statistics")
+    n = np.empty((len(utts), n_components))
+    f = np.empty((len(utts), n_components, utts[0].features.shape[1]))
+    for i, utt in enumerate(utts):
+        n[i], f[i] = stats_of(_normalized(cfg, utt.features, frame_rate))
+    return n, f
 
 
 def _normalized(cfg, features, frame_rate):
@@ -242,28 +260,28 @@ def train_ubm(cfg, frames):
     )
 
 
-def utterance_stats(cfg, ubm, utts, frame_rate, threads=1):
-    """Background-model statistics of every utterance, by uid, in utts order."""
+def utterance_stats(cfg, ubm, utts, frame_rate):
+    """Background-model statistics of utts in their order: n (M, C), f (M, C, D)."""
 
-    def one(utt):
-        norm = _normalized(cfg, utt.features, frame_rate)
+    def stats_of(norm):
         return gmm.sufficient_stats(gmm.responsibilities(ubm, norm), norm)
 
-    return dict(zip([u.uid for u in utts], _map_over(utts, one, threads)))
+    return _stacked_stats(cfg, utts, frame_rate, ubm.n_components, stats_of)
 
 
-def train_tv(cfg, ubm, stats_list):
+def train_tv(cfg, ubm, n, f):
     return ivector.train_tv(
-        stats_list, ubm, cfg.get("tv.dim"), n_iters=cfg.get("tv.iters"), seed=cfg.seed
+        n, f, ubm, cfg.get("tv.dim"), n_iters=cfg.get("tv.iters"), seed=cfg.seed
     )
 
 
-def extract_ivectors(cfg, tv, ubm, utts, stats):
+def extract_ivectors(cfg, tv, ubm, utts, n, f):
     """The prep fitted on the train utterances and every prepped i-vector, by uid.
 
-    The i-vectors come from one batched solve of train_tv's E-step posterior.
+    Row i of the statistics n and f belongs to utts[i]. The i-vectors come
+    from one batched solve of train_tv's E-step posterior.
     """
-    raw = ivector.extract_ivectors(tv, ubm, [stats[u.uid] for u in utts])
+    raw = ivector.extract_ivectors(tv, ubm, n, f)
     train = [i for i, u in enumerate(utts) if u.split == "train"]
     prep = ivector.fit_prep(raw[train], [utts[i].speaker for i in train], cfg.get("prep.dim"))
     return prep, dict(zip([u.uid for u in utts], ivector.prep_apply(prep, raw)))
@@ -310,23 +328,23 @@ def train_stats_net(cfg, frames, targets):
     return statsnet.train_stats_net(net, frames, targets, _sgd_schedule(cfg, "statsnet", 0.0))
 
 
-def fit_pca(cfg, ubm, stats_list):
-    supervectors = ivecnet.map_supervectors(ubm, stats_list, cfg.get("ivecnet.relevance"))
+def fit_pca(cfg, ubm, n, f):
+    supervectors = ivecnet.map_supervectors(ubm, n, f, cfg.get("ivecnet.relevance"))
     return ivecnet.fit_pca(supervectors, cfg.get("pca.dim"))
 
 
 def net_stats(cfg, stats_net, utts, frame_rate):
-    """Statistics of utts pooled from the statistics network's posteriors."""
-    out = []
-    for utt in utts:
-        norm = _normalized(cfg, utt.features, frame_rate)
-        out.append(statsnet.pooled_stats(stats_net, _expanded(cfg, norm), norm))
-    return out
+    """Statistics of utts pooled from the statistics network's posteriors, stacked."""
+
+    def stats_of(norm):
+        return statsnet.pooled_stats(stats_net, _expanded(cfg, norm), norm)
+
+    return _stacked_stats(cfg, utts, frame_rate, stats_net.n_components, stats_of)
 
 
-def train_ivec_net(cfg, ubm, pca, stats_list, refs):
-    """The embedding net trained to map stats_list to the reference vectors refs."""
-    supervectors = ivecnet.map_supervectors(ubm, stats_list, cfg.get("ivecnet.relevance"))
+def train_ivec_net(cfg, ubm, pca, n, f, refs):
+    """The embedding net trained to map the statistics n, f to the reference vectors refs."""
+    supervectors = ivecnet.map_supervectors(ubm, n, f, cfg.get("ivecnet.relevance"))
     inputs = ivecnet.pca_project(pca, supervectors)
     net = ivecnet.make_ivec_net(
         inputs.shape[1], refs.shape[1], cfg.get("ivecnet.hidden"), seed=cfg.seed

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import netcore
 from .errors import InputError, ShapeError
-from .gmm import SuffStats, sufficient_stats
+from .gmm import sufficient_stats
 
 _PRED_CLIP = 1e-12
 
@@ -85,8 +85,8 @@ def predict_responsibilities(net: StatsNet, expanded):
     return netcore.forward(net.net, expanded)[-1]
 
 
-def pooled_stats(net: StatsNet, expanded, raw) -> SuffStats:
-    """Statistics from predicted responsibilities and the raw features.
+def pooled_stats(net: StatsNet, expanded, raw):
+    """Statistics (n (C,), f (C, D)) from predicted responsibilities and the raw features.
 
     Exactly the classic accumulation with the softmax outputs standing in
     for background-model posteriors; raw and expanded must share their

@@ -83,10 +83,11 @@ def _run_desk_chain(seed):
     out = {"corpus": corp}
 
     ubm, ubm_ll = recipe.train_ubm(cfg, recipe.ubm_frames(cfg, train, rate))
-    stats = recipe.utterance_stats(cfg, ubm, corp.utterances, rate)
-    train_stats = [stats[u.uid] for u in train]
-    tv, tv_elbo = recipe.train_tv(cfg, ubm, train_stats)
-    prep, prepped = recipe.extract_ivectors(cfg, tv, ubm, corp.utterances, stats)
+    n, f = recipe.utterance_stats(cfg, ubm, corp.utterances, rate)
+    train_rows = [i for i, u in enumerate(corp.utterances) if u.split == "train"]
+    train_n, train_f = n[train_rows], f[train_rows]
+    tv, tv_elbo = recipe.train_tv(cfg, ubm, train_n, train_f)
+    prep, prepped = recipe.extract_ivectors(cfg, tv, ubm, corp.utterances, n, f)
     train_vecs = np.stack([prepped[u.uid] for u in train])
     dev_vecs = np.stack([prepped[u.uid] for u in dev])
     plda_model, plda_ll = recipe.train_plda(cfg, train_vecs, train_spk)
@@ -102,9 +103,9 @@ def _run_desk_chain(seed):
     # neural cascade: statistics net on background-model posteriors, PCA of
     # background-model supervectors, embedding net mimicking the i-vectors
     snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
-    pca = recipe.fit_pca(cfg, ubm, train_stats)
+    pca = recipe.fit_pca(cfg, ubm, train_n, train_f)
     ivnet, _ = recipe.train_ivec_net(
-        cfg, ubm, pca, recipe.net_stats(cfg, snet, train, rate), train_vecs
+        cfg, ubm, pca, *recipe.net_stats(cfg, snet, train, rate), train_vecs
     )
     system, coords, emb_train = recipe.assemble_cascade(
         cfg, snet, ubm, pca, ivnet, train, rate
@@ -197,7 +198,8 @@ def _make_ckpt_system(seed):
     fc = e2e.FrontendConfig(window_s=0.5, frame_rate_hz=100.0, context=4, n_dct=3)
     snet = statsnet.make_stats_net(6 * 3, 4, hidden=(10,), seed=seed)
     stats = [gmm.sufficient_stats(gmm.responsibilities(ubm, x), x) for x in norm]
-    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, stats, 16.0), 8)
+    n, f = map(np.stack, zip(*stats))
+    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, n, f, 16.0), 8)
     ivnet = ivecnet.make_ivec_net(8, 5, hidden=(7,), seed=seed + 1)
     params = dplda.DpldaParams(
         0.3 * rng.standard_normal((5, 5)),
@@ -294,8 +296,8 @@ def test_criterion_3_gradient_suite():
         d_f = rng.standard_normal((3, 2))
 
         def stats_loss():
-            s = statsnet.pooled_stats(snet, expanded, raw)
-            return float((s.n * d_n).sum() + (s.f * d_f).sum())
+            n, f = statsnet.pooled_stats(snet, expanded, raw)
+            return float((n * d_n).sum() + (f * d_f).sum())
 
         acts = netcore.forward(snet.net, expanded)
         grads = statsnet.pooled_stats_backward(snet, acts, raw, d_n, d_f)
@@ -333,7 +335,7 @@ def test_criterion_4_stats_layer_exactness():
         raw = rng.standard_normal((60, 3))
         resp = gmm.responsibilities(ubm, raw)
         # pooling with the background-model responsibilities substituted in
-        pooled = gmm.sufficient_stats(resp, raw)
+        pooled_n, pooled_f = gmm.sufficient_stats(resp, raw)
         # independent accumulation loop
         n = np.zeros(5)
         f = np.zeros((5, 3))
@@ -341,15 +343,15 @@ def test_criterion_4_stats_layer_exactness():
             for c in range(5):
                 n[c] += resp[t, c]
                 f[c] += resp[t, c] * raw[t]
-        assert max_rel_err(pooled.n, n) < 1e-12
-        assert max_rel_err(pooled.f, f) < 1e-12
+        assert max_rel_err(pooled_n, n) < 1e-12
+        assert max_rel_err(pooled_f, f) < 1e-12
         # conservation for arbitrary untrained networks
         for seed in range(4):
             net = statsnet.make_stats_net(6, 5, hidden=(7, 7), seed=seed)
             expanded = rng.standard_normal((40, 6))
-            stats = statsnet.pooled_stats(net, expanded, raw[:40])
-            assert abs(stats.n.sum() - 40.0) < 1e-10
-            assert np.abs(stats.f.sum(axis=0) - raw[:40].sum(axis=0)).max() < 1e-10
+            n, f = statsnet.pooled_stats(net, expanded, raw[:40])
+            assert abs(n.sum() - 40.0) < 1e-10
+            assert np.abs(f.sum(axis=0) - raw[:40].sum(axis=0)).max() < 1e-10
 
 
 def test_criterion_5_sampler_laws():
@@ -359,7 +361,7 @@ def test_criterion_5_sampler_laws():
         utts = {f"s{i}": list(range(10 * i, 10 * i + 10)) for i in range(6)}
         pool = dplda.make_pair_pool(utts, rng)
         drawn = []
-        while pool.n_remaining:
+        while pool.groups:
             drawn.extend(dplda.draw_groups(pool, 1, rng).tolist())
         assert sorted(drawn) == list(range(60))
         # group-size semantics for 1- and 5-utterance speakers

@@ -148,6 +148,59 @@ def test_dplda_scores_match_library(workdir):
     assert np.isfinite(scores).all()
 
 
+def test_train_s2i_on_background_model_stats(workdir, tmp_path):
+    # ivecnet.stats_source=ubm trains on stats.svm instead of the statistics
+    # network: the written net equals the recipe's on the classic statistics
+    # computed in memory, and statsnet.svm is never read
+    from svpipe import cli, gmm, ivecnet, recipe
+    from svpipe.corpus import load_corpus
+    from svpipe.fileio import from_tensors, read_container, to_tensors
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    (work / "statsnet.svm").unlink()
+    override = tmp_path / "ubm-stats.cfg"
+    override.write_text(cfg.read_text() + "ivecnet.stats_source=ubm\n")
+    result = run_cli("--config", str(override), "--workdir", str(work), "train-s2i")
+    assert result.returncode == 0, result.stderr
+
+    values = cli.Config(cli.load_config(override), workdir=work)
+    corpus = load_corpus(work / "corpus")
+    train = corpus.split("train")
+    ubm = from_tensors(gmm.DiagGmm, read_container(work / "ubm.svm"))
+    pca = from_tensors(ivecnet.PcaModel, read_container(work / "pca.svm"))
+    vectors = read_container(work / "ivec.svm")
+    n, f = recipe.utterance_stats(values, ubm, train, corpus.frame_rate_hz)
+    refs = np.stack([vectors[u.uid] for u in train])
+    expected = to_tensors(recipe.train_ivec_net(values, ubm, pca, n, f, refs)[0])
+    written = read_container(work / "ivecnet.svm")
+    assert sorted(written) == sorted(expected)
+    for key, value in expected.items():
+        assert np.array_equal(written[key], value), key
+
+
+@pytest.mark.parametrize("stage, output", [("train-dplda", "dplda.svm"), ("score", "scores.txt")])
+def test_numerical_failure_exit_code_writes_nothing(workdir, tmp_path, stage, output):
+    # a plda.svm whose within-class covariance is not positive definite: the
+    # conversion to the quadratic backend and PLDA scoring both fail
+    # numerically (exit 4) before writing anything
+    from svpipe.fileio import read_container, write_container
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    (work / output).unlink(missing_ok=True)
+    tensors = read_container(work / "plda.svm")
+    tensors["within"] = -np.eye(tensors["within"].shape[0])
+    write_container(work / "plda.svm", tensors)
+    result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
+    assert result.returncode == 4, result.stderr
+    assert result.stderr.count("numerical failure:") == 1
+    assert "Traceback" not in result.stderr
+    assert not (work / output).exists()
+
+
 # feature files each stage reads: every utterance of the named splits, or of the trial list
 @pytest.mark.parametrize(
     "stage, reads",
@@ -288,6 +341,42 @@ def test_non_finite_stats_exit_code_writes_nothing(workdir, tmp_path):
     assert result.returncode == 3, result.stderr
     assert "non-finite statistics" in result.stderr and "Traceback" not in result.stderr
     assert not (work / "ivec.svm").exists() and not (work / "prep.svm").exists()
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("ragged", "stats.svm: statistics differ in shape between utterances"),
+        ("mismatched", "statistics do not match the background model"),
+        ("empty", "no statistics"),
+    ],
+)
+def test_ragged_mismatched_or_empty_stats_exit_code(workdir, tmp_path, defect, message):
+    # statistics are stacked once as they are read; one utterance's rows of
+    # another shape, rows that do not fit the background model, or a train
+    # split without utterances are data errors (exit 3), never a traceback
+    from svpipe.fileio import read_container, write_container
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    tensors = read_container(work / "stats.svm")
+    sums = [name for name in tensors if name.endswith(".f")]
+    widened = {"ragged": sums[:1], "mismatched": sums, "empty": []}[defect]
+    for name in widened:  # one more feature dimension
+        tensors[name] = np.concatenate([tensors[name], tensors[name][:, :1]], axis=1)
+    write_container(work / "stats.svm", tensors)
+    if defect == "empty":  # one speaker: every utterance lands outside the train split
+        one_speaker = tmp_path / "one.cfg"
+        one_speaker.write_text(cfg.read_text() + "corpus.speakers=1\n")
+        result = run_cli("--config", str(one_speaker), "--workdir", str(work), "synth-data")
+        assert result.returncode == 0, result.stderr
+    for stage, output in [("train-tv", "tv.svm"), ("fit-pca", "pca.svm")]:
+        (work / output).unlink()
+        result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
+        assert result.returncode == 3, result.stderr
+        assert message in result.stderr and "Traceback" not in result.stderr
+        assert not (work / output).exists()
 
 
 @pytest.mark.parametrize(
@@ -461,19 +550,19 @@ def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     train = corpus.split("train")
     speakers = [u.speaker for u in train]
     ubm, _ = recipe.train_ubm(cfg, recipe.ubm_frames(cfg, train, rate))
-    stats = recipe.utterance_stats(cfg, ubm, corpus.utterances, rate)
-    train_stats = [stats[u.uid] for u in train]
-    tv, _ = recipe.train_tv(cfg, ubm, train_stats)
-    prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, corpus.utterances, stats)
+    n, f = recipe.utterance_stats(cfg, ubm, corpus.utterances, rate)
+    train_rows = [i for i, u in enumerate(corpus.utterances) if u.split == "train"]
+    tv, _ = recipe.train_tv(cfg, ubm, n[train_rows], f[train_rows])
+    prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, corpus.utterances, n, f)
     train_vecs = np.stack([vectors[u.uid] for u in train])
     plda_model, _ = recipe.train_plda(cfg, train_vecs, speakers)
     dplda_params, _ = recipe.train_dplda(
         cfg, plda.to_dplda(plda_model), train_vecs, speakers
     )
     snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
-    pca = recipe.fit_pca(cfg, ubm, train_stats)
+    pca = recipe.fit_pca(cfg, ubm, n[train_rows], f[train_rows])
     ivnet, _ = recipe.train_ivec_net(
-        cfg, ubm, pca, recipe.net_stats(cfg, snet, train, rate), train_vecs
+        cfg, ubm, pca, *recipe.net_stats(cfg, snet, train, rate), train_vecs
     )
     system, coords, embeddings = recipe.assemble_cascade(
         cfg, snet, ubm, pca, ivnet, train, rate
@@ -482,8 +571,8 @@ def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     system, _ = recipe.train_joint(cfg, system, corpus, coords)
 
     stats_tensors = {}
-    for uid, s in stats.items():
-        stats_tensors.update(to_tensors(s, f"{uid}."))
+    for utt, n_u, f_u in zip(corpus.utterances, n, f):
+        stats_tensors.update({f"{utt.uid}.n": n_u, f"{utt.uid}.f": f_u})
     expected = {
         "ubm.svm": to_tensors(ubm),
         "stats.svm": stats_tensors,
@@ -615,15 +704,24 @@ def test_missing_config_file_exit_code(tmp_path):
 
 
 def test_config_values_are_parsed_at_load(tmp_path):
+    # every value, choice-valued keys included, and every line is checked
+    # before the stage runs, so a bad one writes no work directory
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(
-        SMALL_CONFIG.format(workdir=tmp_path / "work") + "ubm.components=abc\n"
-    )
-    result = run_cli("--config", str(cfg), "synth-data")
-    assert result.returncode == 2
-    assert "ubm.components" in result.stderr
-    assert "Traceback" not in result.stderr
-    assert not (tmp_path / "work").exists()
+    base = SMALL_CONFIG.format(workdir=tmp_path / "work")
+    line_of_the_extra = len(base.splitlines()) + 1
+    for extra, named in [
+        ("ubm.components=abc", "ubm.components"),
+        ("score.backend=svm", "score.backend"),
+        ("ivecnet.stats_source=gmm", "ivecnet.stats_source"),
+        ("joint.init_fullbatch=maybe", "joint.init_fullbatch"),
+        ("ubm.components 64", f"{cfg}:{line_of_the_extra}: expected key=value"),
+    ]:
+        cfg.write_text(base + extra + "\n")
+        result = run_cli("--config", str(cfg), "synth-data")
+        assert result.returncode == 2, extra
+        assert named in result.stderr, extra
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "work").exists()
 
 
 def test_negative_seed_flag_exit_code(tmp_path):

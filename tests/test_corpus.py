@@ -20,7 +20,7 @@ def test_same_seed_bit_identical():
 def test_split_discipline(small_corpus):
     seen = {}
     for split in corpus.SPLITS:
-        seen[split] = set(small_corpus.speakers(split))
+        seen[split] = {u.speaker for u in small_corpus.split(split)}
         assert seen[split], f"{split} split is empty"
     assert seen["train"] & seen["dev"] == set()
     assert seen["train"] & seen["eval"] == set()
@@ -36,7 +36,7 @@ def test_pure_speaker_signal_when_noise_and_channel_zero():
                              noise_scale=0.0, nonlinearity=1.0, seed=5,
                              frame_rate_hz=100.0)
     corp = corpus.synth_corpus(cfg)
-    for speaker in corp.speakers():
+    for speaker in {u.speaker for u in corp.utterances}:
         utts = [u for u in corp.utterances if u.speaker == speaker]
         reference = utts[0].features[0]
         for u in utts:

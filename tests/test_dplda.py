@@ -199,9 +199,9 @@ def test_pool_pass_covers_each_utterance_once():
     rng = np.random.default_rng(9)
     utts = {s: list(range(6 * s, 6 * s + 6)) for s in range(5)}
     pool = dplda.make_pair_pool(utts, rng)
-    n_groups = pool.n_remaining
+    n_groups = len(pool.groups)
     drawn = []
-    while pool.n_remaining:
+    while pool.groups:
         drawn.extend(dplda.draw_groups(pool, 1, rng).tolist())
     assert sorted(drawn) == list(range(30))
     assert n_groups == 15
@@ -211,7 +211,7 @@ def test_pool_without_replacement_and_refresh_order():
     rng = np.random.default_rng(10)
     pool = dplda.make_pair_pool({"a": [0, 1], "b": [2, 3], "c": [4, 5]}, rng)
     first = dplda.draw_groups(pool, 2, rng)
-    assert pool.n_remaining == 1
+    assert len(pool.groups) == 1
     leftover = set(pool.groups[0].tolist())
     second = dplda.draw_groups(pool, 2, rng)
     # the remaining group of the old pass comes first, then one regenerated group

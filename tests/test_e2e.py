@@ -18,7 +18,8 @@ def tiny_system(small_corpus):
     width = small_corpus.utterances[0].features.shape[1] * fc.n_dct
     snet = statsnet.make_stats_net(width, 4, hidden=(6,), seed=1)
     stats = [gmm.sufficient_stats(gmm.responsibilities(ubm, x), x) for x in norm]
-    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, stats, 16.0), 10)
+    n, f = map(np.stack, zip(*stats))
+    pca = ivecnet.fit_pca(ivecnet.map_supervectors(ubm, n, f, 16.0), 10)
     ivnet = ivecnet.make_ivec_net(10, 5, hidden=(8,), seed=2)
     params = dplda.DpldaParams(
         0.2 * rng.standard_normal((5, 5)),
@@ -60,9 +61,9 @@ def test_score_matches_stage_by_stage_composition(tiny_system, small_corpus):
     for feats in (a, b):
         norm = frontend.stmvn(feats, fc.window_s, fc.frame_rate_hz)
         expanded = frontend.context_expand(norm, fc.context, fc.n_dct)
-        stats = statsnet.pooled_stats(tiny_system.stats_net, expanded, norm)
-        sv = ivecnet.map_supervector(tiny_system.ubm, stats, tiny_system.relevance)
-        coords = ivecnet.pca_project(tiny_system.pca, sv[None, :])
+        n, f = statsnet.pooled_stats(tiny_system.stats_net, expanded, norm)
+        sv = ivecnet.map_supervectors(tiny_system.ubm, n[None], f[None], tiny_system.relevance)
+        coords = ivecnet.pca_project(tiny_system.pca, sv)
         embeddings.append(netcore.forward(tiny_system.ivec_net.net, coords)[-1][0])
     composed = dplda.dplda_score(tiny_system.dplda, embeddings[0], embeddings[1])
     assert abs(_score(tiny_system, a, b) - composed) < 1e-12

@@ -164,7 +164,6 @@ def _persisted_models():
     )
     return [
         (ubm, ["weights", "means", "vars"]),
-        (gmm.SuffStats(rng.random(2) * 5, rng.standard_normal((2, 3))), ["n", "f"]),
         (ivector.TvModel(rng.standard_normal((6, 2)), 2, 3), ["t", "n_components", "dim"]),
         (ivector.IvecPrep(rng.standard_normal(3), rng.standard_normal((3, 2))), ["mean", "lda"]),
         (plda.TwoCovPlda(rng.standard_normal(3), cov, 2 * cov), ["mu", "between", "within"]),

@@ -90,31 +90,31 @@ def test_sufficient_stats_one_hot_and_conservation():
     assign = [0, 1, 2, 0, 1, 0]
     for t, c in enumerate(assign):
         resp[t, c] = 1.0
-    stats = gmm.sufficient_stats(resp, frames)
-    assert np.array_equal(stats.n, np.array([3.0, 2.0, 1.0]))
+    n, f = gmm.sufficient_stats(resp, frames)
+    assert np.array_equal(n, np.array([3.0, 2.0, 1.0]))
     for c in range(3):
         rows = [t for t, a in enumerate(assign) if a == c]
-        assert np.allclose(stats.f[c], frames[rows].sum(axis=0), atol=1e-15)
+        assert np.allclose(f[c], frames[rows].sum(axis=0), atol=1e-15)
     # sum_c f_c = sum_t x_t for any distribution rows
     soft = rng.random((6, 3))
     soft /= soft.sum(axis=1, keepdims=True)
-    stats = gmm.sufficient_stats(soft, frames)
-    assert np.allclose(stats.f.sum(axis=0), frames.sum(axis=0), atol=1e-12)
+    _, f = gmm.sufficient_stats(soft, frames)
+    assert np.allclose(f.sum(axis=0), frames.sum(axis=0), atol=1e-12)
 
 
 def test_sufficient_stats_matches_loop_oracle():
     rng = np.random.default_rng(7)
     frames = rng.standard_normal((20, 4))
     resp = rng.random((20, 5))
-    stats = gmm.sufficient_stats(resp, frames)
+    stats_n, stats_f = gmm.sufficient_stats(resp, frames)
     n = np.zeros(5)
     f = np.zeros((5, 4))
     for t in range(20):
         for c in range(5):
             n[c] += resp[t, c]
             f[c] += resp[t, c] * frames[t]
-    assert np.allclose(stats.n, n, atol=1e-12)
-    assert np.allclose(stats.f, f, atol=1e-12)
+    assert np.allclose(stats_n, n, atol=1e-12)
+    assert np.allclose(stats_f, f, atol=1e-12)
 
 
 def test_errors():

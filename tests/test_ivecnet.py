@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from svpipe import gmm, ivecnet, ivector, netcore, recipe
-from svpipe.errors import InputError
+from svpipe.errors import InputError, ShapeError
 
 
 def random_ubm(rng, n_components=3, dim=2):
@@ -16,8 +16,8 @@ def random_ubm(rng, n_components=3, dim=2):
 def test_map_zero_counts_give_background_means():
     rng = np.random.default_rng(0)
     ubm = random_ubm(rng)
-    stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)))
-    assert np.array_equal(ivecnet.map_supervector(ubm, stats, 16.0), ubm.means.ravel())
+    sv = ivecnet.map_supervectors(ubm, np.zeros((2, 3)), np.zeros((2, 3, 2)), 16.0)
+    assert np.array_equal(sv, np.tile(ubm.means.ravel(), (2, 1)))
 
 
 def test_map_defaults_and_limit():
@@ -26,8 +26,7 @@ def test_map_defaults_and_limit():
     ubm = random_ubm(rng)
     xbar = rng.standard_normal((3, 2))
     n = np.full(3, 1e6)
-    stats = gmm.SuffStats(n, n[:, None] * xbar)
-    sv = ivecnet.map_supervector(ubm, stats, 16.0).reshape(3, 2)
+    sv = ivecnet.map_supervectors(ubm, n[None], (n[:, None] * xbar)[None], 16.0).reshape(3, 2)
     assert np.abs(sv - xbar).max() < 1e-4
 
 
@@ -36,14 +35,26 @@ def test_map_is_convex_combination_per_component():
     ubm = random_ubm(rng)
     n = np.abs(rng.standard_normal(3)) * 10 + 0.1
     xbar = rng.standard_normal((3, 2))
-    stats = gmm.SuffStats(n, n[:, None] * xbar)
-    sv = ivecnet.map_supervector(ubm, stats, relevance=16.0).reshape(3, 2)
+    f = n[:, None] * xbar
+    sv = ivecnet.map_supervectors(ubm, n[None], f[None], relevance=16.0).reshape(3, 2)
     alpha = (n / (n + 16.0))[:, None]
     assert np.allclose(sv, alpha * xbar + (1 - alpha) * ubm.means, atol=1e-12)
     # coordinate-wise betweenness
     lo = np.minimum(xbar, ubm.means)
     hi = np.maximum(xbar, ubm.means)
     assert ((sv >= lo - 1e-12) & (sv <= hi + 1e-12)).all()
+
+
+def test_map_rejects_statistics_that_do_not_match_the_ubm():
+    ubm = random_ubm(np.random.default_rng(8))
+    for n, f in [
+        (np.ones((2, 2)), np.zeros((2, 2, 2))),  # 2 components, UBM has 3
+        (np.ones((2, 3)), np.zeros((2, 3, 3))),  # dimension 3, UBM has 2
+        (np.ones((1, 3)), np.zeros((2, 3, 2))),  # counts and sums disagree on rows
+        (np.ones(3), np.zeros((3, 2))),  # one utterance, not stacked
+    ]:
+        with pytest.raises(ShapeError):
+            ivecnet.map_supervectors(ubm, n, f, 16.0)
 
 
 def test_pca_exact_subspace_reconstructs():

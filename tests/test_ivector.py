@@ -27,8 +27,8 @@ def test_zero_stats_give_prior_mean():
     rng = np.random.default_rng(1)
     ubm = random_ubm(rng)
     tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
-    stats = gmm.SuffStats(np.zeros(3), np.zeros((3, 2)))
-    assert np.array_equal(ivector.extract_ivectors(tv, ubm, [stats]), np.zeros((1, 2)))
+    n, f = np.zeros((1, 3)), np.zeros((1, 3, 2))
+    assert np.array_equal(ivector.extract_ivectors(tv, ubm, n, f), np.zeros((1, 2)))
 
 
 def test_scalar_case_closed_form():
@@ -36,14 +36,15 @@ def test_scalar_case_closed_form():
     ubm = random_ubm(rng, n_components=2, dim=1)
     t = rng.standard_normal((2, 1))
     tv = ivector.TvModel(t, 2, 1)
-    stats = gmm.SuffStats(np.array([3.0, 1.5]), rng.standard_normal((2, 1)))
-    f_cent = stats.f - stats.n[:, None] * ubm.means
+    n, f = np.array([3.0, 1.5]), rng.standard_normal((2, 1))
+    f_cent = f - n[:, None] * ubm.means
     numer = float((t[:, 0] / ubm.vars[:, 0] * f_cent[:, 0]).sum())
-    denom = 1.0 + float((stats.n * t[:, 0] ** 2 / ubm.vars[:, 0]).sum())
-    assert np.allclose(ivector.extract_ivectors(tv, ubm, [stats]), [[numer / denom]], atol=1e-12)
+    denom = 1.0 + float((n * t[:, 0] ** 2 / ubm.vars[:, 0]).sum())
+    w = ivector.extract_ivectors(tv, ubm, n[None], f[None])
+    assert np.allclose(w, [[numer / denom]], atol=1e-12)
 
 
-def explicit_solve(tv, ubm, stats):
+def explicit_solve(tv, ubm, n, f):
     """Oracle: the precision built with loops and inverted with a different routine."""
     c, d, r = tv.n_components, tv.dim, tv.ivec_dim
     t_bycomp = tv.t.reshape(c, d, r)
@@ -51,50 +52,51 @@ def explicit_solve(tv, ubm, stats):
     proj = np.zeros(r)
     for k in range(c):
         sigma_inv = np.diag(1.0 / ubm.vars[k])
-        precision = precision + stats.n[k] * t_bycomp[k].T @ sigma_inv @ t_bycomp[k]
-        f_cent = stats.f[k] - stats.n[k] * ubm.means[k]
+        precision = precision + n[k] * t_bycomp[k].T @ sigma_inv @ t_bycomp[k]
+        f_cent = f[k] - n[k] * ubm.means[k]
         proj = proj + t_bycomp[k].T @ sigma_inv @ f_cent
     return np.linalg.inv(precision) @ proj
 
 
 def random_stats(rng, n_utts, n_components, dim):
-    """Statistics whose rows have different counts, zero counts included."""
-    out = []
+    """Stacked statistics whose rows have different counts, zero counts included."""
+    pairs = []
     for i in range(n_utts):
         n = np.abs(rng.standard_normal(n_components)) * 4 * (i + 1)
         n[i % n_components] = 0.0
-        out.append(gmm.SuffStats(n, rng.standard_normal((n_components, dim)) * (i + 1)))
-    return out
+        pairs.append((n, rng.standard_normal((n_components, dim)) * (i + 1)))
+    return tuple(map(np.stack, zip(*pairs)))
 
 
 def test_extraction_matches_explicit_solve_oracle():
     rng = np.random.default_rng(3)
     ubm = random_ubm(rng, n_components=3, dim=2)
     tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
-    stats = gmm.SuffStats(np.abs(rng.standard_normal(3)) * 4, rng.standard_normal((3, 2)))
-    expect = explicit_solve(tv, ubm, stats)
-    assert np.allclose(ivector.extract_ivectors(tv, ubm, [stats])[0], expect, rtol=1e-10)
+    n, f = np.abs(rng.standard_normal(3)) * 4, rng.standard_normal((3, 2))
+    expect = explicit_solve(tv, ubm, n, f)
+    assert np.allclose(ivector.extract_ivectors(tv, ubm, n[None], f[None])[0], expect, rtol=1e-10)
 
 
 def test_batch_extraction_matches_explicit_solve_oracle():
     rng = np.random.default_rng(12)
     ubm = random_ubm(rng, n_components=4, dim=3)
     tv = ivector.TvModel(rng.standard_normal((12, 5)), 4, 3)
-    stats = random_stats(rng, 7, 4, 3)
-    w = ivector.extract_ivectors(tv, ubm, stats)
+    n, f = random_stats(rng, 7, 4, 3)
+    w = ivector.extract_ivectors(tv, ubm, n, f)
     assert w.shape == (7, 5)
-    for row, s in zip(w, stats):
-        assert np.allclose(row, explicit_solve(tv, ubm, s), rtol=1e-10)
+    for row, n_u, f_u in zip(w, n, f):
+        assert np.allclose(row, explicit_solve(tv, ubm, n_u, f_u), rtol=1e-10)
 
 
 def test_batch_rows_match_single_utterance_extraction():
     rng = np.random.default_rng(13)
     ubm = random_ubm(rng, n_components=4, dim=3)
     tv = ivector.TvModel(rng.standard_normal((12, 5)), 4, 3)
-    stats = random_stats(rng, 6, 4, 3)
-    w = ivector.extract_ivectors(tv, ubm, stats)
-    for row, s in zip(w, stats):
-        assert np.abs(row - ivector.extract_ivectors(tv, ubm, [s])[0]).max() < 1e-12
+    n, f = random_stats(rng, 6, 4, 3)
+    w = ivector.extract_ivectors(tv, ubm, n, f)
+    for i, row in enumerate(w):
+        single = ivector.extract_ivectors(tv, ubm, n[i : i + 1], f[i : i + 1])
+        assert np.abs(row - single[0]).max() < 1e-12
 
 
 def test_extraction_linear_in_centered_stats():
@@ -107,43 +109,50 @@ def test_extraction_linear_in_centered_stats():
     base = n[:, None] * ubm.means
     combo = base + 0.3 * (f_a - base) + 0.7 * (f_b - base)
     w_a, w_b, w_c = ivector.extract_ivectors(
-        tv, ubm, [gmm.SuffStats(n, f) for f in (f_a, f_b, combo)]
+        tv, ubm, np.stack([n] * 3), np.stack([f_a, f_b, combo])
     )
     assert np.abs(w_c - (0.3 * w_a + 0.7 * w_b)).max() < 1e-10
+
+
+_NAN_COUNT = np.ones((4, 3))
+_NAN_COUNT[2, 1] = np.nan
+_INF_SUM = np.zeros((4, 3, 2))
+_INF_SUM[3, 1, 0] = np.inf
 
 
 @pytest.mark.parametrize(
     "bad, error",
     [
-        (gmm.SuffStats(np.ones(2), np.zeros((2, 2))), ShapeError),
-        (gmm.SuffStats(np.ones(3), np.zeros((3, 3))), ShapeError),
-        (gmm.SuffStats(np.array([1.0, np.nan, 1.0]), np.zeros((3, 2))), InputError),
-        (gmm.SuffStats(np.ones(3), np.array([[0.0, 0.0], [np.inf, 0.0], [0.0, 0.0]])), InputError),
+        ((np.ones((4, 2)), np.zeros((4, 2, 2))), ShapeError),  # 2 components, UBM has 3
+        ((np.ones((4, 3)), np.zeros((4, 3, 3))), ShapeError),  # dimension 3, UBM has 2
+        ((_NAN_COUNT, np.zeros((4, 3, 2))), InputError),
+        ((np.ones((4, 3)), _INF_SUM), InputError),
+        ((np.ones((3, 3)), np.zeros((4, 3, 2))), ShapeError),  # counts and sums disagree on rows
+        ((np.ones(3), np.zeros((3, 2))), ShapeError),  # one utterance, not stacked
     ],
 )
 def test_bad_stats_raise_from_training_and_extraction(bad, error):
     rng = np.random.default_rng(14)
     ubm = random_ubm(rng)
     tv = ivector.TvModel(rng.standard_normal((6, 2)), 3, 2)
-    stats = random_stats(rng, 3, 3, 2) + [bad]
     with pytest.raises(error):
-        ivector.train_tv(stats, ubm, 2, n_iters=2, seed=0)
+        ivector.train_tv(*bad, ubm, 2, n_iters=2, seed=0)
     with pytest.raises(error):
-        ivector.extract_ivectors(tv, ubm, stats)
+        ivector.extract_ivectors(tv, ubm, *bad)
 
 
 def synth_stats_from_model(rng, t_true, ubm, n_utts, frames_per_utt=200):
     c, d = ubm.n_components, ubm.dim
     r = t_true.shape[1]
-    stats = []
+    pairs = []
     for _ in range(n_utts):
         w = rng.standard_normal(r)
         shifted_means = ubm.means + (t_true @ w).reshape(c, d)
         n = np.full(c, frames_per_utt / c)
         noise = rng.standard_normal((c, d)) * np.sqrt(ubm.vars * n[:, None])
         f = n[:, None] * shifted_means + noise
-        stats.append(gmm.SuffStats(n, f))
-    return stats
+        pairs.append((n, f))
+    return tuple(map(np.stack, zip(*pairs)))
 
 
 def test_tv_em_monotone_and_subspace_recovery():
@@ -152,8 +161,8 @@ def test_tv_em_monotone_and_subspace_recovery():
         np.full(4, 0.25), rng.standard_normal((4, 2)), np.full((4, 2), 0.3)
     )
     t_true = rng.standard_normal((8, 2))
-    stats = synth_stats_from_model(rng, t_true, ubm, n_utts=150)
-    model, history = ivector.train_tv(stats, ubm, 2, n_iters=10, seed=0)
+    n, f = synth_stats_from_model(rng, t_true, ubm, n_utts=150)
+    model, history = ivector.train_tv(n, f, ubm, 2, n_iters=10, seed=0)
     assert all(b >= a - 1e-6 for a, b in zip(history, history[1:]))
     angles = subspace_angles(model.t, t_true)
     assert np.degrees(angles).max() < 10.0
@@ -163,10 +172,11 @@ def test_zero_count_stats_do_not_move_the_model():
     rng = np.random.default_rng(6)
     ubm = random_ubm(rng, n_components=3, dim=2)
     t_true = rng.standard_normal((6, 2))
-    stats = synth_stats_from_model(rng, t_true, ubm, n_utts=40)
-    with_zero = stats + [gmm.SuffStats(np.zeros(3), np.zeros((3, 2)))]
-    a, _ = ivector.train_tv(stats, ubm, 2, n_iters=3, seed=1)
-    b, _ = ivector.train_tv(with_zero, ubm, 2, n_iters=3, seed=1)
+    n, f = synth_stats_from_model(rng, t_true, ubm, n_utts=40)
+    n_zero = np.concatenate([n, np.zeros((1, 3))])
+    f_zero = np.concatenate([f, np.zeros((1, 3, 2))])
+    a, _ = ivector.train_tv(n, f, ubm, 2, n_iters=3, seed=1)
+    b, _ = ivector.train_tv(n_zero, f_zero, ubm, 2, n_iters=3, seed=1)
     assert np.allclose(a.t, b.t, atol=1e-10)
 
 
@@ -264,4 +274,4 @@ def test_train_tv_rejects_empty():
     rng = np.random.default_rng(11)
     ubm = random_ubm(rng)
     with pytest.raises(InputError):
-        ivector.train_tv([], ubm, 2, n_iters=5, seed=0)
+        ivector.train_tv(np.zeros((0, 3)), np.zeros((0, 3, 2)), ubm, 2, n_iters=5, seed=0)

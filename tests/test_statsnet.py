@@ -56,8 +56,8 @@ def test_pooled_stats_equals_classic_accumulation():
     resp = statsnet.predict_responsibilities(net, expanded)
     direct = gmm.sufficient_stats(resp, raw)
     pooled = statsnet.pooled_stats(net, expanded, raw)
-    assert np.array_equal(pooled.n, direct.n)
-    assert np.array_equal(pooled.f, direct.f)
+    assert np.array_equal(pooled[0], direct[0])
+    assert np.array_equal(pooled[1], direct[1])
 
 
 def test_conservation_for_arbitrary_nets():
@@ -66,10 +66,10 @@ def test_conservation_for_arbitrary_nets():
         net = statsnet.make_stats_net(5, 4, hidden=(6, 6), seed=seed)
         expanded = rng.standard_normal((25, 5))
         raw = rng.standard_normal((25, 2))
-        stats = statsnet.pooled_stats(net, expanded, raw)
-        assert abs(stats.n.sum() - 25.0) < 1e-10
-        assert np.abs(stats.f.sum(axis=0) - raw.sum(axis=0)).max() < 1e-10
-        assert np.isfinite(stats.f).all()
+        n, f = statsnet.pooled_stats(net, expanded, raw)
+        assert abs(n.sum() - 25.0) < 1e-10
+        assert np.abs(f.sum(axis=0) - raw.sum(axis=0)).max() < 1e-10
+        assert np.isfinite(f).all()
 
 
 def test_stats_gradient_matches_finite_differences():
@@ -81,8 +81,8 @@ def test_stats_gradient_matches_finite_differences():
     d_f = rng.standard_normal((3, 2))
 
     def objective():
-        stats = statsnet.pooled_stats(net, expanded, raw)
-        return float((stats.n * d_n).sum() + (stats.f * d_f).sum())
+        n, f = statsnet.pooled_stats(net, expanded, raw)
+        return float((n * d_n).sum() + (f * d_f).sum())
 
     acts = netcore.forward(net.net, expanded)
     grads = statsnet.pooled_stats_backward(net, acts, raw, d_n, d_f)
@@ -107,10 +107,10 @@ def test_network_stats_feed_classic_extraction(small_corpus):
         netcore.SgdSchedule(lr=0.3, n_epochs=2, batch_size=128, seed=0, l1_weight=0.0),
     )
     stats = [statsnet.pooled_stats(net, e, x) for e, x in zip(expanded, norm)]
-    for s in stats:
-        assert np.isfinite(s.n).all() and np.isfinite(s.f).all()
-    tv, _ = ivector.train_tv(stats, ubm, 3, n_iters=2, seed=0)
-    vectors = ivector.extract_ivectors(tv, ubm, stats)
+    n, f = map(np.stack, zip(*stats))
+    assert np.isfinite(n).all() and np.isfinite(f).all()
+    tv, _ = ivector.train_tv(n, f, ubm, 3, n_iters=2, seed=0)
+    vectors = ivector.extract_ivectors(tv, ubm, n, f)
     assert np.isfinite(vectors).all()
     assert vectors.shape == (12, 3)
 

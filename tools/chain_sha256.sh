@@ -35,7 +35,7 @@ export PYTHONPATH="$src"
 
 stage() {
     # stage <config> <stage> <log name>
-    if ! python -m svpipe --config "$1" --workdir "$out/work" --threads 1 "$2" \
+    if ! python -m svpipe --config "$1" --workdir "$out/work" "$2" \
         > "$out/logs/$3.log" 2>&1; then
         echo "stage $2 failed; see $out/logs/$3.log" >&2
         exit 1
