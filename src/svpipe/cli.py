@@ -234,7 +234,7 @@ def cmd_train_joint(cfg, args):
         cfg, stats_net, ubm, pca, ivec_net, train, corpus.frame_rate_hz
     )
     backend = recipe.cascade_backend(cfg, embeddings, [u.speaker for u in train])
-    recipe.set_backend(cfg, system, backend)
+    recipe.set_backend(system, backend)
     system, history = recipe.train_joint(cfg, system, corpus, coords)
     _write_training_log(cfg.path("train_joint.log"), history)
     _write_model(cfg, "system.svm", to_tensors(system))

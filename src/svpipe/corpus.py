@@ -41,22 +41,22 @@ class Utterance:
     """One utterance: uid, speaker, split tag and its (T, D) float64 features.
 
     Built with a feature matrix, it holds that matrix. Built by load_corpus,
-    it holds the path of its feature file and reads it on the first access
-    to ``features`` (a malformed file raises FormatError there); the matrix
-    is kept from then on.
+    it holds the directory of its feature file, <feature_dir>/<uid>.svf, and
+    reads that file on the first access to ``features`` (a malformed file
+    raises FormatError there); the matrix is kept from then on.
     """
 
-    def __init__(self, uid, speaker, split, features=None, *, path=None):
+    def __init__(self, uid, speaker, split, features=None, *, feature_dir=None):
         self.uid = uid
         self.speaker = speaker
         self.split = split
         self._features = features
-        self._path = path
+        self._feature_dir = feature_dir
 
     @property
     def features(self):
         if self._features is None:
-            self._features = read_features(self._path)
+            self._features = read_features(self._feature_dir / f"{self.uid}.svf")
         return self._features
 
 
@@ -192,10 +192,10 @@ def load_corpus(directory) -> Corpus:
             raise FormatError(f"{index}:{lineno}: unknown split {split!r}")
         if not uid or "/" in uid or "\0" in uid:
             raise FormatError(f"{index}:{lineno}: uid {uid!r} is not a file name")
-        path = feature_dir / f"{uid}.svf"
-        if path.name not in feature_files:
-            raise FormatError(f"{index}:{lineno}: no feature file {path}")
-        utterances.append(Utterance(uid, speaker, split, path=path))
+        name = f"{uid}.svf"
+        if name not in feature_files:
+            raise FormatError(f"{index}:{lineno}: no feature file {feature_dir / name}")
+        utterances.append(Utterance(uid, speaker, split, feature_dir=feature_dir))
     return Corpus(utterances, frame_rate_hz=frame_rate)
 
 

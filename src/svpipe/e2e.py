@@ -6,8 +6,9 @@ trial scoring. Its embedding half, pca_coords then embed_coords, runs one
 utterance at a time and is the only inference path: scoring, the cascade
 backend and the dev pass of joint training all see the same bits. Joint
 training runs Adam on the prior-weighted cross-entropy over sampled trial
-batches, regularized toward a snapshot of the initial parameters, halving
-the learning rate when the dev-set cost stops improving and returning the
+batches, pulled toward the anchor (the assembled system's starting
+trainable parameters) with the schedule's anchor_weight, halving the
+learning rate when the dev-set cost stops improving and returning the
 best-on-dev parameters.
 
 Backpropagation through the statistics network is memory-checkpointed: the
@@ -56,7 +57,11 @@ class FrontendConfig:
 
 @dataclass
 class E2eSystem:
-    """All stages wired together; pca and the MAP prior stay frozen."""
+    """All stages wired together; pca and the MAP prior stay frozen.
+
+    anchor holds copies of the starting trainable parameters, in
+    trainable_parameters() order, that joint and e2e training pull toward.
+    """
 
     frontend: FrontendConfig
     relevance: float
@@ -65,7 +70,7 @@ class E2eSystem:
     pca: PcaModel
     ivec_net: IvecNet
     dplda: DpldaParams
-    snapshot: netcore.ParamSnapshot | None = None
+    anchor: list[np.ndarray]
 
     @property
     def n_stats_params(self):
@@ -91,46 +96,43 @@ class E2eSystem:
         self.ivec_net.net.set_parameters(params[n_s : n_s + n_i])
         self.dplda = DpldaParams(*params[n_s + n_i :])
 
+    def freeze_anchor(self):
+        """Make copies of the current trainable parameters the anchor."""
+        self.anchor = [p.copy() for p in self.trainable_parameters()]
+
     def to_tensors(self, prefix=""):
         tensors = fileio.to_tensors(self.frontend, f"{prefix}frontend.")
         tensors[f"{prefix}relevance"] = np.float64(self.relevance)
         for name in ("stats_net", "ubm", "pca", "ivec_net", "dplda"):
             tensors.update(fileio.to_tensors(getattr(self, name), f"{prefix}{name}."))
-        if self.snapshot is not None:
-            tensors[f"{prefix}snapshot.weights"] = self.snapshot.weights
-            for i, value in enumerate(self.snapshot.values):
-                tensors[f"{prefix}snapshot.values.{i}"] = value
+        for i, value in enumerate(self.anchor):
+            tensors[f"{prefix}anchor.{i}"] = value
         return tensors
 
     @classmethod
     def from_tensors(cls, tensors, prefix=""):
-        snapshot = None
-        if f"{prefix}snapshot.weights" in tensors:
-            weights = np.atleast_1d(np.asarray(tensors[f"{prefix}snapshot.weights"]))
-            values = [
-                np.asarray(tensors[f"{prefix}snapshot.values.{i}"])
-                for i in range(weights.shape[0])
-            ]
-            snapshot = netcore.ParamSnapshot(values, weights)
+        stats_net = fileio.from_tensors(StatsNet, tensors, f"{prefix}stats_net.")
+        ivec_net = fileio.from_tensors(IvecNet, tensors, f"{prefix}ivec_net.")
+        n_anchor = 2 * (len(stats_net.net.layers) + len(ivec_net.net.layers)) + 4
         return cls(
             frontend=fileio.from_tensors(FrontendConfig, tensors, f"{prefix}frontend."),
             relevance=fileio.read_scalar(tensors, f"{prefix}relevance", float),
-            stats_net=fileio.from_tensors(StatsNet, tensors, f"{prefix}stats_net."),
+            stats_net=stats_net,
             ubm=fileio.from_tensors(DiagGmm, tensors, f"{prefix}ubm."),
             pca=fileio.from_tensors(PcaModel, tensors, f"{prefix}pca."),
-            ivec_net=fileio.from_tensors(IvecNet, tensors, f"{prefix}ivec_net."),
+            ivec_net=ivec_net,
             dplda=fileio.from_tensors(DpldaParams, tensors, f"{prefix}dplda."),
-            snapshot=snapshot,
+            anchor=[tensors[f"{prefix}anchor.{i}"] for i in range(n_anchor)],
         )
 
 
 def assemble_system(frontend, stats_net, ubm, pca, ivec_net, dplda, relevance) -> E2eSystem:
     """Wire copies of the individually trained stages together.
 
-    Training the system never changes the caller's networks or backend. The
-    system has no snapshot until the caller freezes one to train toward.
+    Training the system never changes the caller's networks or backend. Its
+    anchor is a copy of the starting trainable parameters.
     """
-    return E2eSystem(
+    system = E2eSystem(
         frontend=frontend,
         stats_net=StatsNet(stats_net.net.copy()),
         ubm=ubm,
@@ -138,7 +140,10 @@ def assemble_system(frontend, stats_net, ubm, pca, ivec_net, dplda, relevance) -
         ivec_net=IvecNet(ivec_net.net.copy()),
         dplda=dplda.copy(),
         relevance=relevance,
+        anchor=[],
     )
+    system.freeze_anchor()
+    return system
 
 
 def preprocess(system: E2eSystem, features):
@@ -241,6 +246,7 @@ class TrainSchedule:
     epoch_batches: int
     max_epochs: int
     objective: ObjectiveConfig
+    anchor_weight: float
 
     def __post_init__(self):
         if self.epoch_batches < 1:
@@ -300,23 +306,22 @@ def train_e2e_full(system: E2eSystem, corpus: Corpus, schedule, rng):
 
 
 def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=None):
-    """Adam on sampled trial batches with a snapshot penalty and best-on-dev.
+    """Adam on sampled trial batches pulled toward the anchor, keeping the best on dev.
 
+    Each step adds netcore.penalty_to_snapshot of the trained groups toward
+    their slice of system.anchor, weighted by schedule.anchor_weight; with
+    a frozen statistics network its groups are neither trained nor pulled.
     A frozen statistics network only feeds fixed inputs to the embedding
     network, so its PCA coordinates are computed once per utterance (unless
     the caller hands in train_coords) and each batch runs the embedding
     network alone. A trained one is backpropagated through per batch with
     checkpointed_grads.
     """
-    if system.snapshot is None:
-        raise ConfigError("system has no parameter snapshot; assemble it first")
     train_feats, train_speakers = _split_features(corpus, "train")
     dev_feats, dev_speakers = _split_features(corpus, "dev")
     n_skip = 0 if train_stats_net else system.n_stats_params
     frozen = system.trainable_parameters()[:n_skip]
-    snapshot = netcore.ParamSnapshot(
-        system.snapshot.values[n_skip:], system.snapshot.weights[n_skip:]
-    )
+    anchor = system.anchor[n_skip:]
 
     def params_of():
         return system.trainable_parameters()[n_skip:]
@@ -365,7 +370,9 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
             )
         grads = net_grads + holder["d"].parameters()
         params = params_of()
-        penalty, pen_grads = netcore.penalty_to_snapshot(params, snapshot)
+        penalty, pen_grads = netcore.penalty_to_snapshot(
+            params, anchor, schedule.anchor_weight
+        )
         grads = [g + pg for g, pg in zip(grads, pen_grads)]
         set_params(netcore.adam_step(adam, params, grads))
         return loss + penalty

@@ -3,7 +3,7 @@
 Everything is plain float64 numpy: affine layers with a small set of
 activations, explicit forward/backward passes, SGD and Adam steps, the one
 minibatch-SGD training loop and learning-rate rule every network shares, and
-a quadratic penalty that pulls parameters back toward a reference snapshot.
+a quadratic penalty that pulls parameters back toward a fixed anchor.
 No autodiff, no GPU; batches are matrices of shape (B, dim).
 """
 
@@ -389,39 +389,20 @@ def adam_step(state: AdamState, params, grads):
     return out
 
 
-@dataclass
-class ParamSnapshot:
-    """Reference copy of a parameter list with one penalty weight per group."""
+def penalty_to_snapshot(params, anchor, weight):
+    """Quadratic pull of params toward the anchor, a list of the same shapes.
 
-    values: list[np.ndarray]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (len(self.values),):
-            raise ShapeError("one penalty weight per parameter group required")
-
-
-def make_snapshot(params, weight):
-    """Freeze copies of params with a shared (or per-group) penalty weight."""
-    weights = np.broadcast_to(np.asarray(weight, dtype=np.float64), (len(params),))
-    return ParamSnapshot([np.array(p, dtype=np.float64) for p in params], weights.copy())
-
-
-def penalty_to_snapshot(params, snapshot: ParamSnapshot):
-    """Quadratic pull toward the snapshot.
-
-    Returns (penalty, grads): penalty = sum_g w_g * sum((p - p0)^2), and the
-    gradient 2 * w_g * (p - p0) for each group.
+    Returns (penalty, grads): penalty = weight * sum_g sum((p - p0)^2), and
+    the gradient 2 * weight * (p - p0) for each group.
     """
-    if len(params) != len(snapshot.values):
-        raise ShapeError("snapshot group count does not match the parameters")
+    if len(params) != len(anchor):
+        raise ShapeError("anchor group count does not match the parameters")
     penalty = 0.0
     grads = []
-    for p, p0, w in zip(params, snapshot.values, snapshot.weights, strict=True):
+    for p, p0 in zip(params, anchor):
         if p.shape != p0.shape:
-            raise ShapeError("snapshot shape does not match the live parameters")
+            raise ShapeError("anchor shape does not match the live parameters")
         diff = p - p0
-        penalty += w * float((diff * diff).sum())
-        grads.append(2.0 * w * diff)
+        penalty += weight * float((diff * diff).sum())
+        grads.append(2.0 * weight * diff)
     return penalty, grads

@@ -49,6 +49,13 @@ def _one_of(*choices):
     return parse
 
 
+def _non_negative(value):
+    x = float(value)
+    if not x >= 0:  # NaN fails too
+        raise ValueError("must be >= 0")
+    return x
+
+
 _count = _int_at_least(0)  # the seed, iterations or epochs; zero epochs train nothing
 _size = _int_at_least(1)  # dimensions, components, batch sizes, batch counts
 
@@ -81,7 +88,7 @@ DEFAULTS = {
     "prep.dim": ("20", _size),
     "plda.iters": ("10", _count),
     # discriminative backend
-    "dplda.l2": ("1e-3", float),
+    "dplda.l2": ("1e-3", _non_negative),
     "dplda.p_target": ("0.0075", float),  # midpoint of the 0.01 / 0.005 operating points
     "dplda.max_iters": ("200", _count),
     # neural modules
@@ -101,14 +108,14 @@ DEFAULTS = {
     "joint.pairs": ("50", _size),
     "joint.epoch_batches": ("20", _size),
     "joint.epochs": ("8", _count),
-    "joint.lr": ("1e-4", float),
-    "joint.lambda_init": ("1e-2", float),
+    "joint.lr": ("1e-4", _non_negative),
+    "joint.lambda_init": ("1e-2", _non_negative),
     "joint.init_fullbatch": ("true", _parse_bool),
     "e2e.pairs": ("8", _size),
     "e2e.epoch_batches": ("10", _size),
     "e2e.epochs": ("2", _count),
-    "e2e.lr": ("1e-4", float),
-    "e2e.lambda_init": ("1e-2", float),
+    "e2e.lr": ("1e-4", _non_negative),
+    "e2e.lambda_init": ("1e-2", _non_negative),
     # scoring / evaluation
     "score.backend": ("plda", _one_of("plda", "dplda", "e2e")),
     "score.trials": ("", str),
@@ -382,12 +389,10 @@ def cascade_backend(cfg, embeddings, speakers):
     return init
 
 
-def set_backend(cfg, system, params):
-    """Install the backend and freeze the snapshot joint training pulls toward."""
+def set_backend(system, params):
+    """Install the backend and make the system's parameters the anchor training pulls toward."""
     system.dplda = params.copy()
-    system.snapshot = netcore.make_snapshot(
-        system.trainable_parameters(), cfg.get("joint.lambda_init")
-    )
+    system.freeze_anchor()
 
 
 def train_schedule(cfg, section):
@@ -398,6 +403,7 @@ def train_schedule(cfg, section):
         epoch_batches=cfg.get(f"{section}.epoch_batches"),
         max_epochs=cfg.get(f"{section}.epochs"),
         objective=dplda.ObjectiveConfig(p_target=cfg.get("dplda.p_target")),
+        anchor_weight=cfg.get(f"{section}.lambda_init"),
     )
 
 
@@ -409,8 +415,6 @@ def train_joint(cfg, system, corpus, train_coords):
 
 
 def train_e2e(cfg, system, corpus):
-    # keep the cascade initialization train-joint froze; reweight its pull
-    anchor = system.trainable_parameters() if system.snapshot is None else system.snapshot.values
-    system.snapshot = netcore.make_snapshot(anchor, cfg.get("e2e.lambda_init"))
+    """End-to-end training of all three stages toward the anchor train-joint froze."""
     rng = np.random.default_rng(cfg.seed)
     return e2e.train_e2e_full(system, corpus, train_schedule(cfg, "e2e"), rng)

@@ -120,7 +120,7 @@ def _run_desk_chain(seed):
     )
 
     # joint training of the embedding network and the scoring backend
-    recipe.set_backend(cfg, system, dplda_emb)
+    recipe.set_backend(system, dplda_emb)
     system, history = recipe.train_joint(cfg, system, corp, coords)
     c_joint_init = history[0].dev_c_primary
     c_joint = min(rec.dev_c_primary for rec in history)
@@ -440,7 +440,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
             # cascade's dev scoring, so the two costs agree exactly
             assert abs(r["c_joint_init"] - r["c_cascade"]) < 5e-3
             assert r["c_joint_init"] == r["c_cascade"]
-        # (c) a huge snapshot weight pins the live parameters during training;
+        # (c) a huge anchor weight pins the live parameters during training;
         # measured on the raw optimization steps so best-on-dev checkpointing
         # cannot mask drift
         r = desk_chains[DESK_SEEDS[0]]
@@ -450,7 +450,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
         speakers_all = np.array([u.speaker for u in train])
         coords = e2e.pca_coords(system, [u.features for u in train])
         params = system.ivec_net.net.parameters() + system.dplda.parameters()
-        snapshot = netcore.make_snapshot(params, 1e6)
+        anchor = [p.copy() for p in params]
         adam = netcore.AdamState.create(params, lr=1e-4)
         rng = np.random.default_rng(0)
         pool = dplda.make_pair_pool(
@@ -469,7 +469,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
             )
             net_grads, _ = netcore.backward(live_net, acts, d_emb)
             grads = net_grads + d_params.parameters()
-            _, pen_grads = netcore.penalty_to_snapshot(params, snapshot)
+            _, pen_grads = netcore.penalty_to_snapshot(params, anchor, 1e6)
             grads = [g + pg for g, pg in zip(grads, pen_grads)]
             params = netcore.adam_step(adam, params, grads)
             n_net = 2 * len(live_net.layers)
@@ -477,7 +477,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
             live_dplda = dplda.DpldaParams(*params[n_net:])
             step_drift = max(
                 float(np.abs(p - p0).max())
-                for p, p0 in zip(params, snapshot.values)
+                for p, p0 in zip(params, anchor)
             )
             drift = max(drift, step_drift)
         print(f"  snapshot pull: max live parameter drift over 20 steps = {drift:.2e}")

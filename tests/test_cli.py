@@ -95,22 +95,36 @@ def test_remaining_stages_run(workdir):
     assert len(log) >= 2
 
 
-def test_e2e_lambda_init_reweights_the_joint_snapshot(workdir, tmp_path):
+def test_e2e_keeps_the_joint_anchor_with_its_own_lambda(workdir, tmp_path, monkeypatch):
+    # train-e2e pulls toward the anchor train-joint froze, bit for bit, and
+    # each stage weighs the pull with its own lambda_init
+    from svpipe import cli, netcore
     from svpipe.e2e import E2eSystem
     from svpipe.fileio import from_tensors, read_container
 
     root, cfg = workdir
     work = tmp_path / "work"
     shutil.copytree(root / "work", work)
-    joint = from_tensors(E2eSystem, read_container(work / "system.svm")).snapshot
+    weights = []
+    penalty_to_snapshot = netcore.penalty_to_snapshot
+
+    def recording_penalty(params, anchor, weight):
+        weights.append(weight)
+        return penalty_to_snapshot(params, anchor, weight)
+
+    monkeypatch.setattr(netcore, "penalty_to_snapshot", recording_penalty)
     override = tmp_path / "e2e.cfg"
     override.write_text(cfg.read_text() + "e2e.lambda_init=0.25\n")
-    result = run_cli("--config", str(override), "--workdir", str(work), "train-e2e")
-    assert result.returncode == 0, result.stderr
-    snapshot = from_tensors(E2eSystem, read_container(work / "system.svm")).snapshot
-    assert np.all(joint.weights == 1e-2)  # joint.lambda_init default
-    assert np.all(snapshot.weights == 0.25)
-    for before, after in zip(joint.values, snapshot.values, strict=True):
+    argv = ["--config", str(override), "--workdir", str(work)]
+    assert cli.main([*argv, "train-joint"]) == 0
+    joint_weights = weights.copy()
+    weights.clear()
+    joint = from_tensors(E2eSystem, read_container(work / "system.svm")).anchor
+    assert cli.main([*argv, "train-e2e"]) == 0
+    anchor = from_tensors(E2eSystem, read_container(work / "system.svm")).anchor
+    assert joint_weights and set(joint_weights) == {1e-2}  # joint.lambda_init default
+    assert weights and set(weights) == {0.25}
+    for before, after in zip(joint, anchor, strict=True):
         assert np.array_equal(before, after)
 
 
@@ -302,6 +316,12 @@ def test_bad_trial_list_exit_code(workdir, tmp_path, backend, lines, message):
         ("seed=-3", "train-ubm", None),
         ("tv.dim=0", "train-tv", None),
         ("prep.dim=0", "extract-ivec", None),
+        ("joint.lr=-1e-3", "train-joint", None),
+        ("e2e.lr=-1e-3", "train-e2e", None),
+        ("joint.lambda_init=-5", "train-joint", None),
+        ("e2e.lambda_init=-1e-2", "train-e2e", None),
+        ("e2e.lambda_init=nan", "train-e2e", None),
+        ("dplda.l2=-1e-3", "train-dplda", None),
     ],
 )
 def test_training_count_exit_codes(workdir, tmp_path, override, stage, model):
@@ -400,6 +420,30 @@ def test_wrong_kind_model_file_exit_code(workdir, tmp_path, model, stage):
     result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
     assert result.returncode == 3, result.stderr
     assert f"{model}: no tensor" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("stage", ["train-e2e", "score"])
+def test_system_without_anchor_exit_code(workdir, tmp_path, stage):
+    # a system.svm whose anchor is stored under other names (the earlier
+    # snapshot.values.<i> with its snapshot.weights) is a format error
+    from svpipe.fileio import read_container, write_container
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    path = work / "system.svm"
+    tensors = dict(read_container(path))
+    n_groups = sum(name.startswith("anchor.") for name in tensors)
+    tensors["snapshot.weights"] = np.full(n_groups, 1e-2)
+    for i in range(n_groups):
+        tensors[f"snapshot.values.{i}"] = tensors.pop(f"anchor.{i}")
+    write_container(path, tensors)
+    override_cfg = tmp_path / "override.cfg"
+    override_cfg.write_text(cfg.read_text() + "score.backend=e2e\n")
+    result = run_cli("--config", str(override_cfg), "--workdir", str(work), stage)
+    assert result.returncode == 3, result.stderr
+    assert f"{path}: no tensor 'anchor.0'" in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -567,7 +611,7 @@ def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     system, coords, embeddings = recipe.assemble_cascade(
         cfg, snet, ubm, pca, ivnet, train, rate
     )
-    recipe.set_backend(cfg, system, recipe.cascade_backend(cfg, embeddings, speakers))
+    recipe.set_backend(system, recipe.cascade_backend(cfg, embeddings, speakers))
     system, _ = recipe.train_joint(cfg, system, corpus, coords)
 
     stats_tensors = {}

@@ -27,9 +27,7 @@ def tiny_system(small_corpus):
         0.2 * rng.standard_normal(5),
         0.1,
     )
-    system = e2e.assemble_system(fc, snet, ubm, pca, ivnet, params, relevance=16.0)
-    system.snapshot = netcore.make_snapshot(system.trainable_parameters(), 1e-2)
-    return system
+    return e2e.assemble_system(fc, snet, ubm, pca, ivnet, params, relevance=16.0)
 
 
 def _score(system, features_a, features_b):
@@ -118,9 +116,8 @@ def test_zero_loss_gives_zero_grads(tiny_system, small_corpus):
 
 def test_zero_weight_snapshot_penalty_is_exactly_zero(tiny_system):
     params = tiny_system.trainable_parameters()
-    snapshot = netcore.make_snapshot(params, 0.0)
     perturbed = [p + 1.0 for p in params]
-    penalty, grads = netcore.penalty_to_snapshot(perturbed, snapshot)
+    penalty, grads = netcore.penalty_to_snapshot(perturbed, tiny_system.anchor, 0.0)
     assert penalty == 0.0
     for p, g in zip(perturbed, grads):
         assert np.array_equal(g, np.zeros_like(g))
@@ -137,6 +134,7 @@ def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=0.0, epoch_batches=2, max_epochs=1,
         objective=dplda.ObjectiveConfig(p_target=0.1),
+        anchor_weight=1e-2,
     )
     train = getattr(e2e, trainer)
     system, _ = train(system, small_corpus, schedule, np.random.default_rng(0))
@@ -154,6 +152,7 @@ def test_training_that_keeps_its_initialization_says_so(
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=0.0, epoch_batches=1, max_epochs=2,
         objective=dplda.ObjectiveConfig(p_target=0.1),
+        anchor_weight=1e-2,
     )
     train = getattr(e2e, trainer)
     with caplog.at_level(logging.INFO, logger="svpipe.e2e"):
@@ -169,6 +168,7 @@ def test_training_names_the_epoch_it_keeps(tiny_system, small_corpus, caplog, mo
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=1e-3, epoch_batches=1, max_epochs=3,
         objective=dplda.ObjectiveConfig(p_target=0.1),
+        anchor_weight=1e-2,
     )
     dev_costs = iter([0.5, 0.6, 0.25, 0.3])
     monkeypatch.setattr(e2e, "_dev_metrics", lambda *args: (0.1, next(dev_costs)))
@@ -207,7 +207,7 @@ def test_e2e_loss_decreases_over_fixed_batch(tiny_system, small_corpus):
 
 
 def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
-    # a huge snapshot weight keeps every live parameter glued to the snapshot
+    # a huge anchor weight keeps every live parameter glued to the anchor
     # while Adam steps on the trial objective keep firing
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     train = small_corpus.split("train")
@@ -216,7 +216,7 @@ def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
     speakers = np.array([u.speaker for u in utts])
     cfg = dplda.ObjectiveConfig(p_target=0.1)
     params = system.trainable_parameters()
-    snapshot = netcore.make_snapshot(params, 1e6)
+    anchor = [p.copy() for p in params]
     adam = netcore.AdamState.create(params, lr=1e-4)
     for _ in range(15):
         holder = {}
@@ -230,12 +230,12 @@ def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
         _, net_grads = e2e.checkpointed_grads(system, feats, loss_fn)
         d = holder["d"]
         grads = net_grads + [d.lam, d.gamma, d.c, np.asarray(d.k, dtype=np.float64)]
-        _, pen_grads = netcore.penalty_to_snapshot(params, snapshot)
+        _, pen_grads = netcore.penalty_to_snapshot(params, anchor, 1e6)
         grads = [g + pg for g, pg in zip(grads, pen_grads)]
         params = netcore.adam_step(adam, params, grads)
         system.set_trainable_parameters(params)
         drift = max(
-            float(np.abs(p - p0).max()) for p, p0 in zip(params, snapshot.values)
+            float(np.abs(p - p0).max()) for p, p0 in zip(params, anchor)
         )
         assert drift < 1e-3
 
@@ -246,6 +246,7 @@ def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, train
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
         objective=dplda.ObjectiveConfig(p_target=0.1),
+        anchor_weight=1e-2,
     )
     train = getattr(e2e, trainer)
     system, history = train(system, small_corpus, schedule, np.random.default_rng(2))
@@ -278,6 +279,7 @@ def test_dev_pass_embeds_what_scoring_embeds(tiny_system, small_corpus, trainer,
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=2, max_epochs=1,
         objective=dplda.ObjectiveConfig(p_target=0.1),
+        anchor_weight=1e-2,
     )
     getattr(e2e, trainer)(system, small_corpus, schedule, np.random.default_rng(2))
     assert len(seen) == schedule.max_epochs + 1
@@ -357,6 +359,7 @@ def test_e2e_training_preprocesses_batch_utterances_once(
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
         objective=dplda.ObjectiveConfig(p_target=0.1),
+        anchor_weight=1e-2,
     )
     e2e.train_e2e_full(system, small_corpus, schedule, np.random.default_rng(2))
     n_dev = len(small_corpus.split("dev"))

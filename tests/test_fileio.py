@@ -135,7 +135,7 @@ def _mlp_names(prefix, n_layers):
 
 def _persisted_models():
     """A small instance of every persisted type and its tensor names, in order."""
-    from svpipe import dplda, e2e, gmm, ivecnet, ivector, netcore, plda, statsnet
+    from svpipe import dplda, e2e, gmm, ivecnet, ivector, plda, statsnet
 
     rng = np.random.default_rng(3)
     ubm = gmm.DiagGmm(
@@ -152,15 +152,14 @@ def _persisted_models():
         e2e.FrontendConfig(window_s=0.5, frame_rate_hz=100.0, context=1, n_dct=3),
         snet, ubm, pca, ivnet, backend, relevance=16.0,
     )
-    system.snapshot = netcore.make_snapshot(system.trainable_parameters(), 1e-2)
     system_names = (
         ["frontend.window_s", "frontend.frame_rate_hz", "frontend.context", "frontend.n_dct"]
         + ["relevance"]
         + _mlp_names("stats_net.", 2)
         + ["ubm.weights", "ubm.means", "ubm.vars", "pca.mean", "pca.basis"]
         + _mlp_names("ivec_net.", 2)
-        + ["dplda.lam", "dplda.gamma", "dplda.c", "dplda.k", "snapshot.weights"]
-        + [f"snapshot.values.{i}" for i in range(12)]
+        + ["dplda.lam", "dplda.gamma", "dplda.c", "dplda.k"]
+        + [f"anchor.{i}" for i in range(12)]
     )
     return [
         (ubm, ["weights", "means", "vars"]),

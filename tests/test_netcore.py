@@ -332,24 +332,21 @@ def test_adam_lr_zero_identity():
 def test_penalty_to_snapshot():
     rng = np.random.default_rng(16)
     params = [rng.standard_normal((2, 3)), rng.standard_normal(4)]
-    snap = netcore.make_snapshot(params, 0.5)
-    pen, grads = netcore.penalty_to_snapshot(params, snap)
+    pen, grads = netcore.penalty_to_snapshot(params, [p.copy() for p in params], 0.5)
     assert pen == 0.0
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
-    snap0 = netcore.make_snapshot([np.zeros((2, 3)), np.zeros(4)], 0.0)
-    pen, _ = netcore.penalty_to_snapshot(params, snap0)
+    pen, _ = netcore.penalty_to_snapshot(params, [np.zeros((2, 3)), np.zeros(4)], 0.0)
     assert pen == 0.0
     # random case vs scalar loop
     ref = [rng.standard_normal((2, 3)), rng.standard_normal(4)]
-    snap = netcore.ParamSnapshot([r.copy() for r in ref], np.array([0.3, 0.7]))
-    pen, grads = netcore.penalty_to_snapshot(params, snap)
+    pen, grads = netcore.penalty_to_snapshot(params, [r.copy() for r in ref], 0.3)
     expect = 0.0
-    for p, r, w in zip(params, ref, [0.3, 0.7]):
+    for p, r in zip(params, ref):
         for a, b in zip(p.ravel(), r.ravel()):
-            expect += w * (a - b) ** 2
+            expect += 0.3 * (a - b) ** 2
     assert abs(pen - expect) < 1e-12
-    for p, r, w, g in zip(params, ref, [0.3, 0.7], grads):
-        assert np.allclose(g, 2 * w * (p - r), atol=1e-15)
+    for p, r, g in zip(params, ref, grads):
+        assert np.allclose(g, 2 * 0.3 * (p - r), atol=1e-15)
 
 
 def test_error_cases():
