@@ -59,22 +59,6 @@ class DpldaParams:
         return [self.lam, self.gamma, self.c, np.asarray(self.k, dtype=np.float64)]
 
 
-def dplda_score(params: DpldaParams, phi_i, phi_j):
-    """Score one trial; term-by-term evaluation of the quadratic form."""
-    phi_i = np.asarray(phi_i, dtype=np.float64)
-    phi_j = np.asarray(phi_j, dtype=np.float64)
-    if phi_i.shape != (params.dim,) or phi_j.shape != (params.dim,):
-        raise ShapeError("embedding dimension does not match the parameters")
-    return float(
-        phi_i @ params.lam @ phi_j
-        + phi_j @ params.lam @ phi_i
-        + phi_i @ params.gamma @ phi_i
-        + phi_j @ params.gamma @ phi_j
-        + (phi_i + phi_j) @ params.c
-        + params.k
-    )
-
-
 def score_pairs(params: DpldaParams, enroll, test):
     """Vectorized scores for row-aligned enrollment/test matrices."""
     enroll = np.atleast_2d(np.asarray(enroll, dtype=np.float64))

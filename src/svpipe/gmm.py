@@ -15,7 +15,8 @@ from .errors import InputError, ShapeError
 
 logger = logging.getLogger(__name__)
 
-_E_STEP_CHUNK = 65536
+# posterior entries per E-step block: 256 KB of float64, which stays in cache
+_E_STEP_ENTRIES = 32768
 
 
 @dataclass
@@ -115,8 +116,9 @@ def train_ubm(frames, n_components, n_iters, floor_frac, seed):
 
     frames: the (N, D) matrix of all training frames; callers with
     per-utterance matrices stack them (a preallocated matrix filled one
-    utterance at a time holds them once). The E-step walks it in chunks and
-    computes each chunk's posteriors in one (chunk, C) array.
+    utterance at a time holds them once). The E-step walks it in blocks of
+    max(64, 32768 // C) frames and computes each block's posteriors in one
+    (block, C) array of about 256 KB, so it stays in cache at any C.
     Initialization picks n_components distinct frames as means (seeded), a
     shared global diagonal variance and uniform weights. Variances are
     floored at floor_frac times the global per-dimension variance.
@@ -144,19 +146,20 @@ def train_ubm(frames, n_components, n_iters, floor_frac, seed):
         frames[idx].copy(),
         np.tile(np.maximum(global_var, floor), (n_components, 1)),
     )
+    rows = max(64, _E_STEP_ENTRIES // n_components)
     history = []
     for it in range(n_iters):
         acc_n = np.zeros(n_components)
         acc_f = np.zeros((n_components, dim))
         acc_s = np.zeros((n_components, dim))
         total_ll = 0.0
-        for lo in range(0, n_frames, _E_STEP_CHUNK):
-            chunk = frames[lo : lo + _E_STEP_CHUNK]
-            log_norm, resp = _posteriors(model, chunk)
+        for lo in range(0, n_frames, rows):
+            block = frames[lo : lo + rows]
+            log_norm, resp = _posteriors(model, block)
             total_ll += float(log_norm.sum())
             acc_n += resp.sum(axis=0)
-            acc_f += resp.T @ chunk
-            acc_s += resp.T @ chunk**2
+            acc_f += resp.T @ block
+            acc_s += resp.T @ block**2
         history.append(total_ll)
         counts = np.maximum(acc_n, 1e-10)
         means = acc_f / counts[:, None]

@@ -7,6 +7,9 @@ The extracted i-vector is the exact posterior mean of that latent vector.
 Training and extraction share one batched posterior: every utterance's
 precision matrix is stacked and all of them are solved in one call, in each
 EM iteration of train_tv and once on the final model in extract_ivectors.
+Every contraction in the posterior and in the M-step is a matrix product on
+reshaped operands (a batched one for the per-component gram T_c' Sigma_c^-1
+T_c), so BLAS runs them.
 """
 
 from __future__ import annotations
@@ -68,11 +71,13 @@ def _posterior(model: TvModel, ubm: DiagGmm, n, f_cent):
     Returns (precision, proj, w): the precisions I + T' Sigma^-1 N T (M, R, R),
     the projections T' Sigma^-1 f~ (M, R) and the posterior means (M, R).
     """
+    c, d, r = model.n_components, model.dim, model.ivec_dim
     tc = model.per_component()  # (C, D, R)
     ts = tc * (1.0 / ubm.vars)[:, :, None]  # Sigma^-1 T per component
-    gram = np.einsum("cdr,cds->crs", tc, ts)  # (C, R, R)
-    precision = np.eye(model.ivec_dim)[None] + np.einsum("mc,crs->mrs", n, gram)
-    proj = np.einsum("cdr,mcd->mr", ts, f_cent)
+    gram = tc.transpose(0, 2, 1) @ ts  # (C, R, R)
+    precision = (n @ gram.reshape(c, r * r)).reshape(-1, r, r)
+    precision += np.eye(r)
+    proj = f_cent.reshape(-1, c * d) @ ts.reshape(c * d, r)
     w = np.linalg.solve(precision, proj[..., None])[..., 0]
     return precision, proj, w
 
@@ -101,11 +106,11 @@ def train_tv(n, f, ubm: DiagGmm, ivec_dim, n_iters, seed):
             raise InputError("posterior precision lost positive definiteness")
         history.append(float(0.5 * ((proj * w).sum() - logdet.sum())))
         # M-step: per component solve A_c T_c' = C_c'
-        eww = cov + np.einsum("mr,ms->mrs", w, w)
-        a = np.einsum("mc,mrs->crs", n, eww)
+        eww = cov + w[:, :, None] * w[:, None, :]
+        a = (n.T @ eww.reshape(-1, ivec_dim**2)).reshape(c, ivec_dim, ivec_dim)
         a += _TV_RIDGE * np.trace(a, axis1=1, axis2=2)[:, None, None] / ivec_dim * eye
-        c_acc = np.einsum("mcd,mr->crd", f_cent, w)  # (C, R, D) transposed later
-        t_new = np.linalg.solve(a, c_acc)  # (C, R, D)
+        rhs = (w.T @ f_cent.reshape(-1, c * d)).reshape(ivec_dim, c, d)
+        t_new = np.linalg.solve(a, rhs.transpose(1, 0, 2))  # (C, R, D)
         model = TvModel(t_new.transpose(0, 2, 1).reshape(c * d, ivec_dim), c, d)
         logger.debug("tv iter %d: evidence %.6f", it, history[-1])
     return model, history

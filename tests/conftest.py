@@ -35,6 +35,24 @@ def max_rel_err(approx, exact, floor=1e-8):
     )
 
 
+def assert_close_to_max(got, want, tol=1e-12):
+    """|got - want| within tol times the largest |want|, over the whole array."""
+    want = np.asarray(want)
+    assert np.abs(np.asarray(got) - want).max() <= tol * np.abs(want).max()
+
+
+def dplda_score(params, phi_i, phi_j):
+    """Oracle for dplda.score_pairs: one trial's quadratic form, term by term."""
+    return float(
+        phi_i @ params.lam @ phi_j
+        + phi_j @ params.lam @ phi_i
+        + phi_i @ params.gamma @ phi_i
+        + phi_j @ params.gamma @ phi_j
+        + (phi_i + phi_j) @ params.c
+        + params.k
+    )
+
+
 @contextlib.contextmanager
 def live_activation_caches(net):
     """Count the forward caches of net that are alive, by weak reference.

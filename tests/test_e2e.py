@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import live_activation_caches
+from conftest import dplda_score, live_activation_caches
 from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, recipe, statsnet
 
 
@@ -31,7 +31,7 @@ def tiny_system(small_corpus):
 
 
 def _score(system, features_a, features_b):
-    return dplda.dplda_score(
+    return dplda_score(
         system.dplda,
         e2e.embed_utterance(system, features_a),
         e2e.embed_utterance(system, features_b),
@@ -46,7 +46,7 @@ def test_score_symmetry(tiny_system, small_corpus):
     emb_a = e2e.embed_utterance(tiny_system, a)
     emb_b = e2e.embed_utterance(tiny_system, a.copy())
     assert np.array_equal(emb_a, emb_b)
-    assert _score(tiny_system, a, a) == dplda.dplda_score(
+    assert _score(tiny_system, a, a) == dplda_score(
         tiny_system.dplda, emb_a, emb_a
     )
 
@@ -63,7 +63,7 @@ def test_score_matches_stage_by_stage_composition(tiny_system, small_corpus):
         sv = ivecnet.map_supervectors(tiny_system.ubm, n[None], f[None], tiny_system.relevance)
         coords = ivecnet.pca_project(tiny_system.pca, sv)
         embeddings.append(netcore.forward(tiny_system.ivec_net.net, coords)[-1][0])
-    composed = dplda.dplda_score(tiny_system.dplda, embeddings[0], embeddings[1])
+    composed = dplda_score(tiny_system.dplda, embeddings[0], embeddings[1])
     assert abs(_score(tiny_system, a, b) - composed) < 1e-12
 
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import assert_close_to_max
 from svpipe import gmm, recipe
 from svpipe.errors import InputError, ShapeError
 
@@ -161,3 +164,33 @@ def test_in_place_e_step_is_bit_identical(n_frames, dim, n_components):
     resp = resp / resp.sum(axis=1, keepdims=True)
     assert np.array_equal(gmm.log_densities(model, frames), log_dens)
     assert np.array_equal(gmm.responsibilities(model, frames), resp)
+
+
+def test_em_over_many_blocks_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(8)
+    frames = np.vstack(
+        [rng.standard_normal((1000, 3)) + c for c in ([0, 0, 0], [3, -1, 2], [-2, 2, 0])]
+    )
+    runs = []
+    # 64-row blocks (47 of them, the last one short), then the whole matrix as one block
+    for entries in (64 * 4, frames.shape[0] * 4):
+        monkeypatch.setattr(gmm, "_E_STEP_ENTRIES", entries)
+        runs.append(gmm.train_ubm(frames, 4, n_iters=6, floor_frac=1e-3, seed=1))
+    (blocked, blocked_ll), (whole, whole_ll) = runs
+    assert_close_to_max(blocked.weights, whole.weights)
+    assert_close_to_max(blocked.means, whole.means)
+    assert_close_to_max(blocked.vars, whole.vars)
+    assert_close_to_max(blocked_ll, whole_ll)
+
+
+def test_e_step_holds_one_block_of_posteriors():
+    frames = np.random.default_rng(9).standard_normal((200_000, 20))
+    tracemalloc.start()
+    try:
+        gmm.train_ubm(frames, 64, n_iters=1, floor_frac=1e-3, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # frames.var makes one input-sized temporary; past it the E-step holds one
+    # 512 x 64 block of posteriors (256 KB) and a few temporaries of that size
+    assert peak < frames.nbytes + 4 * 2**20

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from conftest import assert_close_to_max
 from svpipe import gmm, ivector, recipe
 from svpipe.errors import InputError, ShapeError
 from svpipe.fileio import from_tensors, read_container, to_tensors, write_container
@@ -275,3 +276,44 @@ def test_train_tv_rejects_empty():
     ubm = random_ubm(rng)
     with pytest.raises(InputError):
         ivector.train_tv(np.zeros((0, 3)), np.zeros((0, 3, 2)), ubm, 2, n_iters=5, seed=0)
+
+
+def einsum_posterior(model, ubm, n, f_cent):
+    """Oracle for ivector._posterior: its contractions as einsums over named indices."""
+    tc = model.per_component()
+    ts = tc * (1.0 / ubm.vars)[:, :, None]
+    gram = np.einsum("cdr,cds->crs", tc, ts)
+    precision = np.eye(model.ivec_dim)[None] + np.einsum("mc,crs->mrs", n, gram)
+    proj = np.einsum("cdr,mcd->mr", ts, f_cent)
+    w = np.linalg.solve(precision, proj[..., None])[..., 0]
+    return precision, proj, w
+
+
+def test_posterior_matches_einsum_oracle():
+    rng = np.random.default_rng(14)
+    ubm = random_ubm(rng, n_components=5, dim=3)
+    tv = ivector.TvModel(rng.standard_normal((15, 4)), 5, 3)
+    n, f_cent = ivector._centered_stats(ubm, *random_stats(rng, 9, 5, 3))
+    for got, want in zip(
+        ivector._posterior(tv, ubm, n, f_cent), einsum_posterior(tv, ubm, n, f_cent)
+    ):
+        assert_close_to_max(got, want)
+
+
+def test_one_tv_iteration_matches_einsum_oracle():
+    rng = np.random.default_rng(15)
+    ubm = random_ubm(rng, n_components=5, dim=3)
+    n, f = random_stats(rng, 9, 5, 3)
+    model, history = ivector.train_tv(n, f, ubm, 4, n_iters=1, seed=3)
+    # the starting T that train_tv draws from its seed
+    t0 = np.random.default_rng(3).standard_normal((15, 4)) * 0.1 * np.sqrt(ubm.vars.mean())
+    n, f_cent = ivector._centered_stats(ubm, n, f)
+    precision, proj, w = einsum_posterior(ivector.TvModel(t0, 5, 3), ubm, n, f_cent)
+    eww = np.linalg.inv(precision) + np.einsum("mr,ms->mrs", w, w)
+    a = np.einsum("mc,mrs->crs", n, eww)
+    a += ivector._TV_RIDGE * np.trace(a, axis1=1, axis2=2)[:, None, None] / 4 * np.eye(4)
+    c_acc = np.einsum("mcd,mr->crd", f_cent, w)
+    t1 = np.linalg.solve(a, c_acc).transpose(0, 2, 1).reshape(15, 4)
+    evidence = 0.5 * ((proj * w).sum() - np.linalg.slogdet(precision)[1].sum())
+    assert_close_to_max(model.t, t1)
+    assert_close_to_max([history[0]], [evidence])
