@@ -174,6 +174,7 @@ def load_corpus(directory) -> Corpus:
     feature_dir = directory / "features"
     feature_files = _file_names(feature_dir)
     utterances = []
+    first_line = {}  # uid -> line number
     frame_rate = 100.0
     for lineno, line in enumerate(read_text(index).splitlines(), start=1):
         if not line.strip():
@@ -183,7 +184,9 @@ def load_corpus(directory) -> Corpus:
             try:
                 frame_rate = float(parts[1])
             except ValueError:
-                raise FormatError(f"{index}:{lineno}: bad frame rate {parts[1]!r}") from None
+                frame_rate = np.nan
+            if not 0.0 < frame_rate < np.inf:  # NaN fails too
+                raise FormatError(f"{index}:{lineno}: bad frame rate {parts[1]!r}")
             continue
         if len(parts) != 3:
             raise FormatError(f"{index}:{lineno}: expected 'uid<TAB>spk<TAB>split'")
@@ -192,6 +195,9 @@ def load_corpus(directory) -> Corpus:
             raise FormatError(f"{index}:{lineno}: unknown split {split!r}")
         if not uid or "/" in uid or "\0" in uid:
             raise FormatError(f"{index}:{lineno}: uid {uid!r} is not a file name")
+        if uid in first_line:
+            raise FormatError(f"{index}:{lineno}: uid {uid!r} repeats line {first_line[uid]}")
+        first_line[uid] = lineno
         name = f"{uid}.svf"
         if name not in feature_files:
             raise FormatError(f"{index}:{lineno}: no feature file {feature_dir / name}")

@@ -11,11 +11,12 @@ trainable parameters) with the schedule's anchor_weight, halving the
 learning rate when the dev-set cost stops improving and returning the
 best-on-dev parameters.
 
-Backpropagation through the statistics network is memory-checkpointed: the
-batch keeps each utterance's frontend output (it depends on no parameter),
-the per-frame network activations are dropped once an utterance's statistics
-exist and only they are recomputed from that output during the backward
-pass, which leaves gradients bit-identical to the full-graph pass while only
+Both networks are netcore.Mlps. checkpointed_grads is the only backward
+pass through the system: the batch keeps each utterance's frontend output
+(it depends on no parameter), the per-frame network activations are
+dropped once an utterance's statistics exist and only they are recomputed
+from that output during the backward pass. Gradients are bit-identical to
+a full-graph pass that keeps every activation (a test oracle), while only
 one utterance's frame-level activations are ever live (the tests count the
 live caches through weak references).
 """
@@ -74,17 +75,17 @@ class E2eSystem:
 
     @property
     def n_stats_params(self):
-        return 2 * len(self.stats_net.net.layers)
+        return 2 * len(self.stats_net.layers)
 
     @property
     def n_ivec_params(self):
-        return 2 * len(self.ivec_net.net.layers)
+        return 2 * len(self.ivec_net.layers)
 
     def trainable_parameters(self):
         """Flat list: statistics net, embedding net, then (lam, gamma, c, k)."""
         return (
-            self.stats_net.net.parameters()
-            + self.ivec_net.net.parameters()
+            self.stats_net.parameters()
+            + self.ivec_net.parameters()
             + self.dplda.parameters()
         )
 
@@ -92,8 +93,8 @@ class E2eSystem:
         n_s, n_i = self.n_stats_params, self.n_ivec_params
         if len(params) != n_s + n_i + 4:
             raise ShapeError("trainable parameter list has the wrong length")
-        self.stats_net.net.set_parameters(params[:n_s])
-        self.ivec_net.net.set_parameters(params[n_s : n_s + n_i])
+        self.stats_net.set_parameters(params[:n_s])
+        self.ivec_net.set_parameters(params[n_s : n_s + n_i])
         self.dplda = DpldaParams(*params[n_s + n_i :])
 
     def freeze_anchor(self):
@@ -113,7 +114,7 @@ class E2eSystem:
     def from_tensors(cls, tensors, prefix=""):
         stats_net = fileio.from_tensors(StatsNet, tensors, f"{prefix}stats_net.")
         ivec_net = fileio.from_tensors(IvecNet, tensors, f"{prefix}ivec_net.")
-        n_anchor = 2 * (len(stats_net.net.layers) + len(ivec_net.net.layers)) + 4
+        n_anchor = 2 * (len(stats_net.layers) + len(ivec_net.layers)) + 4
         return cls(
             frontend=fileio.from_tensors(FrontendConfig, tensors, f"{prefix}frontend."),
             relevance=fileio.read_scalar(tensors, f"{prefix}relevance", float),
@@ -134,10 +135,10 @@ def assemble_system(frontend, stats_net, ubm, pca, ivec_net, dplda, relevance) -
     """
     system = E2eSystem(
         frontend=frontend,
-        stats_net=StatsNet(stats_net.net.copy()),
+        stats_net=stats_net.copy(),
         ubm=ubm,
         pca=pca,
-        ivec_net=IvecNet(ivec_net.net.copy()),
+        ivec_net=ivec_net.copy(),
         dplda=dplda.copy(),
         relevance=relevance,
         anchor=[],
@@ -170,7 +171,7 @@ def pca_coords(system: E2eSystem, features_list):
 def embed_coords(system: E2eSystem, coords):
     """Unit-norm embeddings of (U, P) PCA coordinates, one row at a time."""
     return np.stack(
-        [netcore.forward(system.ivec_net.net, row[None, :])[-1][0] for row in coords]
+        [netcore.forward(system.ivec_net, row[None, :])[-1][0] for row in coords]
     )
 
 
@@ -179,36 +180,33 @@ def embed_utterance(system: E2eSystem, features):
     return embed_coords(system, pca_coords(system, [features]))[0]
 
 
-def _system_grads(system, features_list, loss_fn, keep_caches):
-    """Shared forward/backward machinery for both checkpointing modes.
+def checkpointed_grads(system, features_list, loss_fn):
+    """Gradients with per-utterance recomputation of frame-level activations.
 
     loss_fn maps the (U, R') embedding matrix to (loss, d_embeddings).
     Returns (loss, grads) with grads aligned to the statistics-net plus
-    embedding-net parameters. Without keep_caches each utterance's
-    statistics-net activations are dropped before the next forward pass.
+    embedding-net parameters. The arithmetic is that of a full-graph pass;
+    only one utterance's statistics-network activations are live at any
+    time.
     """
     if not features_list:
         raise InputError("empty utterance batch")
-    net = system.stats_net.net
+    net = system.stats_net
     n = np.empty((len(features_list), system.ubm.n_components))
     f = np.empty((len(features_list), system.ubm.n_components, system.ubm.dim))
     norms = []
     expanded_list = []
-    caches = []
     for u, features in enumerate(features_list):
         norm, expanded = preprocess(system, features)
-        acts = netcore.forward(net, expanded)
-        n[u], f[u] = sufficient_stats(acts[-1], norm)
+        n[u], f[u] = sufficient_stats(netcore.forward(net, expanded)[-1], norm)
         norms.append(norm)
         expanded_list.append(expanded)
-        caches.append(acts if keep_caches else None)
-        del acts
 
     supervectors = map_supervectors(system.ubm, n, f, system.relevance)
     coords = pca_project(system.pca, supervectors)
-    ivec_acts = netcore.forward(system.ivec_net.net, coords)
+    ivec_acts = netcore.forward(system.ivec_net, coords)
     loss, d_emb = loss_fn(ivec_acts[-1])
-    ivec_grads, d_coords = netcore.backward(system.ivec_net.net, ivec_acts, d_emb)
+    ivec_grads, d_coords = netcore.backward(system.ivec_net, ivec_acts, d_emb)
 
     # adjoint of the MAP supervectors (f + r m) / (n + r), every utterance at once
     d_sv = (d_coords @ system.pca.basis.T).reshape(f.shape)
@@ -217,26 +215,12 @@ def _system_grads(system, features_list, loss_fn, keep_caches):
     d_n = -(d_sv * supervectors.reshape(f.shape)).sum(axis=2) / denom
     stats_grads = [np.zeros_like(p) for p in net.parameters()]
     for u in range(len(features_list)):
-        acts = caches[u] if keep_caches else netcore.forward(net, expanded_list[u])
-        grads_u = pooled_stats_backward(system.stats_net, acts, norms[u], d_n[u], d_f[u])
+        acts = netcore.forward(net, expanded_list[u])
+        grads_u = pooled_stats_backward(net, acts, norms[u], d_n[u], d_f[u])
         del acts
         for g, gu in zip(stats_grads, grads_u):
             g += gu
     return loss, stats_grads + ivec_grads
-
-
-def checkpointed_grads(system, features_list, loss_fn):
-    """Gradients with per-utterance recomputation of frame-level activations.
-
-    Identical arithmetic to full_graph_grads; only one utterance's
-    statistics-network activations are live at any time.
-    """
-    return _system_grads(system, features_list, loss_fn, keep_caches=False)
-
-
-def full_graph_grads(system, features_list, loss_fn):
-    """Reference backward pass that keeps every activation in memory."""
-    return _system_grads(system, features_list, loss_fn, keep_caches=True)
 
 
 @dataclass
@@ -363,11 +347,9 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
                 system, [train_feats[i] for i in idx], loss_fn
             )
         else:
-            acts = netcore.forward(system.ivec_net.net, train_coords[idx])
+            acts = netcore.forward(system.ivec_net, train_coords[idx])
             loss, d_emb = loss_fn(acts[-1])
-            net_grads, _ = netcore.backward(
-                system.ivec_net.net, acts, d_emb, input_grad=False
-            )
+            net_grads, _ = netcore.backward(system.ivec_net, acts, d_emb, input_grad=False)
         grads = net_grads + holder["d"].parameters()
         params = params_of()
         penalty, pen_grads = netcore.penalty_to_snapshot(

@@ -1,9 +1,10 @@
 """Neural embedding extractor standing in for i-vector extraction.
 
 Per-utterance statistics become relevance-MAP adapted mean supervectors,
-get projected by a fixed PCA, and feed a tanh network whose final layer
-emits length-normalized embeddings. Training minimizes the average cosine
-distance to reference vectors from the classic extraction chain.
+get projected by a fixed PCA, and feed IvecNet, a netcore.Mlp with tanh
+hidden layers whose final layer emits length-normalized embeddings.
+Training minimizes the average cosine distance to reference vectors from
+the classic extraction chain.
 """
 
 from __future__ import annotations
@@ -78,32 +79,19 @@ def pca_project(pca: PcaModel, supervectors):
     return (supervectors - pca.mean) @ pca.basis
 
 
-@dataclass
-class IvecNet:
+class IvecNet(netcore.Mlp):
     """tanh network with a length-normalized linear output layer."""
 
-    net: netcore.Mlp
-
-    def __post_init__(self):
-        if self.net.layers[-1].activation != "lengthnorm":
+    def validate(self):
+        super().validate()
+        if self.layers[-1].activation != "lengthnorm":
             raise ShapeError("embedding network must end in a length-norm layer")
-
-    @property
-    def out_dim(self):
-        return self.net.n_out
-
-    def to_tensors(self, prefix=""):
-        return self.net.to_tensors(prefix)
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(netcore.Mlp.from_tensors(tensors, prefix))
 
 
 def make_ivec_net(input_dim, out_dim, hidden, seed=0):
     widths = [input_dim, *hidden, out_dim]
     activations = ["tanh"] * len(hidden) + ["lengthnorm"]
-    return IvecNet(netcore.init_mlp(widths, activations, seed=seed))
+    return IvecNet(netcore.init_mlp(widths, activations, seed=seed).layers)
 
 
 def cosine_loss(outputs, refs):
@@ -125,5 +113,4 @@ def train_ivec_net(net: IvecNet, inputs, refs, schedule: netcore.SgdSchedule):
         raise InputError("zero-norm reference vector")
     if (np.abs(norms - 1.0) > 1e-6).any():
         raise InputError("reference vectors must be length-normalized")
-    model, history = netcore.train_sgd(net.net, inputs, refs, cosine_loss, schedule)
-    return IvecNet(model), history
+    return netcore.train_sgd(net, inputs, refs, cosine_loss, schedule)

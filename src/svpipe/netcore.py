@@ -108,7 +108,8 @@ class Mlp:
             layer.bias = np.asarray(b, dtype=np.float64)
 
     def copy(self):
-        return Mlp(
+        """Deep copy of the same class (a subclass stays a subclass)."""
+        return type(self)(
             [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
         )
 

@@ -56,6 +56,13 @@ def _non_negative(value):
     return x
 
 
+def _positive(value):
+    x = float(value)
+    if not 0 < x < np.inf:  # NaN fails too
+        raise ValueError("must be positive and finite")
+    return x
+
+
 _count = _int_at_least(0)  # the seed, iterations or epochs; zero epochs train nothing
 _size = _int_at_least(1)  # dimensions, components, batch sizes, batch counts
 
@@ -65,16 +72,16 @@ DEFAULTS = {
     "seed": ("0", _count),
     "paths.workdir": ("work", str),
     # synthetic corpus (desk scale)
-    "corpus.speakers": ("50", int),
-    "corpus.utts": ("8", int),
-    "corpus.dim": ("20", int),
-    "corpus.min_frames": ("200", int),
-    "corpus.max_frames": ("800", int),
-    "corpus.speaker_dim": ("8", int),
-    "corpus.channel_dim": ("4", int),
+    "corpus.speakers": ("50", _size),
+    "corpus.utts": ("8", _size),
+    "corpus.dim": ("20", _size),
+    "corpus.min_frames": ("200", _size),
+    "corpus.max_frames": ("800", _size),
+    "corpus.speaker_dim": ("8", _count),
+    "corpus.channel_dim": ("4", _count),
     "corpus.noise": ("1.5", float),
     "corpus.nonlinearity": ("1.0", float),
-    "corpus.frame_rate": ("100", float),
+    "corpus.frame_rate": ("100", _positive),
     # frontend
     "frontend.window_s": ("3.0", float),
     "frontend.context": ("15", int),
@@ -346,7 +353,7 @@ def net_stats(cfg, stats_net, utts, frame_rate):
     def stats_of(norm):
         return statsnet.pooled_stats(stats_net, _expanded(cfg, norm), norm)
 
-    return _stacked_stats(cfg, utts, frame_rate, stats_net.n_components, stats_of)
+    return _stacked_stats(cfg, utts, frame_rate, stats_net.n_out, stats_of)
 
 
 def train_ivec_net(cfg, ubm, pca, n, f, refs):
@@ -365,7 +372,7 @@ def assemble_cascade(cfg, stats_net, ubm, pca, ivec_net, utts, frame_rate):
 
     The system's backend stays all zeros until set_backend installs one.
     """
-    dim = ivec_net.out_dim
+    dim = ivec_net.n_out
     zeros = dplda.DpldaParams(np.zeros((dim, dim)), np.zeros((dim, dim)), np.zeros(dim), 0.0)
     front = e2e.FrontendConfig(
         window_s=cfg.get("frontend.window_s"),

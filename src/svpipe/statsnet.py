@@ -1,15 +1,14 @@
 """Neural statistics extractor.
 
-A sigmoid MLP with a softmax output predicts per-frame background-model
-responsibilities from context-expanded features; a fixed pooling layer then
-accumulates the exact zeroth/first order statistics from those predictions
-and the unexpanded features. The pooling is differentiable, so gradients of
-any statistics-level loss flow back into the network.
+StatsNet is a netcore.Mlp, sigmoid hidden layers and a softmax output, that
+predicts per-frame background-model responsibilities from context-expanded
+features; a fixed pooling layer then accumulates the exact zeroth/first
+order statistics from those predictions and the unexpanded features. The
+pooling is differentiable, so gradients of any statistics-level loss flow
+back into the network.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,32 +19,19 @@ from .gmm import sufficient_stats
 _PRED_CLIP = 1e-12
 
 
-@dataclass
-class StatsNet:
+class StatsNet(netcore.Mlp):
     """Responsibility-prediction network; output width = component count."""
 
-    net: netcore.Mlp
-
-    def __post_init__(self):
-        if self.net.layers[-1].activation != "softmax":
+    def validate(self):
+        super().validate()
+        if self.layers[-1].activation != "softmax":
             raise ShapeError("statistics network must end in a softmax layer")
-
-    @property
-    def n_components(self):
-        return self.net.n_out
-
-    def to_tensors(self, prefix=""):
-        return self.net.to_tensors(prefix)
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        return cls(netcore.Mlp.from_tensors(tensors, prefix))
 
 
 def make_stats_net(input_dim, n_components, hidden, seed=0):
     widths = [input_dim, *hidden, n_components]
     activations = ["sigmoid"] * len(hidden) + ["softmax"]
-    return StatsNet(netcore.init_mlp(widths, activations, seed=seed))
+    return StatsNet(netcore.init_mlp(widths, activations, seed=seed).layers)
 
 
 def frame_cross_entropy(pred, targets):
@@ -71,18 +57,11 @@ def train_stats_net(net: StatsNet, frames, targets, schedule: netcore.SgdSchedul
     targets = np.asarray(targets, dtype=np.float64)
     if frames.ndim != 2 or targets.ndim != 2:
         raise ShapeError("frames and targets must be matrices")
-    if targets.shape[1] != net.n_components:
+    if targets.shape[1] != net.n_out:
         raise ShapeError("target width does not match the network output")
     if (np.abs(targets.sum(axis=1) - 1.0) > 1e-6).any():
         raise InputError("targets must be soft posteriors (rows sum to 1)")
-    model, history = netcore.train_sgd(
-        net.net, frames, targets, frame_cross_entropy, schedule
-    )
-    return StatsNet(model), history
-
-
-def predict_responsibilities(net: StatsNet, expanded):
-    return netcore.forward(net.net, expanded)[-1]
+    return netcore.train_sgd(net, frames, targets, frame_cross_entropy, schedule)
 
 
 def pooled_stats(net: StatsNet, expanded, raw):
@@ -96,7 +75,7 @@ def pooled_stats(net: StatsNet, expanded, raw):
     raw = np.asarray(raw, dtype=np.float64)
     if expanded.shape[0] != raw.shape[0]:
         raise InputError("expanded and raw features disagree on frame count")
-    return sufficient_stats(predict_responsibilities(net, expanded), raw)
+    return sufficient_stats(netcore.forward(net, expanded)[-1], raw)
 
 
 def pooled_stats_backward(net: StatsNet, acts, raw, d_n, d_f):
@@ -108,5 +87,5 @@ def pooled_stats_backward(net: StatsNet, acts, raw, d_n, d_f):
     """
     raw = np.asarray(raw, dtype=np.float64)
     d_resp = d_n[None, :] + raw @ np.asarray(d_f, dtype=np.float64).T
-    grads, _ = netcore.backward(net.net, acts, d_resp, input_grad=False)
+    grads, _ = netcore.backward(net, acts, d_resp, input_grad=False)
     return grads

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from svpipe import netcore
+from svpipe import frontend, gmm, ivecnet, netcore
 from svpipe.corpus import SynthConfig, synth_corpus
 
 
@@ -51,6 +51,42 @@ def dplda_score(params, phi_i, phi_j):
         + (phi_i + phi_j) @ params.c
         + params.k
     )
+
+
+def full_graph_grads(system, features_list, loss_fn):
+    """Oracle for e2e.checkpointed_grads: one backward pass over the whole graph.
+
+    Keeps every utterance's statistics-network activations from the forward
+    pass and backpropagates through them, with the pooling and MAP adjoints
+    written out here. Returns (loss, grads) aligned to the statistics-net
+    plus embedding-net parameters.
+    """
+    fc = system.frontend
+    norms, caches = [], []
+    for features in features_list:
+        norm = frontend.stmvn(features, fc.window_s, fc.frame_rate_hz)
+        caches.append(
+            netcore.forward(system.stats_net, frontend.context_expand(norm, fc.context, fc.n_dct))
+        )
+        norms.append(norm)
+    n, f = map(np.stack, zip(*[gmm.sufficient_stats(a[-1], x) for a, x in zip(caches, norms)]))
+    supervectors = ivecnet.map_supervectors(system.ubm, n, f, system.relevance)
+    ivec_acts = netcore.forward(system.ivec_net, ivecnet.pca_project(system.pca, supervectors))
+    loss, d_emb = loss_fn(ivec_acts[-1])
+    ivec_grads, d_coords = netcore.backward(system.ivec_net, ivec_acts, d_emb)
+    # supervector = (f + r m) / (n + r), per utterance and component
+    d_sv = (d_coords @ system.pca.basis.T).reshape(f.shape)
+    denom = n + system.relevance
+    d_f = d_sv / denom[:, :, None]
+    d_n = -(d_sv * supervectors.reshape(f.shape)).sum(axis=2) / denom
+    stats_grads = [np.zeros_like(p) for p in system.stats_net.parameters()]
+    for acts, norm, dn, df in zip(caches, norms, d_n, d_f):
+        # pooling n = sum_t resp_t, f = sum_t resp_t x_t^T, spread back over frames
+        d_resp = dn[None, :] + norm @ df.T
+        grads_u, _ = netcore.backward(system.stats_net, acts, d_resp, input_grad=False)
+        for g, gu in zip(stats_grads, grads_u):
+            g += gu
+    return loss, stats_grads + ivec_grads
 
 
 @contextlib.contextmanager

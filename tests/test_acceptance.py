@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_difference, live_activation_caches, max_rel_err
+from conftest import finite_difference, full_graph_grads, live_activation_caches, max_rel_err
 from svpipe import (
     corpus as corpus_mod,
     dplda,
@@ -227,9 +227,9 @@ def test_criterion_2_checkpointing_equivalence():
                 loss, _, d_emb = dplda.bxe_objective(system.dplda, batch, cfg)
                 return loss, d_emb
 
-            with live_activation_caches(system.stats_net.net) as live:
+            with live_activation_caches(system.stats_net) as live:
                 loss_a, grads_a = e2e.checkpointed_grads(system, batch_feats, loss_fn)
-            loss_b, grads_b = e2e.full_graph_grads(system, batch_feats, loss_fn)
+            loss_b, grads_b = full_graph_grads(system, batch_feats, loss_fn)
             assert live.max_live == 1
             assert loss_a == loss_b
             for ga, gb in zip(grads_a, grads_b):
@@ -299,9 +299,9 @@ def test_criterion_3_gradient_suite():
             n, f = statsnet.pooled_stats(snet, expanded, raw)
             return float((n * d_n).sum() + (f * d_f).sum())
 
-        acts = netcore.forward(snet.net, expanded)
+        acts = netcore.forward(snet, expanded)
         grads = statsnet.pooled_stats_backward(snet, acts, raw, d_n, d_f)
-        for p, g in zip(snet.net.parameters(), grads):
+        for p, g in zip(snet.parameters(), grads):
             worst = max(worst, max_rel_err(g, finite_difference(stats_loss, p), floor=1e-6))
 
         # cosine objective through the embedding net
@@ -310,13 +310,13 @@ def test_criterion_3_gradient_suite():
         refs = ivector.lengthnorm(rng.standard_normal((8, 4)))
 
         def cos_loss():
-            out = netcore.forward(ivnet.net, inputs)[-1]
+            out = netcore.forward(ivnet, inputs)[-1]
             return ivecnet.cosine_loss(out, refs)[0]
 
-        acts = netcore.forward(ivnet.net, inputs)
+        acts = netcore.forward(ivnet, inputs)
         _, grad_out = ivecnet.cosine_loss(acts[-1], refs)
-        grads, _ = netcore.backward(ivnet.net, acts, grad_out)
-        for p, g in zip(ivnet.net.parameters(), grads):
+        grads, _ = netcore.backward(ivnet, acts, grad_out)
+        for p, g in zip(ivnet.parameters(), grads):
             worst = max(worst, max_rel_err(g, finite_difference(cos_loss, p), floor=1e-6))
 
         elapsed = time.perf_counter() - start
@@ -449,7 +449,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
         train = corp.split("train")
         speakers_all = np.array([u.speaker for u in train])
         coords = e2e.pca_coords(system, [u.features for u in train])
-        params = system.ivec_net.net.parameters() + system.dplda.parameters()
+        params = system.ivec_net.parameters() + system.dplda.parameters()
         anchor = [p.copy() for p in params]
         adam = netcore.AdamState.create(params, lr=1e-4)
         rng = np.random.default_rng(0)
@@ -457,7 +457,7 @@ def test_criterion_7_directional_reproduction(desk_chains):
             {s: np.flatnonzero(speakers_all == s) for s in np.unique(speakers_all)},
             rng,
         )
-        live_net = system.ivec_net.net.copy()
+        live_net = system.ivec_net.copy()
         live_dplda = system.dplda.copy()
         drift = 0.0
         for _ in range(20):

@@ -322,6 +322,9 @@ def test_bad_trial_list_exit_code(workdir, tmp_path, backend, lines, message):
         ("e2e.lambda_init=-1e-2", "train-e2e", None),
         ("e2e.lambda_init=nan", "train-e2e", None),
         ("dplda.l2=-1e-3", "train-dplda", None),
+        ("corpus.frame_rate=0", "synth-data", None),
+        ("corpus.speakers=0", "synth-data", None),
+        ("corpus.speaker_dim=-1", "synth-data", None),
     ],
 )
 def test_training_count_exit_codes(workdir, tmp_path, override, stage, model):
@@ -420,6 +423,26 @@ def test_wrong_kind_model_file_exit_code(workdir, tmp_path, model, stage):
     result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
     assert result.returncode == 3, result.stderr
     assert f"{model}: no tensor" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "model, other, stage, layer",
+    [
+        ("statsnet.svm", "ivecnet.svm", "train-s2i", "softmax"),
+        ("ivecnet.svm", "statsnet.svm", "train-joint", "length-norm"),
+    ],
+)
+def test_swapped_network_file_exit_code(workdir, tmp_path, model, other, stage, layer):
+    # both network files hold the same tensor names: only the check of the
+    # final activation that each network class makes tells them apart
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    shutil.copyfile(work / other, work / model)
+    result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
+    assert result.returncode == 3, result.stderr
+    assert f"must end in a {layer} layer" in result.stderr
     assert "Traceback" not in result.stderr
 
 

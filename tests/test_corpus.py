@@ -120,6 +120,11 @@ def test_corpus_index_non_utf8_is_format_error(tmp_path, small_corpus):
     "line",
     [
         "frame_rate_hz\tfast",  # unparsable frame rate
+        "frame_rate_hz\tnan",  # frame rates must be positive and finite
+        "frame_rate_hz\tinf",
+        "frame_rate_hz\t0",
+        "frame_rate_hz\t-100",
+        "spk000_u0\tspk000\ttrain",  # a uid listed twice
         "../elsewhere\tspk\ttrain",  # uid is a path, not a file name
         "absent\tspk\ttrain",  # no feature file for the uid
     ],

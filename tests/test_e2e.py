@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import dplda_score, live_activation_caches
+from conftest import dplda_score, full_graph_grads, live_activation_caches
 from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, recipe, statsnet
 
 
@@ -62,7 +62,7 @@ def test_score_matches_stage_by_stage_composition(tiny_system, small_corpus):
         n, f = statsnet.pooled_stats(tiny_system.stats_net, expanded, norm)
         sv = ivecnet.map_supervectors(tiny_system.ubm, n[None], f[None], tiny_system.relevance)
         coords = ivecnet.pca_project(tiny_system.pca, sv)
-        embeddings.append(netcore.forward(tiny_system.ivec_net.net, coords)[-1][0])
+        embeddings.append(netcore.forward(tiny_system.ivec_net, coords)[-1][0])
     composed = dplda_score(tiny_system.dplda, embeddings[0], embeddings[1])
     assert abs(_score(tiny_system, a, b) - composed) < 1e-12
 
@@ -89,10 +89,10 @@ def test_checkpointed_equals_full_graph(tiny_system, small_corpus):
     feats = [u.features for u in utts]
     speakers = np.array([u.speaker for u in utts])
     loss_fn = _bxe_loss_fn(tiny_system, speakers, dplda.ObjectiveConfig(p_target=0.1))
-    with live_activation_caches(tiny_system.stats_net.net) as live_a:
+    with live_activation_caches(tiny_system.stats_net) as live_a:
         loss_a, grads_a = e2e.checkpointed_grads(tiny_system, feats, loss_fn)
-    with live_activation_caches(tiny_system.stats_net.net) as live_b:
-        loss_b, grads_b = e2e.full_graph_grads(tiny_system, feats, loss_fn)
+    with live_activation_caches(tiny_system.stats_net) as live_b:
+        loss_b, grads_b = full_graph_grads(tiny_system, feats, loss_fn)
     assert loss_a == loss_b
     for ga, gb in zip(grads_a, grads_b):
         denom = np.maximum(np.abs(gb), 1e-300)
@@ -305,15 +305,16 @@ def test_schedule_full_scale_defaults():
 
 
 def test_assemble_system_copies_the_networks(tiny_system):
-    snet = statsnet.StatsNet(tiny_system.stats_net.net.copy())
-    ivnet = ivecnet.IvecNet(tiny_system.ivec_net.net.copy())
-    before = [p.copy() for p in snet.net.parameters() + ivnet.net.parameters()]
+    snet = tiny_system.stats_net.copy()
+    ivnet = tiny_system.ivec_net.copy()
+    assert type(snet) is statsnet.StatsNet and type(ivnet) is ivecnet.IvecNet
+    before = [p.copy() for p in snet.parameters() + ivnet.parameters()]
     system = e2e.assemble_system(
         tiny_system.frontend, snet, tiny_system.ubm, tiny_system.pca, ivnet,
         tiny_system.dplda, tiny_system.relevance,
     )
     system.set_trainable_parameters([p + 1.0 for p in system.trainable_parameters()])
-    after = snet.net.parameters() + ivnet.net.parameters()
+    after = snet.parameters() + ivnet.parameters()
     for b, a in zip(before, after, strict=True):
         assert np.array_equal(b, a)
 

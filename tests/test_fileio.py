@@ -185,6 +185,7 @@ def test_model_tensor_names_and_bit_exact_round_trip(tmp_path, model, names):
     path = tmp_path / "model.svm"
     fileio.write_container(path, tensors)
     back = fileio.from_tensors(type(model), fileio.read_container(path))
+    assert type(back) is type(model)
     again = fileio.to_tensors(back)
     assert list(again) == names
     for name in names:

@@ -110,9 +110,9 @@ def test_default_net_architecture():
     net = ivecnet.make_ivec_net(
         paper.get("pca.dim"), paper.get("prep.dim"), paper.get("ivecnet.hidden")
     )
-    widths = [(l.n_in, l.n_out) for l in net.net.layers]
+    widths = [(l.n_in, l.n_out) for l in net.layers]
     assert widths == [(4000, 600), (600, 600), (600, 250)]
-    assert [l.activation for l in net.net.layers] == ["tanh", "tanh", "lengthnorm"]
+    assert [l.activation for l in net.layers] == ["tanh", "tanh", "lengthnorm"]
 
 
 def test_cosine_loss_perfect_and_random_baseline():
@@ -126,7 +126,7 @@ def test_cosine_loss_perfect_and_random_baseline():
     for seed in range(20):
         net = ivecnet.make_ivec_net(10, 50, hidden=(12,), seed=seed)
         inputs = rng.standard_normal((20, 10))
-        out = netcore.forward(net.net, inputs)[-1]
+        out = netcore.forward(net, inputs)[-1]
         sims.extend(np.abs((out * refs).sum(axis=1)).tolist())
     assert np.mean(sims) < 0.2
 
@@ -139,6 +139,7 @@ def test_training_halves_the_loss():
     net = ivecnet.make_ivec_net(12, 8, hidden=(16,), seed=0)
     cfg = netcore.SgdSchedule(lr=0.1, n_epochs=150, batch_size=16, seed=0, l1_weight=1e-6)
     trained, history = ivecnet.train_ivec_net(net, inputs, refs, cfg)
+    assert type(trained) is ivecnet.IvecNet  # train_sgd trains a copy of the same class
     assert history[-1] < 0.5 * history[0]
 
 

@@ -13,9 +13,9 @@ def test_full_scale_architecture_defaults():
     net = statsnet.make_stats_net(
         360, paper.get("ubm.components"), paper.get("statsnet.hidden")
     )
-    widths = [(l.n_in, l.n_out) for l in net.net.layers]
+    widths = [(l.n_in, l.n_out) for l in net.layers]
     assert widths == [(360, 1500), (1500, 1500), (1500, 1500), (1500, 1500), (1500, 2048)]
-    assert [l.activation for l in net.net.layers] == ["sigmoid"] * 4 + ["softmax"]
+    assert [l.activation for l in net.layers] == ["sigmoid"] * 4 + ["softmax"]
 
 
 def test_training_toward_constant_target():
@@ -26,8 +26,9 @@ def test_training_toward_constant_target():
     net = statsnet.make_stats_net(4, 3, hidden=(8,), seed=1)
     cfg = netcore.SgdSchedule(lr=0.5, n_epochs=60, batch_size=64, seed=0, l1_weight=0.0)
     net, history = statsnet.train_stats_net(net, np.vstack(frames), np.vstack(targets), cfg)
+    assert type(net) is statsnet.StatsNet  # train_sgd trains a copy of the same class
     avg = np.vstack(
-        [statsnet.predict_responsibilities(net, f) for f in frames]
+        [netcore.forward(net, f)[-1] for f in frames]
     ).mean(axis=0)
     assert 0.5 * np.abs(avg - q).sum() < 0.05  # total variation
     assert history[-1] <= history[0]
@@ -53,7 +54,7 @@ def test_pooled_stats_equals_classic_accumulation():
     net = statsnet.make_stats_net(6, 5, hidden=(7,), seed=3)
     expanded = rng.standard_normal((40, 6))
     raw = rng.standard_normal((40, 3))
-    resp = statsnet.predict_responsibilities(net, expanded)
+    resp = netcore.forward(net, expanded)[-1]
     direct = gmm.sufficient_stats(resp, raw)
     pooled = statsnet.pooled_stats(net, expanded, raw)
     assert np.array_equal(pooled[0], direct[0])
@@ -84,9 +85,9 @@ def test_stats_gradient_matches_finite_differences():
         n, f = statsnet.pooled_stats(net, expanded, raw)
         return float((n * d_n).sum() + (f * d_f).sum())
 
-    acts = netcore.forward(net.net, expanded)
+    acts = netcore.forward(net, expanded)
     grads = statsnet.pooled_stats_backward(net, acts, raw, d_n, d_f)
-    for p, g in zip(net.net.parameters(), grads):
+    for p, g in zip(net.parameters(), grads):
         fd = finite_difference(objective, p)
         assert max_rel_err(g, fd, floor=1e-6) < 1e-4
 
