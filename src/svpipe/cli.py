@@ -42,6 +42,7 @@ from .errors import (
     ModelError,
     OptimizerError,
     PipelineError,
+    ShapeError,
 )
 from .fileio import (
     from_tensors,
@@ -90,7 +91,11 @@ def _train_split(cfg):
 
 
 def _read(cfg, name, model_type):
-    return from_tensors(model_type, read_container(cfg.path(name)))
+    path = cfg.path(name)
+    try:
+        return from_tensors(model_type, read_container(path))
+    except ShapeError as exc:  # a model of the wrong kind or shape names its file
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _load_stats(cfg, utts):
@@ -234,8 +239,7 @@ def cmd_train_joint(cfg, args):
         cfg, stats_net, ubm, pca, ivec_net, train, corpus.frame_rate_hz
     )
     backend = recipe.cascade_backend(cfg, embeddings, [u.speaker for u in train])
-    recipe.set_backend(system, backend)
-    system, history = recipe.train_joint(cfg, system, corpus, coords)
+    system, history = recipe.train_joint(cfg, system, corpus, coords, backend)
     _write_training_log(cfg.path("train_joint.log"), history)
     _write_model(cfg, "system.svm", to_tensors(system))
 

@@ -5,11 +5,11 @@ network -> MAP supervector -> fixed PCA -> embedding network -> quadratic
 trial scoring. Its embedding half, pca_coords then embed_coords, runs one
 utterance at a time and is the only inference path: scoring, the cascade
 backend and the dev pass of joint training all see the same bits. Joint
-training runs Adam on the prior-weighted cross-entropy over sampled trial
-batches, pulled toward the anchor (the assembled system's starting
-trainable parameters) with the schedule's anchor_weight, halving the
-learning rate when the dev-set cost stops improving and returning the
-best-on-dev parameters.
+training repeats train_step, one Adam step on the prior-weighted
+cross-entropy of a sampled trial batch, pulled toward the anchor (the
+assembled system's starting trainable parameters) with the schedule's
+anchor_weight, halving the learning rate when the dev-set cost stops
+improving and returning the best-on-dev parameters.
 
 Both networks are netcore.Mlps. checkpointed_grads is the only backward
 pass through the system: the batch keeps each utterance's frontend output
@@ -289,12 +289,43 @@ def train_e2e_full(system: E2eSystem, corpus: Corpus, schedule, rng):
     return _train_jointly(system, corpus, schedule, rng, train_stats_net=True)
 
 
-def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=None):
-    """Adam on sampled trial batches pulled toward the anchor, keeping the best on dev.
+def train_step(system, adam, schedule, inputs, speakers, train_stats_net):
+    """One Adam step on all trials among a batch, pulled toward the anchor.
 
-    Each step adds netcore.penalty_to_snapshot of the trained groups toward
-    their slice of system.anchor, weighted by schedule.anchor_weight; with
-    a frozen statistics network its groups are neither trained nor pulled.
+    inputs are the batch's features if the statistics network is trained,
+    else their PCA coordinates; a frozen network is neither stepped nor
+    pulled. The trained groups step on the prior-weighted cross-entropy plus
+    netcore.penalty_to_snapshot toward their slice of system.anchor. Returns
+    the loss plus the penalty, both at the parameters before the step.
+    """
+    n_skip = 0 if train_stats_net else system.n_stats_params
+    trained = system.trainable_parameters()
+    backend_grads = None
+
+    def loss_fn(embeddings):
+        nonlocal backend_grads
+        batch = TrialBatch.all_trials(embeddings, speakers)
+        loss, backend_grads, d_emb = bxe_objective(system.dplda, batch, schedule.objective)
+        return loss, d_emb
+
+    if train_stats_net:
+        loss, net_grads = checkpointed_grads(system, inputs, loss_fn)
+    else:
+        acts = netcore.forward(system.ivec_net, inputs)
+        loss, d_emb = loss_fn(acts[-1])
+        net_grads, _ = netcore.backward(system.ivec_net, acts, d_emb, input_grad=False)
+    params = trained[n_skip:]
+    penalty, pen_grads = netcore.penalty_to_snapshot(
+        params, system.anchor[n_skip:], schedule.anchor_weight
+    )
+    grads = [g + pg for g, pg in zip(net_grads + backend_grads.parameters(), pen_grads)]
+    system.set_trainable_parameters(trained[:n_skip] + netcore.adam_step(adam, params, grads))
+    return loss + penalty
+
+
+def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=None):
+    """train_step on sampled trial batches, keeping the best on dev.
+
     A frozen statistics network only feeds fixed inputs to the embedding
     network, so its PCA coordinates are computed once per utterance (unless
     the caller hands in train_coords) and each batch runs the embedding
@@ -303,16 +334,6 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
     """
     train_feats, train_speakers = _split_features(corpus, "train")
     dev_feats, dev_speakers = _split_features(corpus, "dev")
-    n_skip = 0 if train_stats_net else system.n_stats_params
-    frozen = system.trainable_parameters()[:n_skip]
-    anchor = system.anchor[n_skip:]
-
-    def params_of():
-        return system.trainable_parameters()[n_skip:]
-
-    def set_params(params):
-        system.set_trainable_parameters(frozen + params)
-
     if not train_stats_net:
         if train_coords is None:
             train_coords = pca_coords(system, train_feats)
@@ -324,44 +345,19 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         coords = pca_coords(system, dev_feats) if train_stats_net else dev_coords
         return embed_coords(system, coords)
 
-    utts_by_speaker = {
-        spk: np.flatnonzero(train_speakers == spk)
-        for spk in np.unique(train_speakers)
-    }
-    pool = make_pair_pool(utts_by_speaker, rng)
-    adam = netcore.AdamState.create(params_of(), lr=schedule.lr)
+    speakers = np.unique(train_speakers)
+    pool = make_pair_pool({s: np.flatnonzero(train_speakers == s) for s in speakers}, rng)
+    n_skip = 0 if train_stats_net else system.n_stats_params
+    adam = netcore.AdamState.create(system.trainable_parameters()[n_skip:], lr=schedule.lr)
 
     def batch_step():
         idx = draw_groups(pool, schedule.n_pairs, rng)
-        holder = {}
-
-        def loss_fn(embeddings):
-            batch = TrialBatch.all_trials(embeddings, train_speakers[idx])
-            loss, holder["d"], d_emb = bxe_objective(
-                system.dplda, batch, schedule.objective
-            )
-            return loss, d_emb
-
-        if train_stats_net:
-            loss, net_grads = checkpointed_grads(
-                system, [train_feats[i] for i in idx], loss_fn
-            )
-        else:
-            acts = netcore.forward(system.ivec_net, train_coords[idx])
-            loss, d_emb = loss_fn(acts[-1])
-            net_grads, _ = netcore.backward(system.ivec_net, acts, d_emb, input_grad=False)
-        grads = net_grads + holder["d"].parameters()
-        params = params_of()
-        penalty, pen_grads = netcore.penalty_to_snapshot(
-            params, anchor, schedule.anchor_weight
-        )
-        grads = [g + pg for g, pg in zip(grads, pen_grads)]
-        set_params(netcore.adam_step(adam, params, grads))
-        return loss + penalty
+        inputs = [train_feats[i] for i in idx] if train_stats_net else train_coords[idx]
+        return train_step(system, adam, schedule, inputs, train_speakers[idx], train_stats_net)
 
     init_eer, best_c = _dev_metrics(dev_embeddings(), dev_speakers, system.dplda)
     best_epoch = 0
-    best_params = [p.copy() for p in params_of()]
+    best_params = [p.copy() for p in system.trainable_parameters()]
     history = [EpochRecord(0, np.nan, init_eer, best_c, schedule.lr)]
     dev_curve = [best_c]
     for epoch in range(1, schedule.max_epochs + 1):
@@ -374,8 +370,8 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         logger.info("%s", format_epoch_log(record))
         if dev_c < best_c:
             best_epoch, best_c = epoch, dev_c
-            best_params = [p.copy() for p in params_of()]
+            best_params = [p.copy() for p in system.trainable_parameters()]
     kept = f"epoch {best_epoch}" if best_epoch else "the initialization (epoch 0)"
     logger.info("kept %s: dev C_primary %.6f", kept, best_c)
-    set_params(best_params)
+    system.set_trainable_parameters(best_params)
     return system, history

@@ -63,7 +63,18 @@ def _positive(value):
     return x
 
 
-_count = _int_at_least(0)  # the seed, iterations or epochs; zero epochs train nothing
+def _float_in(low, high, closed):
+    def parse(value):
+        x = float(value)
+        if not (low <= x <= high if closed else low < x < high):  # NaN fails too
+            ends = "[]" if closed else "()"
+            raise ValueError(f"must lie in {ends[0]}{low}, {high}{ends[1]}")
+        return x
+
+    return parse
+
+
+_count = _int_at_least(0)  # the seed, iterations, epochs, context width; zero epochs train nothing
 _size = _int_at_least(1)  # dimensions, components, batch sizes, batch counts
 
 
@@ -80,12 +91,12 @@ DEFAULTS = {
     "corpus.speaker_dim": ("8", _count),
     "corpus.channel_dim": ("4", _count),
     "corpus.noise": ("1.5", float),
-    "corpus.nonlinearity": ("1.0", float),
+    "corpus.nonlinearity": ("1.0", _float_in(0, 1, closed=True)),
     "corpus.frame_rate": ("100", _positive),
     # frontend
-    "frontend.window_s": ("3.0", float),
-    "frontend.context": ("15", int),
-    "frontend.n_dct": ("6", int),
+    "frontend.window_s": ("3.0", _positive),
+    "frontend.context": ("15", _count),
+    "frontend.n_dct": ("6", _size),
     # background model / i-vectors / preprocessing
     "ubm.components": ("32", _size),
     "ubm.iters": ("8", _count),
@@ -96,21 +107,22 @@ DEFAULTS = {
     "plda.iters": ("10", _count),
     # discriminative backend
     "dplda.l2": ("1e-3", _non_negative),
-    "dplda.p_target": ("0.0075", float),  # midpoint of the 0.01 / 0.005 operating points
+    # midpoint of the 0.01 / 0.005 operating points
+    "dplda.p_target": ("0.0075", _float_in(0, 1, closed=False)),
     "dplda.max_iters": ("200", _count),
     # neural modules
     "statsnet.hidden": ("128,128", _parse_ints),
-    "statsnet.lr": ("0.5", float),
+    "statsnet.lr": ("0.5", _positive),
     "statsnet.epochs": ("24", _count),
     "statsnet.batch": ("512", _size),
     "pca.dim": ("100", _size),
     "ivecnet.hidden": ("64,64", _parse_ints),
-    "ivecnet.lr": ("0.1", float),
-    "ivecnet.l1": ("1e-5", float),
+    "ivecnet.lr": ("0.1", _positive),
+    "ivecnet.l1": ("1e-5", _non_negative),
     "ivecnet.epochs": ("120", _count),
     "ivecnet.batch": ("32", _size),
     "ivecnet.stats_source": ("statsnet", _one_of("statsnet", "ubm")),
-    "ivecnet.relevance": ("16", float),
+    "ivecnet.relevance": ("16", _positive),
     # joint and end-to-end training
     "joint.pairs": ("50", _size),
     "joint.epoch_batches": ("20", _size),
@@ -370,7 +382,7 @@ def train_ivec_net(cfg, ubm, pca, n, f, refs):
 def assemble_cascade(cfg, stats_net, ubm, pca, ivec_net, utts, frame_rate):
     """The mimic-trained stages as one system, and utts' PCA coordinates and embeddings.
 
-    The system's backend stays all zeros until set_backend installs one.
+    The system's backend stays all zeros until train_joint installs one.
     """
     dim = ivec_net.n_out
     zeros = dplda.DpldaParams(np.zeros((dim, dim)), np.zeros((dim, dim)), np.zeros(dim), 0.0)
@@ -396,12 +408,6 @@ def cascade_backend(cfg, embeddings, speakers):
     return init
 
 
-def set_backend(system, params):
-    """Install the backend and make the system's parameters the anchor training pulls toward."""
-    system.dplda = params.copy()
-    system.freeze_anchor()
-
-
 def train_schedule(cfg, section):
     """The Adam schedule of the joint or e2e section."""
     return e2e.TrainSchedule(
@@ -414,8 +420,13 @@ def train_schedule(cfg, section):
     )
 
 
-def train_joint(cfg, system, corpus, train_coords):
-    """Joint training of the embedding net and backend; train_coords from assemble_cascade."""
+def train_joint(cfg, system, corpus, train_coords, backend):
+    """Install a copy of backend, anchor the system there and train it jointly.
+
+    system and train_coords come from assemble_cascade.
+    """
+    system.dplda = backend.copy()
+    system.freeze_anchor()
     rng = np.random.default_rng(cfg.seed)
     schedule = train_schedule(cfg, "joint")
     return e2e.train_joint_s2i_dplda(system, corpus, schedule, rng, train_coords=train_coords)

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from svpipe import frontend, gmm, ivecnet, netcore
+from svpipe import frontend, gmm, ivecnet, netcore, recipe
 from svpipe.corpus import SynthConfig, synth_corpus
 
 
@@ -87,6 +87,37 @@ def full_graph_grads(system, features_list, loss_fn):
         for g, gu in zip(stats_grads, grads_u):
             g += gu
     return loss, stats_grads + ivec_grads
+
+
+def recipe_chain(cfg):
+    """Every recipe stage from synth_corpus through assemble_cascade, in memory.
+
+    Each stage gets the inputs its CLI stage reads, so each model equals the
+    file that stage writes. Returns the models, histories and arrays by name.
+    """
+    corpus = recipe.synth_corpus(cfg)
+    rate = corpus.frame_rate_hz
+    train = corpus.split("train")
+    speakers = np.array([u.speaker for u in train])
+    ubm, ubm_ll = recipe.train_ubm(cfg, recipe.ubm_frames(cfg, train, rate))
+    n, f = recipe.utterance_stats(cfg, ubm, corpus.utterances, rate)
+    rows = [i for i, u in enumerate(corpus.utterances) if u.split == "train"]
+    tv, tv_elbo = recipe.train_tv(cfg, ubm, n[rows], f[rows])
+    prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, corpus.utterances, n, f)
+    train_vecs = np.stack([vectors[u.uid] for u in train])
+    plda_model, plda_ll = recipe.train_plda(cfg, train_vecs, speakers)
+    snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
+    pca = recipe.fit_pca(cfg, ubm, n[rows], f[rows])
+    ivnet, _ = recipe.train_ivec_net(
+        cfg, ubm, pca, *recipe.net_stats(cfg, snet, train, rate), train_vecs
+    )
+    system, coords, embeddings = recipe.assemble_cascade(cfg, snet, ubm, pca, ivnet, train, rate)
+    return types.SimpleNamespace(
+        corpus=corpus, speakers=speakers, n=n, f=f, vectors=vectors, train_vecs=train_vecs,
+        ubm=ubm, ubm_ll=ubm_ll, tv=tv, tv_elbo=tv_elbo, prep=prep, plda=plda_model,
+        plda_ll=plda_ll, snet=snet, pca=pca, ivnet=ivnet, system=system, coords=coords,
+        embeddings=embeddings,
+    )
 
 
 @contextlib.contextmanager

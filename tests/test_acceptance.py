@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, full_graph_grads, live_activation_caches, max_rel_err
+from conftest import recipe_chain
 from svpipe import (
     corpus as corpus_mod,
     dplda,
@@ -74,76 +75,51 @@ def _dev_picked_dplda(seed, init, c_init, train_vecs, train_spk, dev_batch):
 
 def _run_desk_chain(seed):
     cfg = recipe.Config(seed=seed)
-    corp = recipe.synth_corpus(cfg)
-    rate = corp.frame_rate_hz
-    train = corp.split("train")
-    dev = corp.split("dev")
-    train_spk = np.array([u.speaker for u in train])
+    chain = recipe_chain(cfg)
+    dev = chain.corpus.split("dev")
     dev_spk = np.array([u.speaker for u in dev])
-    out = {"corpus": corp}
-
-    ubm, ubm_ll = recipe.train_ubm(cfg, recipe.ubm_frames(cfg, train, rate))
-    n, f = recipe.utterance_stats(cfg, ubm, corp.utterances, rate)
-    train_rows = [i for i, u in enumerate(corp.utterances) if u.split == "train"]
-    train_n, train_f = n[train_rows], f[train_rows]
-    tv, tv_elbo = recipe.train_tv(cfg, ubm, train_n, train_f)
-    prep, prepped = recipe.extract_ivectors(cfg, tv, ubm, corp.utterances, n, f)
-    train_vecs = np.stack([prepped[u.uid] for u in train])
-    dev_vecs = np.stack([prepped[u.uid] for u in dev])
-    plda_model, plda_ll = recipe.train_plda(cfg, train_vecs, train_spk)
+    dev_vecs = np.stack([chain.vectors[u.uid] for u in dev])
 
     dev_batch = dplda.TrialBatch.all_trials(dev_vecs, dev_spk)
     dev_i, dev_j = np.nonzero(dev_batch.trials)
-    plda_scores = plda.plda_llr_pairs(plda_model, dev_vecs[dev_i], dev_vecs[dev_j])
+    plda_scores = plda.plda_llr_pairs(chain.plda, dev_vecs[dev_i], dev_vecs[dev_j])
     eer_plda, c_plda = _dev_metrics(plda_scores, dev_batch.is_target)
     dplda_params, c_dplda, picked_l2 = _dev_picked_dplda(
-        seed, plda.to_dplda(plda_model), c_plda, train_vecs, train_spk, dev_batch
+        seed, plda.to_dplda(chain.plda), c_plda, chain.train_vecs, chain.speakers, dev_batch
     )
 
-    # neural cascade: statistics net on background-model posteriors, PCA of
-    # background-model supervectors, embedding net mimicking the i-vectors
-    snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
-    pca = recipe.fit_pca(cfg, ubm, train_n, train_f)
-    ivnet, _ = recipe.train_ivec_net(
-        cfg, ubm, pca, *recipe.net_stats(cfg, snet, train, rate), train_vecs
-    )
-    system, coords, emb_train = recipe.assemble_cascade(
-        cfg, snet, ubm, pca, ivnet, train, rate
-    )
+    # neural cascade (statistics net on background-model posteriors, PCA of
+    # background-model supervectors, embedding net mimicking the i-vectors);
+    # its backend is the PLDA conversion or a full-batch refinement of it,
+    # whichever is first best on dev
     emb_batch = dplda.TrialBatch.all_trials(
-        np.stack([e2e.embed_utterance(system, u.features) for u in dev]), dev_spk
+        np.stack([e2e.embed_utterance(chain.system, u.features) for u in dev]), dev_spk
     )
-    init_emb = plda.to_dplda(recipe.train_plda(cfg, emb_train, train_spk)[0])
-    _, c_init_emb = _dev_metrics(emb_batch.scores(init_emb), emb_batch.is_target)
-    dplda_emb, c_cascade, _ = _dev_picked_dplda(
-        seed, init_emb, c_init_emb, emb_train, train_spk, emb_batch
-    )
+    overrides = [{"joint.init_fullbatch": "false"}]
+    overrides += [{"dplda.l2": repr(l2)} for l2 in DPLDA_L2_GRID]
+    backends = [
+        recipe.cascade_backend(recipe.Config(o, seed=seed), chain.embeddings, chain.speakers)
+        for o in overrides
+    ]
+    costs = [_dev_metrics(emb_batch.scores(b), emb_batch.is_target)[1] for b in backends]
+    picked = int(np.argmin(costs))
 
     # joint training of the embedding network and the scoring backend
-    recipe.set_backend(system, dplda_emb)
-    system, history = recipe.train_joint(cfg, system, corp, coords)
-    c_joint_init = history[0].dev_c_primary
-    c_joint = min(rec.dev_c_primary for rec in history)
-
-    out.update(
-        eer_plda=eer_plda,
-        c_plda=c_plda,
-        c_dplda=c_dplda,
-        picked_l2=picked_l2,
-        c_cascade=c_cascade,
-        c_joint_init=c_joint_init,
-        c_joint=c_joint,
-        ubm_ll=ubm_ll,
-        tv_elbo=tv_elbo,
-        plda_ll=plda_ll,
-        models=dict(
-            ubm=ubm, tv=tv, prep=prep, plda=plda_model, dplda=dplda_params,
-            snet=snet, pca=pca, ivnet=ivnet, system=system,
-        ),
-        dev_vecs=dev_vecs,
-        dev_batch=dev_batch,
+    system, history = recipe.train_joint(
+        cfg, chain.system, chain.corpus, chain.coords, backends[picked]
     )
-    return out
+    return dict(
+        vars(chain),  # the corpus and the training histories among them
+        eer_plda=eer_plda, c_plda=c_plda, c_dplda=c_dplda, picked_l2=picked_l2,
+        c_cascade=costs[picked],
+        c_joint_init=history[0].dev_c_primary,
+        c_joint=min(rec.dev_c_primary for rec in history),
+        models=dict(
+            ubm=chain.ubm, tv=chain.tv, prep=chain.prep, plda=chain.plda, dplda=dplda_params,
+            snet=chain.snet, pca=chain.pca, ivnet=chain.ivnet, system=system,
+        ),
+        dev_vecs=dev_vecs, dev_batch=dev_batch,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -445,41 +421,22 @@ def test_criterion_7_directional_reproduction(desk_chains):
         # cannot mask drift
         r = desk_chains[DESK_SEEDS[0]]
         system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(r["models"]["system"]))
-        corp = r["corpus"]
-        train = corp.split("train")
+        system.freeze_anchor()
+        schedule = recipe.train_schedule(recipe.Config({"joint.lambda_init": "1e6"}, seed=0), "joint")
+        train = r["corpus"].split("train")
         speakers_all = np.array([u.speaker for u in train])
         coords = e2e.pca_coords(system, [u.features for u in train])
-        params = system.ivec_net.parameters() + system.dplda.parameters()
-        anchor = [p.copy() for p in params]
-        adam = netcore.AdamState.create(params, lr=1e-4)
+        n_stats = system.n_stats_params
+        adam = netcore.AdamState.create(system.trainable_parameters()[n_stats:], lr=schedule.lr)
         rng = np.random.default_rng(0)
-        pool = dplda.make_pair_pool(
-            {s: np.flatnonzero(speakers_all == s) for s in np.unique(speakers_all)},
-            rng,
-        )
-        live_net = system.ivec_net.copy()
-        live_dplda = system.dplda.copy()
+        by_speaker = {s: np.flatnonzero(speakers_all == s) for s in np.unique(speakers_all)}
+        pool = dplda.make_pair_pool(by_speaker, rng)
         drift = 0.0
         for _ in range(20):
-            idx = dplda.draw_groups(pool, 50, rng)
-            acts = netcore.forward(live_net, coords[idx])
-            batch = dplda.TrialBatch.all_trials(acts[-1], speakers_all[idx])
-            _, d_params, d_emb = dplda.bxe_objective(
-                live_dplda, batch, dplda.ObjectiveConfig(p_target=0.0075)
-            )
-            net_grads, _ = netcore.backward(live_net, acts, d_emb)
-            grads = net_grads + d_params.parameters()
-            _, pen_grads = netcore.penalty_to_snapshot(params, anchor, 1e6)
-            grads = [g + pg for g, pg in zip(grads, pen_grads)]
-            params = netcore.adam_step(adam, params, grads)
-            n_net = 2 * len(live_net.layers)
-            live_net.set_parameters(params[:n_net])
-            live_dplda = dplda.DpldaParams(*params[n_net:])
-            step_drift = max(
-                float(np.abs(p - p0).max())
-                for p, p0 in zip(params, anchor)
-            )
-            drift = max(drift, step_drift)
+            idx = dplda.draw_groups(pool, schedule.n_pairs, rng)
+            e2e.train_step(system, adam, schedule, coords[idx], speakers_all[idx], False)
+            live = zip(system.trainable_parameters(), system.anchor)
+            drift = max(drift, *(float(np.abs(p - p0).max()) for p, p0 in live))
         print(f"  snapshot pull: max live parameter drift over 20 steps = {drift:.2e}")
         assert drift < 1e-3
         elapsed = desk_chains["elapsed"]

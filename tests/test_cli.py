@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import recipe_chain
+
 SMALL_CONFIG = """
 paths.workdir={workdir}
 corpus.speakers=12
@@ -150,6 +152,46 @@ def test_train_joint_preprocesses_each_utterance_once(workdir, tmp_path, monkeyp
     corpus = load_corpus(work / "corpus")
     expected = [u.features.tobytes() for u in corpus.split("train") + corpus.split("dev")]
     assert sorted(calls) == sorted(expected)
+
+
+def test_joint_init_without_fullbatch_is_the_plda_conversion(workdir, tmp_path):
+    # joint.init_fullbatch=false starts joint training from PLDA on the
+    # cascade's train embeddings, converted and not refined; with zero
+    # epochs system.svm keeps that backend, which is also the anchor's
+    from svpipe import cli, e2e, gmm, ivecnet, plda, recipe, statsnet
+    from svpipe.corpus import load_corpus
+    from svpipe.fileio import from_tensors, read_container, to_tensors
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    written = {}
+    for fullbatch in ("false", "true"):
+        override = tmp_path / f"{fullbatch}.cfg"
+        override.write_text(
+            cfg.read_text() + f"joint.epochs=0\njoint.init_fullbatch={fullbatch}\n"
+        )
+        argv = ["--config", str(override), "--workdir", str(work), "train-joint"]
+        assert cli.main(argv) == 0
+        written[fullbatch] = read_container(work / "system.svm")
+    values = cli.Config(cli.load_config(override), workdir=work)
+    corpus = load_corpus(work / "corpus")
+    train = corpus.split("train")
+    models = [
+        from_tensors(kind, read_container(work / name))
+        for name, kind in [
+            ("statsnet.svm", statsnet.StatsNet), ("ubm.svm", gmm.DiagGmm),
+            ("pca.svm", ivecnet.PcaModel), ("ivecnet.svm", ivecnet.IvecNet),
+        ]
+    ]
+    _, _, embeddings = recipe.assemble_cascade(values, *models, train, corpus.frame_rate_hz)
+    model, _ = recipe.train_plda(values, embeddings, [u.speaker for u in train])
+    expected = to_tensors(plda.to_dplda(model), "dplda.")
+    anchor = from_tensors(e2e.E2eSystem, written["false"]).anchor[-4:]
+    for (name, value), anchored in zip(expected.items(), anchor, strict=True):
+        assert np.array_equal(written["false"][name], value), name
+        assert np.array_equal(anchored, value), name
+    assert not all(np.array_equal(written["true"][name], v) for name, v in expected.items())
 
 
 def test_dplda_scores_match_library(workdir):
@@ -443,6 +485,7 @@ def test_swapped_network_file_exit_code(workdir, tmp_path, model, other, stage, 
     result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
     assert result.returncode == 3, result.stderr
     assert f"must end in a {layer} layer" in result.stderr
+    assert f"{model}: " in result.stderr  # the message names the file
     assert "Traceback" not in result.stderr
 
 
@@ -612,45 +655,27 @@ def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
         assert cli.main(["--config", str(cfg_path), stage]) == 0, stage
 
     cfg = cli.Config(cli.load_config(cfg_path))
-    corpus = recipe.synth_corpus(cfg)
-    rate = corpus.frame_rate_hz
-    train = corpus.split("train")
-    speakers = [u.speaker for u in train]
-    ubm, _ = recipe.train_ubm(cfg, recipe.ubm_frames(cfg, train, rate))
-    n, f = recipe.utterance_stats(cfg, ubm, corpus.utterances, rate)
-    train_rows = [i for i, u in enumerate(corpus.utterances) if u.split == "train"]
-    tv, _ = recipe.train_tv(cfg, ubm, n[train_rows], f[train_rows])
-    prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, corpus.utterances, n, f)
-    train_vecs = np.stack([vectors[u.uid] for u in train])
-    plda_model, _ = recipe.train_plda(cfg, train_vecs, speakers)
+    chain = recipe_chain(cfg)
     dplda_params, _ = recipe.train_dplda(
-        cfg, plda.to_dplda(plda_model), train_vecs, speakers
+        cfg, plda.to_dplda(chain.plda), chain.train_vecs, chain.speakers
     )
-    snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
-    pca = recipe.fit_pca(cfg, ubm, n[train_rows], f[train_rows])
-    ivnet, _ = recipe.train_ivec_net(
-        cfg, ubm, pca, *recipe.net_stats(cfg, snet, train, rate), train_vecs
-    )
-    system, coords, embeddings = recipe.assemble_cascade(
-        cfg, snet, ubm, pca, ivnet, train, rate
-    )
-    recipe.set_backend(system, recipe.cascade_backend(cfg, embeddings, speakers))
-    system, _ = recipe.train_joint(cfg, system, corpus, coords)
+    backend = recipe.cascade_backend(cfg, chain.embeddings, chain.speakers)
+    system, _ = recipe.train_joint(cfg, chain.system, chain.corpus, chain.coords, backend)
 
     stats_tensors = {}
-    for utt, n_u, f_u in zip(corpus.utterances, n, f):
+    for utt, n_u, f_u in zip(chain.corpus.utterances, chain.n, chain.f):
         stats_tensors.update({f"{utt.uid}.n": n_u, f"{utt.uid}.f": f_u})
     expected = {
-        "ubm.svm": to_tensors(ubm),
+        "ubm.svm": to_tensors(chain.ubm),
         "stats.svm": stats_tensors,
-        "tv.svm": to_tensors(tv),
-        "prep.svm": to_tensors(prep),
-        "ivec.svm": vectors,
-        "plda.svm": to_tensors(plda_model),
+        "tv.svm": to_tensors(chain.tv),
+        "prep.svm": to_tensors(chain.prep),
+        "ivec.svm": chain.vectors,
+        "plda.svm": to_tensors(chain.plda),
         "dplda.svm": to_tensors(dplda_params),
-        "statsnet.svm": to_tensors(snet),
-        "pca.svm": to_tensors(pca),
-        "ivecnet.svm": to_tensors(ivnet),
+        "statsnet.svm": to_tensors(chain.snet),
+        "pca.svm": to_tensors(chain.pca),
+        "ivecnet.svm": to_tensors(chain.ivnet),
         "system.svm": to_tensors(system),
     }
     for name, tensors in expected.items():
@@ -781,6 +806,13 @@ def test_config_values_are_parsed_at_load(tmp_path):
         ("score.backend=svm", "score.backend"),
         ("ivecnet.stats_source=gmm", "ivecnet.stats_source"),
         ("joint.init_fullbatch=maybe", "joint.init_fullbatch"),
+        ("dplda.p_target=1.5", "dplda.p_target"),
+        ("ivecnet.relevance=0", "ivecnet.relevance"),
+        ("frontend.window_s=0", "frontend.window_s"),
+        ("corpus.nonlinearity=2", "corpus.nonlinearity"),
+        ("frontend.context=-1", "frontend.context"),
+        ("frontend.n_dct=0", "frontend.n_dct"),
+        ("ivecnet.l1=-1e-5", "ivecnet.l1"),
         ("ubm.components 64", f"{cfg}:{line_of_the_extra}: expected key=value"),
     ]:
         cfg.write_text(base + extra + "\n")

@@ -178,31 +178,24 @@ def test_training_names_the_epoch_it_keeps(tiny_system, small_corpus, caplog, mo
     assert kept == ["kept epoch 2: dev C_primary 0.250000"]
 
 
+def _step_schedule(lr, anchor_weight):
+    """A schedule for direct train_step calls, which read its objective and anchor weight."""
+    return e2e.TrainSchedule(
+        n_pairs=1, lr=lr, epoch_batches=1, max_epochs=1,
+        objective=dplda.ObjectiveConfig(p_target=0.1),
+        anchor_weight=anchor_weight,
+    )
+
+
 def test_e2e_loss_decreases_over_fixed_batch(tiny_system, small_corpus):
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     train = small_corpus.split("train")
     utts = [train[i] for i in (0, 1, 6, 7, 12, 13, 18, 19)]
     feats = [u.features for u in utts]
     speakers = np.array([u.speaker for u in utts])
-    cfg = dplda.ObjectiveConfig(p_target=0.1)
-    params = system.trainable_parameters()
-    adam = netcore.AdamState.create(params, lr=1e-3)
-    losses = []
-    for _ in range(50):
-        holder = {}
-
-        def loss_fn(embeddings):
-            batch = dplda.TrialBatch.all_trials(embeddings, speakers)
-            loss, d_params, d_emb = dplda.bxe_objective(system.dplda, batch, cfg)
-            holder["d"] = d_params
-            return loss, d_emb
-
-        loss, net_grads = e2e.checkpointed_grads(system, feats, loss_fn)
-        losses.append(loss)
-        d = holder["d"]
-        grads = net_grads + [d.lam, d.gamma, d.c, np.asarray(d.k, dtype=np.float64)]
-        params = netcore.adam_step(adam, system.trainable_parameters(), grads)
-        system.set_trainable_parameters(params)
+    schedule = _step_schedule(lr=1e-3, anchor_weight=0.0)
+    adam = netcore.AdamState.create(system.trainable_parameters(), lr=schedule.lr)
+    losses = [e2e.train_step(system, adam, schedule, feats, speakers, True) for _ in range(50)]
     assert losses[-1] < losses[0]
 
 
@@ -214,30 +207,40 @@ def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
     utts = [train[i] for i in (0, 1, 6, 7, 12, 18)]
     feats = [u.features for u in utts]
     speakers = np.array([u.speaker for u in utts])
-    cfg = dplda.ObjectiveConfig(p_target=0.1)
-    params = system.trainable_parameters()
-    anchor = [p.copy() for p in params]
-    adam = netcore.AdamState.create(params, lr=1e-4)
+    schedule = _step_schedule(lr=1e-4, anchor_weight=1e6)
+    adam = netcore.AdamState.create(system.trainable_parameters(), lr=schedule.lr)
     for _ in range(15):
-        holder = {}
-
-        def loss_fn(embeddings):
-            batch = dplda.TrialBatch.all_trials(embeddings, speakers)
-            loss, d_params, d_emb = dplda.bxe_objective(system.dplda, batch, cfg)
-            holder["d"] = d_params
-            return loss, d_emb
-
-        _, net_grads = e2e.checkpointed_grads(system, feats, loss_fn)
-        d = holder["d"]
-        grads = net_grads + [d.lam, d.gamma, d.c, np.asarray(d.k, dtype=np.float64)]
-        _, pen_grads = netcore.penalty_to_snapshot(params, anchor, 1e6)
-        grads = [g + pg for g, pg in zip(grads, pen_grads)]
-        params = netcore.adam_step(adam, params, grads)
-        system.set_trainable_parameters(params)
+        e2e.train_step(system, adam, schedule, feats, speakers, True)
         drift = max(
-            float(np.abs(p - p0).max()) for p, p0 in zip(params, anchor)
+            float(np.abs(p - p0).max())
+            for p, p0 in zip(system.trainable_parameters(), system.anchor)
         )
         assert drift < 1e-3
+
+
+def test_frozen_train_step_moves_the_embedding_net_and_backend_only(tiny_system, small_corpus):
+    # with the statistics network frozen the step reads PCA coordinates,
+    # leaves that network's arrays as they were, and returns the batch loss
+    # plus the pull of the trained groups, both before the step
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
+    system.anchor = [p + 0.01 for p in system.anchor]  # a pull that is not zero
+    train = small_corpus.split("train")
+    utts = [train[i] for i in (0, 1, 6, 7, 12, 18)]
+    coords = e2e.pca_coords(system, [u.features for u in utts])
+    speakers = np.array([u.speaker for u in utts])
+    schedule = _step_schedule(lr=1e-3, anchor_weight=0.5)
+    n_stats, n_ivec = system.n_stats_params, system.n_ivec_params
+    before = [p.copy() for p in system.trainable_parameters()]
+    batch = dplda.TrialBatch.all_trials(netcore.forward(system.ivec_net, coords)[-1], speakers)
+    loss, _, _ = dplda.bxe_objective(system.dplda, batch, schedule.objective)
+    penalty, _ = netcore.penalty_to_snapshot(before[n_stats:], system.anchor[n_stats:], 0.5)
+    adam = netcore.AdamState.create(before[n_stats:], lr=schedule.lr)
+    assert e2e.train_step(system, adam, schedule, coords, speakers, False) == loss + penalty
+    after = system.trainable_parameters()
+    for b, a in zip(before[:n_stats], after[:n_stats], strict=True):
+        assert np.array_equal(b, a)
+    for group in (slice(n_stats, n_stats + n_ivec), slice(n_stats + n_ivec, None)):
+        assert not all(np.array_equal(b, a) for b, a in zip(before[group], after[group]))
 
 
 @pytest.mark.parametrize("trainer", TRAINERS)
