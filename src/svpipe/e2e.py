@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio, netcore
+from . import netcore
 from .corpus import Corpus
 from .dplda import (
     DpldaParams,
@@ -61,7 +61,8 @@ class E2eSystem:
     """All stages wired together; pca and the MAP prior stay frozen.
 
     anchor holds copies of the starting trainable parameters, in
-    trainable_parameters() order, that joint and e2e training pull toward.
+    trainable_parameters() order, that joint and e2e training pull toward;
+    it must match them in count and shape.
     """
 
     frontend: FrontendConfig
@@ -72,6 +73,14 @@ class E2eSystem:
     ivec_net: IvecNet
     dplda: DpldaParams
     anchor: list[np.ndarray]
+
+    def __post_init__(self):
+        params = self.trainable_parameters()
+        if len(self.anchor) != len(params):
+            raise ShapeError(f"anchor holds {len(self.anchor)} arrays for {len(params)} groups")
+        for i, (a, p) in enumerate(zip(self.anchor, params)):
+            if np.shape(a) != np.shape(p):
+                raise ShapeError(f"anchor.{i} has shape {np.shape(a)}, not {np.shape(p)}")
 
     @property
     def n_stats_params(self):
@@ -101,31 +110,6 @@ class E2eSystem:
         """Make copies of the current trainable parameters the anchor."""
         self.anchor = [p.copy() for p in self.trainable_parameters()]
 
-    def to_tensors(self, prefix=""):
-        tensors = fileio.to_tensors(self.frontend, f"{prefix}frontend.")
-        tensors[f"{prefix}relevance"] = np.float64(self.relevance)
-        for name in ("stats_net", "ubm", "pca", "ivec_net", "dplda"):
-            tensors.update(fileio.to_tensors(getattr(self, name), f"{prefix}{name}."))
-        for i, value in enumerate(self.anchor):
-            tensors[f"{prefix}anchor.{i}"] = value
-        return tensors
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        stats_net = fileio.from_tensors(StatsNet, tensors, f"{prefix}stats_net.")
-        ivec_net = fileio.from_tensors(IvecNet, tensors, f"{prefix}ivec_net.")
-        n_anchor = 2 * (len(stats_net.layers) + len(ivec_net.layers)) + 4
-        return cls(
-            frontend=fileio.from_tensors(FrontendConfig, tensors, f"{prefix}frontend."),
-            relevance=fileio.read_scalar(tensors, f"{prefix}relevance", float),
-            stats_net=stats_net,
-            ubm=fileio.from_tensors(DiagGmm, tensors, f"{prefix}ubm."),
-            pca=fileio.from_tensors(PcaModel, tensors, f"{prefix}pca."),
-            ivec_net=ivec_net,
-            dplda=fileio.from_tensors(DpldaParams, tensors, f"{prefix}dplda."),
-            anchor=[tensors[f"{prefix}anchor.{i}"] for i in range(n_anchor)],
-        )
-
 
 def assemble_system(frontend, stats_net, ubm, pca, ivec_net, dplda, relevance) -> E2eSystem:
     """Wire copies of the individually trained stages together.
@@ -133,18 +117,10 @@ def assemble_system(frontend, stats_net, ubm, pca, ivec_net, dplda, relevance) -
     Training the system never changes the caller's networks or backend. Its
     anchor is a copy of the starting trainable parameters.
     """
-    system = E2eSystem(
-        frontend=frontend,
-        stats_net=stats_net.copy(),
-        ubm=ubm,
-        pca=pca,
-        ivec_net=ivec_net.copy(),
-        dplda=dplda.copy(),
-        relevance=relevance,
-        anchor=[],
-    )
-    system.freeze_anchor()
-    return system
+    stats_net, ivec_net, dplda = stats_net.copy(), ivec_net.copy(), dplda.copy()
+    params = stats_net.parameters() + ivec_net.parameters() + dplda.parameters()
+    anchor = [p.copy() for p in params]
+    return E2eSystem(frontend, relevance, stats_net, ubm, pca, ivec_net, dplda, anchor)
 
 
 def preprocess(system: E2eSystem, features):

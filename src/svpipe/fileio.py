@@ -7,13 +7,17 @@ Model container ("SVM1"): magic, u32 version, u32 tensor count, then per
 tensor {u32 name length, name bytes (utf-8), u8 rank, u64 dims...,
 float64 little-endian payload}. Tensor names must be unique.
 
-Model naming rule (to_tensors / from_tensors): a dataclass is one tensor
-per field, named prefix + field name, in field order. An int or float field
-is a rank-0 tensor, read back through the field's annotation. A class that
-defines its own to_tensors(prefix) / from_tensors(tensors, prefix) pair
-writes and reads itself; the assembled system nests its stages that way,
-under "<field>.". read_container returns a Container, whose lookup of a
-missing name is a FormatError naming the file and the tensor, so a
+Model naming rule (to_tensors / from_tensors), the one codec of every model
+file: a dataclass is its fields in field order, named prefix + field name
+and stored by annotation. An array is one tensor, an int or float a rank-0
+tensor read back as that type, and a typing.Literal the rank-0 index of its
+value among the choices (a layer's activation: 0 linear, 1 sigmoid, 2 tanh,
+3 softmax, 4 lengthnorm). A dataclass nests under "<field>.". A list[X] is
+its length n_<field>, then element i as "<field>.<i>" (an array) or under
+"<field>.<i>." (a dataclass): a network's n_layers and layers.<i>.weight,
+system.svm's n_anchor and anchor.<i>. read_container returns a Container,
+whose lookup of a missing name is a FormatError naming the file and the
+tensor, as are a non-integral count and an out-of-range Literal code, so a
 model file of the wrong kind or from another corpus fails as a format error.
 
 Every writer goes through _atomic_open: the bytes land in a temporary file
@@ -217,23 +221,55 @@ def _fields(cls):
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
+def _put(tensors, prefix, name, kind, value):
+    """Add the tensors of one value annotated kind, named prefix + name."""
+    key = prefix + name
+    origin = typing.get_origin(kind)
+    if origin is list:
+        (item,) = typing.get_args(kind)
+        tensors[f"{prefix}n_{name}"] = np.float64(len(value))
+        for i, element in enumerate(value):
+            _put(tensors, f"{key}.", str(i), item, element)
+    elif dataclasses.is_dataclass(kind):
+        tensors.update(to_tensors(value, f"{key}."))
+    elif origin is typing.Literal:
+        tensors[key] = np.float64(typing.get_args(kind).index(value))
+    elif kind in (int, float):
+        tensors[key] = np.float64(value)
+    else:
+        tensors[key] = value
+
+
+def _get(tensors, prefix, name, kind):
+    """The value annotated kind that _put stored as prefix + name."""
+    key = prefix + name
+    origin = typing.get_origin(kind)
+    if origin is list:
+        (item,) = typing.get_args(kind)
+        n = read_scalar(tensors, f"{prefix}n_{name}", int)
+        return [_get(tensors, f"{key}.", str(i), item) for i in range(n)]
+    if dataclasses.is_dataclass(kind):
+        return from_tensors(kind, tensors, f"{key}.")
+    if origin is typing.Literal:
+        choices = typing.get_args(kind)
+        code = read_scalar(tensors, key, int)
+        if not 0 <= code < len(choices):
+            where = getattr(tensors, "path", "tensors")
+            raise FormatError(f"{where}: tensor {key!r} holds code {code}, not 0..{len(choices)-1}")
+        return choices[code]
+    if kind in (int, float):
+        return read_scalar(tensors, key, kind)
+    return tensors[key]
+
+
 def to_tensors(model, prefix=""):
-    """The named tensors of a model, by the naming rule in the module docstring."""
-    if hasattr(model, "to_tensors"):
-        return model.to_tensors(prefix)
+    """The named tensors of a dataclass model, by the naming rule in the module docstring."""
     tensors = {}
     for name, kind in _fields(type(model)):
-        value = getattr(model, name)
-        tensors[prefix + name] = np.float64(value) if kind in (int, float) else value
+        _put(tensors, prefix, name, kind, getattr(model, name))
     return tensors
 
 
 def from_tensors(cls, tensors, prefix=""):
     """Rebuild a cls instance from the tensors to_tensors names for it."""
-    if hasattr(cls, "from_tensors"):
-        return cls.from_tensors(tensors, prefix)
-    values = {}
-    for name, kind in _fields(cls):
-        key = prefix + name
-        values[name] = read_scalar(tensors, key, kind) if kind in (int, float) else tensors[key]
-    return cls(**values)
+    return cls(**{name: _get(tensors, prefix, name, kind) for name, kind in _fields(cls)})

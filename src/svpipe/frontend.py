@@ -28,13 +28,15 @@ def stmvn(frames, window_s, frame_rate_hz):
 
     The window covers round(window_s * frame_rate_hz) frames, clipped to the
     utterance bounds near the edges. Per-coefficient standard deviations are
-    floored at 1e-10, so constant inputs map to zero.
+    floored at 1e-10, so constant inputs map to zero. A window of 2T-1 or
+    more frames spans all T frames everywhere, so longer ones (up to an
+    infinite product) are clamped to 2T+1 frames before rounding.
     """
     frames = _check_frames(frames)
     if window_s <= 0.0:
         raise InputError("window length must be positive")
     t_total, _ = frames.shape
-    n = max(1, int(round(window_s * frame_rate_hz)))
+    n = max(1, int(round(min(window_s * frame_rate_hz, 2 * t_total + 1))))
     half_left = (n - 1) // 2
     half_right = n // 2
     t = np.arange(t_total)

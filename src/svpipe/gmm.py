@@ -35,6 +35,8 @@ class DiagGmm:
             raise ShapeError("inconsistent GMM parameter shapes")
         if self.weights.shape[0] != self.means.shape[0]:
             raise ShapeError("weight count != component count")
+        if not all(np.isfinite(a).all() for a in (self.weights, self.means, self.vars)):
+            raise ShapeError("non-finite GMM parameters")
         if abs(self.weights.sum() - 1.0) > 1e-12 or (self.weights < 0).any():
             raise ShapeError("weights must form a simplex")
         if (self.vars <= 0).any():

@@ -10,20 +10,18 @@ No autodiff, no GPU; batches are matrices of shape (B, dim).
 from __future__ import annotations
 
 import logging
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fileio
 from .errors import ConfigError, InputError, OptimizerError, ShapeError, StateError
 
 logger = logging.getLogger(__name__)
 
-ACTIVATIONS = ("linear", "sigmoid", "tanh", "softmax", "lengthnorm")
-
-# stable codes used by the model container format
-ACTIVATION_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
-ACTIVATION_NAMES = {i: name for name, i in ACTIVATION_CODES.items()}
+# model files store an activation as its index here, so the order is fixed
+Activation = typing.Literal["linear", "sigmoid", "tanh", "softmax", "lengthnorm"]
+ACTIVATIONS = typing.get_args(Activation)
 
 # Adam moment decay rates and denominator guard (Kingma and Ba's defaults)
 _ADAM_BETA1 = 0.9
@@ -41,7 +39,7 @@ class Layer:
 
     weight: np.ndarray
     bias: np.ndarray
-    activation: str
+    activation: Activation
 
     @property
     def n_in(self):
@@ -112,31 +110,6 @@ class Mlp:
         return type(self)(
             [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
         )
-
-    def to_tensors(self, prefix=""):
-        tensors = {f"{prefix}n_layers": np.float64(len(self.layers))}
-        for i, layer in enumerate(self.layers):
-            tensors[f"{prefix}layers.{i}.weight"] = layer.weight
-            tensors[f"{prefix}layers.{i}.bias"] = layer.bias
-            tensors[f"{prefix}layers.{i}.activation"] = np.float64(
-                ACTIVATION_CODES[layer.activation]
-            )
-        return tensors
-
-    @classmethod
-    def from_tensors(cls, tensors, prefix=""):
-        n = fileio.read_scalar(tensors, f"{prefix}n_layers", int)
-        layers = []
-        for i in range(n):
-            code = fileio.read_scalar(tensors, f"{prefix}layers.{i}.activation", int)
-            layers.append(
-                Layer(
-                    np.array(tensors[f"{prefix}layers.{i}.weight"], dtype=np.float64),
-                    np.array(tensors[f"{prefix}layers.{i}.bias"], dtype=np.float64),
-                    ACTIVATION_NAMES.get(code, f"code {code}"),  # validate rejects it
-                )
-            )
-        return cls(layers)
 
 
 def init_mlp(widths, activations, seed=0):

@@ -51,8 +51,8 @@ def _one_of(*choices):
 
 def _non_negative(value):
     x = float(value)
-    if not x >= 0:  # NaN fails too
-        raise ValueError("must be >= 0")
+    if not 0 <= x < np.inf:  # NaN fails too
+        raise ValueError("must be >= 0 and finite")
     return x
 
 
@@ -90,7 +90,7 @@ DEFAULTS = {
     "corpus.max_frames": ("800", _size),
     "corpus.speaker_dim": ("8", _count),
     "corpus.channel_dim": ("4", _count),
-    "corpus.noise": ("1.5", float),
+    "corpus.noise": ("1.5", _non_negative),
     "corpus.nonlinearity": ("1.0", _float_in(0, 1, closed=True)),
     "corpus.frame_rate": ("100", _positive),
     # frontend
@@ -100,7 +100,7 @@ DEFAULTS = {
     # background model / i-vectors / preprocessing
     "ubm.components": ("32", _size),
     "ubm.iters": ("8", _count),
-    "ubm.floor": ("1e-3", float),
+    "ubm.floor": ("1e-3", _non_negative),
     "tv.dim": ("40", _size),
     "tv.iters": ("5", _count),
     "prep.dim": ("20", _size),
@@ -175,6 +175,12 @@ class Config:
                 self.values[key] = DEFAULTS[key][1](value)
             except ValueError as exc:
                 raise ConfigError(f"{key}: cannot parse {value!r} ({exc})") from None
+        n_dct, window = self.values["frontend.n_dct"], 2 * self.values["frontend.context"] + 1
+        if n_dct > window:
+            raise ConfigError(f"frontend.n_dct={n_dct} exceeds 2*frontend.context+1={window}")
+        low, high = self.values["corpus.min_frames"], self.values["corpus.max_frames"]
+        if low > high:
+            raise ConfigError(f"corpus.min_frames={low} exceeds corpus.max_frames={high}")
 
     def get(self, key):
         """The parsed value of key."""

@@ -513,6 +513,43 @@ def test_system_without_anchor_exit_code(workdir, tmp_path, stage):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("stage", ["train-e2e", "score"])
+@pytest.mark.parametrize("defect", ["n_anchor", "anchor.3"])
+def test_system_whose_anchor_disagrees_exit_code(workdir, tmp_path, stage, defect):
+    # the anchor must match the trainable parameters in count and shape
+    from svpipe.fileio import read_container, write_container
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    path = work / "system.svm"
+    tensors = dict(read_container(path))
+    n_groups = int(tensors["n_anchor"])
+    if defect == "n_anchor":
+        tensors["n_anchor"] -= 1
+        message = f"anchor holds {n_groups - 1} arrays for {n_groups} groups"
+    else:
+        tensors["anchor.3"] = tensors["anchor.3"][None]
+        message = "anchor.3 has shape (1, "
+    write_container(path, tensors)
+    override_cfg = tmp_path / "override.cfg"
+    override_cfg.write_text(cfg.read_text() + "score.backend=e2e\n")
+    result = run_cli("--config", str(override_cfg), "--workdir", str(work), stage)
+    assert result.returncode == 3, result.stderr
+    assert f"{path}: {message}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("override", ["frontend.window_s=1e308", "corpus.frame_rate=1e300"])
+def test_window_longer_than_every_utterance_runs(tmp_path, override):
+    # the normalization window spans each whole utterance (test_frontend)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(SMALL_CONFIG.format(workdir=tmp_path / "work") + override + "\n")
+    for stage in ["synth-data", "train-ubm"]:
+        result = run_cli("--config", str(cfg), stage)
+        assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("stage, model", [("train-tv", "stats.svm"), ("train-plda", "ivec.svm")])
 def test_models_of_a_smaller_corpus_exit_code(workdir, tmp_path, stage, model):
     # synth-data grows the corpus over a workdir whose statistics and
@@ -813,6 +850,12 @@ def test_config_values_are_parsed_at_load(tmp_path):
         ("frontend.context=-1", "frontend.context"),
         ("frontend.n_dct=0", "frontend.n_dct"),
         ("ivecnet.l1=-1e-5", "ivecnet.l1"),
+        ("ubm.floor=nan", "ubm.floor"),
+        ("corpus.noise=nan", "corpus.noise"),
+        ("corpus.noise=inf", "corpus.noise"),
+        ("joint.lambda_init=inf", "joint.lambda_init"),
+        ("frontend.n_dct=12", "frontend.n_dct=12 exceeds 2*frontend.context+1=9"),
+        ("corpus.min_frames=200", "corpus.min_frames=200 exceeds corpus.max_frames=140"),
         ("ubm.components 64", f"{cfg}:{line_of_the_extra}: expected key=value"),
     ]:
         cfg.write_text(base + extra + "\n")

@@ -159,6 +159,7 @@ def _persisted_models():
         + ["ubm.weights", "ubm.means", "ubm.vars", "pca.mean", "pca.basis"]
         + _mlp_names("ivec_net.", 2)
         + ["dplda.lam", "dplda.gamma", "dplda.c", "dplda.k"]
+        + ["n_anchor"]
         + [f"anchor.{i}" for i in range(12)]
     )
     return [
@@ -228,7 +229,6 @@ def test_missing_or_malformed_tensor_is_format_error(tmp_path):
 
 def test_malformed_network_and_system_scalars_are_pipeline_errors():
     from svpipe import e2e, statsnet
-    from svpipe.errors import ShapeError
 
     system = _persisted_models()[-1][0]
     tensors = fileio.to_tensors(system)
@@ -236,9 +236,10 @@ def test_malformed_network_and_system_scalars_are_pipeline_errors():
     with pytest.raises(FormatError, match="'relevance' is not one float"):
         fileio.from_tensors(e2e.E2eSystem, tensors)
     tensors = fileio.to_tensors(statsnet.make_stats_net(4, 2, hidden=(3,)))
-    tensors["layers.1.activation"] = np.float64(9.0)
-    with pytest.raises(ShapeError, match="unknown activation 'code 9'"):
-        fileio.from_tensors(statsnet.StatsNet, tensors)
+    for code in (9, -1):
+        tensors["layers.1.activation"] = np.float64(code)
+        with pytest.raises(FormatError, match=f"'layers.1.activation' holds code {code},"):
+            fileio.from_tensors(statsnet.StatsNet, tensors)
     tensors["n_layers"] = np.arange(2.0)
     with pytest.raises(FormatError, match="'n_layers' is not one int"):
         fileio.from_tensors(statsnet.StatsNet, tensors)

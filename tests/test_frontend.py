@@ -161,3 +161,16 @@ def test_context_expand_single_coefficient_matches_gather_einsum():
     out = frontend.context_expand(frames, 15, 6)
     ref = gather_einsum_context_expand(frames, 15, 6)
     assert np.abs(out - ref).max() <= 1e-14
+
+
+def test_window_longer_than_the_utterance_normalizes_over_all_of_it():
+    # 2T-1 frames already reach every frame from every frame; an overlong
+    # or infinite window (1e308 s at 100 Hz) is clamped and gives the same bits
+    frames = np.random.default_rng(5).standard_normal((7, 3))
+    whole = (frames - frames.mean(axis=0)) / frames.std(axis=0)
+    spanning = frontend.stmvn(frames, 0.13, 100.0)  # 13 = 2T-1 frames
+    for window_s, rate in [(0.15, 100.0), (40.0, 100.0), (1e308, 100.0), (3.0, 1e300)]:
+        out = frontend.stmvn(frames, window_s, rate)
+        assert np.array_equal(out, spanning)
+    np.testing.assert_allclose(spanning, whole, rtol=1e-12, atol=1e-12)
+

@@ -132,6 +132,16 @@ def test_errors():
         gmm.responsibilities(model, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("field", ["weights", "means", "vars"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_are_rejected(field, bad):
+    # NaN passes both the simplex test and the vars <= 0 test
+    params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 3)), "vars": np.ones((2, 3))}
+    params[field][-1] = bad
+    with pytest.raises(ShapeError, match="non-finite"):
+        gmm.DiagGmm(**params)
+
+
 def _reference_log_densities(g, frames):
     """The out-of-place expression log_densities is bit-identical to."""
     inv_var = 1.0 / g.vars

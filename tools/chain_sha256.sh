@@ -11,9 +11,13 @@
 # scores.txt and metrics.txt is kept under <outdir>/scored/<backend>-<split>/.
 # <outdir>/sha256.txt lists the sha256 of every output, sorted by path;
 # each stage's stderr and stdout go to <outdir>/logs/ and are not hashed.
+# <outdir>/tensors.txt has one line "<file> <tensor> <sha256>" for every
+# tensor of every .svm output, hashing its values as little-endian float64.
 #
 # To check that a change keeps every artifact byte-identical, run the script
-# in a checkout of each commit and diff the two sha256.txt files.
+# in a checkout of each commit and diff the two sha256.txt files. Where a
+# model file's layout changes, diff the two tensors.txt files: the diff
+# names every added, dropped or changed tensor.
 set -eu
 
 if [ "$#" -ne 2 ]; then
@@ -65,4 +69,15 @@ done
 cd "$out"
 find work scored system.train-joint.svm -type f | LC_ALL=C sort \
     | while IFS= read -r path; do sha256sum "$path"; done > sha256.txt
-echo "$(wc -l < sha256.txt) files hashed into $out/sha256.txt"
+find work system.train-joint.svm -type f -name '*.svm' | LC_ALL=C sort \
+    | python -c '
+import hashlib, sys
+import numpy as np
+from svpipe.fileio import read_container
+for path in sys.stdin.read().splitlines():
+    for name, value in read_container(path).items():
+        data = np.ascontiguousarray(value, dtype="<f8").tobytes()
+        print(path, name, hashlib.sha256(data).hexdigest())
+' > tensors.txt
+echo "$(wc -l < sha256.txt) files hashed into $out/sha256.txt," \
+    "$(wc -l < tensors.txt) tensors into $out/tensors.txt"
