@@ -111,10 +111,18 @@ def _load_stats(cfg, utts):
     return np.stack(n), np.stack(f)
 
 
+def _train_utts(corpus):
+    """The corpus's train utterances; an empty train split is an InputError."""
+    train = corpus.split("train")
+    if not train:
+        raise InputError("corpus has no train utterances")
+    return train
+
+
 def _train_vectors(cfg, corpus):
     """The train utterances' prepped i-vectors, stacked, and their speakers."""
     vectors = read_container(cfg.path("ivec.svm"))
-    train = corpus.split("train")
+    train = _train_utts(corpus)
     return np.stack([vectors[u.uid] for u in train]), [u.speaker for u in train]
 
 
@@ -230,7 +238,7 @@ def cmd_train_s2i(cfg, args):
 
 def cmd_train_joint(cfg, args):
     corpus = _load_corpus(cfg)
-    train = corpus.split("train")
+    train = _train_utts(corpus)
     stats_net = _read(cfg, "statsnet.svm", statsnet.StatsNet)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     pca = _read(cfg, "pca.svm", ivecnet.PcaModel)

@@ -135,6 +135,8 @@ def pca_coords(system: E2eSystem, features_list):
     They depend on the statistics network, so they stay valid only while
     it is frozen; embed_coords turns them into embeddings.
     """
+    if not features_list:
+        raise InputError("no utterances to embed")
     rows = []
     for features in features_list:
         norm, expanded = preprocess(system, features)
@@ -146,6 +148,8 @@ def pca_coords(system: E2eSystem, features_list):
 
 def embed_coords(system: E2eSystem, coords):
     """Unit-norm embeddings of (U, P) PCA coordinates, one row at a time."""
+    if len(coords) == 0:
+        raise InputError("no PCA coordinates to embed")
     return np.stack(
         [netcore.forward(system.ivec_net, row[None, :])[-1][0] for row in coords]
     )
@@ -234,7 +238,7 @@ def format_epoch_log(record: EpochRecord):
 def _split_features(corpus: Corpus, split):
     utts = corpus.split(split)
     if not utts:
-        raise ConfigError(f"corpus has no {split} utterances")
+        raise InputError(f"corpus has no {split} utterances")
     return [u.features for u in utts], np.array([u.speaker for u in utts])
 
 

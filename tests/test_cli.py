@@ -550,6 +550,21 @@ def test_window_longer_than_every_utterance_runs(tmp_path, override):
         assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("stage", ["train-plda", "train-dplda", "train-joint", "train-e2e"])
+def test_empty_train_split_exit_code(workdir, tmp_path, stage):
+    # a corpus index without its train lines: every upstream model is there
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    index = work / "corpus" / "corpus.tsv"
+    lines = index.read_text().splitlines(keepends=True)
+    index.write_text("".join(line for line in lines if not line.endswith("\ttrain\n")))
+    result = run_cli("--config", str(cfg), "--workdir", str(work), stage)
+    assert result.returncode == 3, result.stderr
+    assert "corpus has no train utterances" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("stage, model", [("train-tv", "stats.svm"), ("train-plda", "ivec.svm")])
 def test_models_of_a_smaller_corpus_exit_code(workdir, tmp_path, stage, model):
     # synth-data grows the corpus over a workdir whose statistics and

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dplda_score, full_graph_grads, live_activation_caches
 from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, recipe, statsnet
+from svpipe.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,15 @@ def test_embed_utterance_unit_norm_and_determinism(tiny_system, small_corpus):
     out = e2e.embed_utterance(tiny_system, feats)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     assert np.array_equal(out, e2e.embed_utterance(tiny_system, feats.copy()))
+
+
+def test_embedding_nothing_is_an_input_error(tiny_system):
+    with pytest.raises(InputError):
+        e2e.pca_coords(tiny_system, [])
+    with pytest.raises(InputError):
+        e2e.embed_coords(tiny_system, np.zeros((0, tiny_system.pca.basis.shape[1])))
+    with pytest.raises(InputError):
+        e2e.checkpointed_grads(tiny_system, [], lambda emb: (0.0, emb))
 
 
 def _bxe_loss_fn(system, speakers, cfg):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from svpipe import frontend, recipe
 from svpipe.errors import InputError
 
 
-def gather_einsum_context_expand(frames, half_window, n_dct):
-    """Reference: gather every (T, window, D) trajectory, then one einsum."""
-    t_total, dim = frames.shape
+def gathered_trajectories(frames, half_window, n_dct):
+    """Every (T, window, D) trajectory, edges clipped, and the window projection."""
+    t_total = frames.shape[0]
     length = 2 * half_window + 1
     proj = frontend.dct_bases(length, n_dct) * np.hamming(length)
     idx = np.clip(
@@ -15,7 +17,22 @@ def gather_einsum_context_expand(frames, half_window, n_dct):
         0,
         t_total - 1,
     )
-    out = np.einsum("kl,tld->tdk", proj, frames[idx])
+    return frames[idx], proj
+
+
+def gather_einsum_context_expand(frames, half_window, n_dct):
+    """Reference: the term-by-term sum over gathered trajectories (one einsum)."""
+    t_total, dim = frames.shape
+    trajectories, proj = gathered_trajectories(frames, half_window, n_dct)
+    out = np.einsum("kl,tld->tdk", proj, trajectories)
+    return out.reshape(t_total, dim * n_dct)
+
+
+def gather_matmul_context_expand(frames, half_window, n_dct):
+    """Reference: one (T, D, window) @ (window, n_dct) product over gathered copies."""
+    t_total, dim = frames.shape
+    trajectories, proj = gathered_trajectories(frames, half_window, n_dct)
+    out = trajectories.transpose(0, 2, 1) @ proj.T
     return out.reshape(t_total, dim * n_dct)
 
 
@@ -137,22 +154,57 @@ def test_context_expand_frame_count_and_errors():
         frontend.context_expand(frames, 2, 9)  # n_dct > window length
 
 
-@pytest.mark.parametrize(
-    "n_frames, dim, half_window, n_dct",
-    [
-        (400, 20, 15, 6),  # desk frontend
-        (37, 60, 15, 6),
-        (1, 3, 15, 6),  # single frame
-        (9, 2, 15, 6),  # fewer frames than half_window
-        (25, 4, 0, 1),  # no context
-        (30, 3, 4, 9),  # n_dct equal to the window length
-    ],
-)
-def test_context_expand_bit_equal_to_gather_einsum(n_frames, dim, half_window, n_dct):
+KERNEL_CASES = [
+    (400, 20, 15, 6),  # desk frontend
+    (37, 60, 15, 6),
+    (1, 3, 15, 6),  # single frame
+    (9, 2, 15, 6),  # fewer frames than half_window
+    (25, 4, 0, 1),  # no context
+    (30, 3, 4, 9),  # n_dct equal to the window length
+    (300, 1, 15, 6),  # one coefficient
+    (6000, 20, 15, 6),  # a minute of frames
+]
+
+
+@pytest.mark.parametrize("n_frames, dim, half_window, n_dct", KERNEL_CASES)
+def test_context_expand_bit_equal_to_gather_matmul(n_frames, dim, half_window, n_dct):
+    # pins edge replication and column order bit for bit
+    frames = np.random.default_rng(n_frames * dim).standard_normal((n_frames, dim))
+    out = frontend.context_expand(frames, half_window, n_dct)
+    ref = gather_matmul_context_expand(frames, half_window, n_dct)
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("n_frames, dim, half_window, n_dct", KERNEL_CASES)
+def test_context_expand_within_ulps_of_term_by_term_sum(
+    n_frames, dim, half_window, n_dct
+):
     frames = np.random.default_rng(n_frames * dim).standard_normal((n_frames, dim))
     out = frontend.context_expand(frames, half_window, n_dct)
     ref = gather_einsum_context_expand(frames, half_window, n_dct)
-    assert np.array_equal(out, ref)
+    assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_context_expand_of_non_contiguous_frames_equals_contiguous_copy():
+    wide = np.random.default_rng(9).standard_normal((500, 41))
+    for frames in (wide[:, 1::2], wide[:, 3:23], np.asfortranarray(wide[:, :20])):
+        assert not frames.flags.c_contiguous
+        out = frontend.context_expand(frames, 15, 6)
+        assert np.array_equal(out, frontend.context_expand(frames.copy(order="C"), 15, 6))
+
+
+def test_context_expand_copies_no_trajectory():
+    # gathering the (T, D, window) trajectories would take 31x the input
+    n_frames, dim, half_window, n_dct = 6000, 20, 15, 6
+    frames = np.random.default_rng(10).standard_normal((n_frames, dim))
+    tracemalloc.start()
+    try:
+        out = frontend.context_expand(frames, half_window, n_dct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = (n_frames + 2 * half_window) * dim * 8
+    assert peak <= out.nbytes + 2 * padded + 2**20
 
 
 def test_context_expand_single_coefficient_matches_gather_einsum():
