@@ -87,7 +87,7 @@ def _load_corpus(cfg):
 def _train_split(cfg):
     """The train utterances and the frame rate; no dev or eval feature file is read."""
     corpus = _load_corpus(cfg)
-    return corpus.split("train"), corpus.frame_rate_hz
+    return corpus.require("train"), corpus.frame_rate_hz
 
 
 def _read(cfg, name, model_type):
@@ -111,18 +111,10 @@ def _load_stats(cfg, utts):
     return np.stack(n), np.stack(f)
 
 
-def _train_utts(corpus):
-    """The corpus's train utterances; an empty train split is an InputError."""
-    train = corpus.split("train")
-    if not train:
-        raise InputError("corpus has no train utterances")
-    return train
-
-
 def _train_vectors(cfg, corpus):
     """The train utterances' prepped i-vectors, stacked, and their speakers."""
     vectors = read_container(cfg.path("ivec.svm"))
-    train = _train_utts(corpus)
+    train = corpus.require("train")
     return np.stack([vectors[u.uid] for u in train]), [u.speaker for u in train]
 
 
@@ -143,7 +135,7 @@ def _write_model(cfg, name, tensors):
 # ---------------------------------------------------------------------------
 # stages: read the inputs, run the recipe stage, write the outputs
 
-def cmd_synth_data(cfg, args):
+def cmd_synth_data(cfg):
     corpus = recipe.synth_corpus(cfg)
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, cfg.path("corpus"))
@@ -156,14 +148,14 @@ def cmd_synth_data(cfg, args):
     )
 
 
-def cmd_train_ubm(cfg, args):
+def cmd_train_ubm(cfg):
     frames = recipe.ubm_frames(cfg, *_train_split(cfg))
     model, history = recipe.train_ubm(cfg, frames)
     _log_progress("ubm log-likelihood", history, 2)
     _write_model(cfg, "ubm.svm", to_tensors(model))
 
 
-def cmd_extract_stats(cfg, args):
+def cmd_extract_stats(cfg):
     corpus = _load_corpus(cfg)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     n, f = recipe.utterance_stats(cfg, ubm, corpus.utterances, corpus.frame_rate_hz)
@@ -174,16 +166,18 @@ def cmd_extract_stats(cfg, args):
     _write_model(cfg, "stats.svm", tensors)
 
 
-def cmd_train_tv(cfg, args):
+def cmd_train_tv(cfg):
     corpus = _load_corpus(cfg)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
-    model, history = recipe.train_tv(cfg, ubm, *_load_stats(cfg, corpus.split("train")))
+    model, history = recipe.train_tv(cfg, ubm, *_load_stats(cfg, corpus.require("train")))
     _log_progress("tv evidence", history, 2)
     _write_model(cfg, "tv.svm", to_tensors(model))
 
 
-def cmd_extract_ivec(cfg, args):
-    utts = _load_corpus(cfg).utterances
+def cmd_extract_ivec(cfg):
+    corpus = _load_corpus(cfg)
+    corpus.require("train")  # the prep is fitted on the train split
+    utts = corpus.utterances
     n, f = _load_stats(cfg, utts)
     tv = _read(cfg, "tv.svm", ivector.TvModel)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
@@ -192,20 +186,20 @@ def cmd_extract_ivec(cfg, args):
     _write_model(cfg, "ivec.svm", vectors)
 
 
-def cmd_train_plda(cfg, args):
+def cmd_train_plda(cfg):
     model, history = recipe.train_plda(cfg, *_train_vectors(cfg, _load_corpus(cfg)))
     _log_progress("plda log-likelihood", history, 2)
     _write_model(cfg, "plda.svm", to_tensors(model))
 
 
-def cmd_train_dplda(cfg, args):
+def cmd_train_dplda(cfg):
     init = plda.to_dplda(_read(cfg, "plda.svm", plda.TwoCovPlda))
     params, history = recipe.train_dplda(cfg, init, *_train_vectors(cfg, _load_corpus(cfg)))
     _log_progress("dplda loss", history, 6)
     _write_model(cfg, "dplda.svm", to_tensors(params))
 
 
-def cmd_train_f2s(cfg, args):
+def cmd_train_f2s(cfg):
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     frames, targets = recipe.f2s_matrices(cfg, ubm, *_train_split(cfg))
     net, history = recipe.train_stats_net(cfg, frames, targets)
@@ -213,16 +207,16 @@ def cmd_train_f2s(cfg, args):
     _write_model(cfg, "statsnet.svm", to_tensors(net))
 
 
-def cmd_fit_pca(cfg, args):
+def cmd_fit_pca(cfg):
     corpus = _load_corpus(cfg)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
-    pca = recipe.fit_pca(cfg, ubm, *_load_stats(cfg, corpus.split("train")))
+    pca = recipe.fit_pca(cfg, ubm, *_load_stats(cfg, corpus.require("train")))
     _write_model(cfg, "pca.svm", to_tensors(pca))
 
 
-def cmd_train_s2i(cfg, args):
+def cmd_train_s2i(cfg):
     corpus = _load_corpus(cfg)
-    train = corpus.split("train")
+    train = corpus.require("train")
     if cfg.get("ivecnet.stats_source") == "statsnet":
         net = _read(cfg, "statsnet.svm", statsnet.StatsNet)
         n, f = recipe.net_stats(cfg, net, train, corpus.frame_rate_hz)
@@ -236,9 +230,9 @@ def cmd_train_s2i(cfg, args):
     _write_model(cfg, "ivecnet.svm", to_tensors(net))
 
 
-def cmd_train_joint(cfg, args):
+def cmd_train_joint(cfg):
     corpus = _load_corpus(cfg)
-    train = _train_utts(corpus)
+    train = corpus.require("train")
     stats_net = _read(cfg, "statsnet.svm", statsnet.StatsNet)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     pca = _read(cfg, "pca.svm", ivecnet.PcaModel)
@@ -252,7 +246,7 @@ def cmd_train_joint(cfg, args):
     _write_model(cfg, "system.svm", to_tensors(system))
 
 
-def cmd_train_e2e(cfg, args):
+def cmd_train_e2e(cfg):
     corpus = _load_corpus(cfg)
     system = _read(cfg, "system.svm", e2e.E2eSystem)
     system, history = recipe.train_e2e(cfg, system, corpus)
@@ -285,7 +279,7 @@ def _trial_pairs(trials, uids, vectors):
     return vectors[enroll], vectors[test]
 
 
-def cmd_score(cfg, args):
+def cmd_score(cfg):
     backend = cfg.get("score.backend")
     corpus = _load_corpus(cfg)
     trials_path = _trials_path(cfg, "score.trials", "trials_dev.txt")
@@ -316,7 +310,7 @@ def cmd_score(cfg, args):
     logger.info("wrote %s (%d trials)", cfg.path("scores.txt"), len(scores))
 
 
-def cmd_eval(cfg, args):
+def cmd_eval(cfg):
     scores_path = cfg.get("eval.scores") or cfg.path("scores.txt")
     trials_path = _trials_path(cfg, "eval.trials", "trials_dev.txt")
     score_list, scores = read_scores(scores_path)
@@ -411,7 +405,7 @@ def main(argv=None):
         overrides = load_config(args.config) if args.config else {}
         cfg = Config(overrides, seed=args.seed, workdir=args.workdir)
         wall, cpu = time.perf_counter(), time.process_time()
-        COMMANDS[args.command][0](cfg, args)
+        COMMANDS[args.command][0](cfg)
         logger.info(
             "stage %s done: %.2f s wall, %.2f s cpu, peak rss %.1f MB",
             args.command,

@@ -70,6 +70,13 @@ class Corpus:
             raise InputError(f"unknown split {name!r}")
         return [u for u in self.utterances if u.split == name]
 
+    def require(self, name):
+        """The utterances of a split a stage cannot run without; empty is an InputError."""
+        utts = self.split(name)
+        if not utts:
+            raise InputError(f"corpus has no {name} utterances")
+        return utts
+
     def by_id(self):
         return {u.uid: u for u in self.utterances}
 

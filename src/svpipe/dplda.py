@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain, count, islice
 
 import numpy as np
 from scipy.optimize import minimize
@@ -259,30 +260,19 @@ def train_dplda_fullbatch(
 # ---------------------------------------------------------------------------
 # minibatch sampler: per-speaker utterance pairs drawn without replacement
 
-@dataclass
-class PairPool:
-    """Per-speaker utterance groups (size 2, with one 1- or 3-group allowed).
-
-    groups is the remaining draw order for the current pass; source keeps the
-    speaker map so an exhausted pool can be rebuilt with a fresh pairing.
-    """
-
-    groups: list[np.ndarray]
-    source: dict
-
-
-def make_pair_pool(utts_by_speaker, rng) -> PairPool:
-    """Randomly group each speaker's utterances into pairs.
+def make_pair_pool(utts_by_speaker, rng):
+    """One pass: each speaker's utterances randomly grouped into pairs.
 
     A single utterance forms its own group; an odd count of three or more
-    puts three utterances in one group. Group draw order is shuffled.
+    puts three utterances in one group. Returns the groups in a shuffled
+    draw order.
     """
-    source = {spk: np.asarray(utts) for spk, utts in utts_by_speaker.items()}
-    if not source:
+    if not utts_by_speaker:
         raise InputError("empty speaker map")
     groups = []
-    for spk in sorted(source, key=str):
-        perm = source[spk][rng.permutation(source[spk].shape[0])]
+    for spk in sorted(utts_by_speaker, key=str):
+        utts = np.asarray(utts_by_speaker[spk])
+        perm = utts[rng.permutation(utts.shape[0])]
         if perm.shape[0] == 1:
             groups.append(perm)
         elif perm.shape[0] % 2 == 0:
@@ -291,19 +281,21 @@ def make_pair_pool(utts_by_speaker, rng) -> PairPool:
             groups.extend(perm[i : i + 2] for i in range(0, perm.shape[0] - 3, 2))
             groups.append(perm[-3:])
     order = rng.permutation(len(groups))
-    return PairPool([groups[i] for i in order], source)
+    return [groups[i] for i in order]
 
 
-def draw_groups(pool: PairPool, n_pairs, rng):
-    """Take n_pairs groups without replacement, refreshing the pool when the
-    current pass runs out mid-draw. Returns flat utterance indices."""
+def pair_batches(speakers, n_pairs, rng):
+    """Endless batches of n_pairs groups, as flat indices into speakers.
+
+    speakers holds one label per utterance. The first pass is drawn now;
+    groups are taken without replacement and a fresh pass is drawn when one
+    runs out, mid-batch included.
+    """
     if n_pairs < 1:
         raise InputError("must draw at least one group")
-    taken = []
-    while len(taken) < n_pairs:
-        if not pool.groups:
-            fresh = make_pair_pool(pool.source, rng)
-            pool.groups = fresh.groups
-        taken.append(pool.groups.pop(0))
-    return np.concatenate(taken)
-
+    speakers = np.asarray(speakers)
+    by_speaker = {s: np.flatnonzero(speakers == s) for s in np.unique(speakers)}
+    first = make_pair_pool(by_speaker, rng)
+    passes = chain([first], (make_pair_pool(by_speaker, rng) for _ in count()))
+    groups = chain.from_iterable(passes)
+    return (np.concatenate(list(islice(groups, n_pairs))) for _ in count())

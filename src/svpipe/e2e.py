@@ -30,14 +30,7 @@ import numpy as np
 
 from . import netcore
 from .corpus import Corpus
-from .dplda import (
-    DpldaParams,
-    ObjectiveConfig,
-    TrialBatch,
-    bxe_objective,
-    draw_groups,
-    make_pair_pool,
-)
+from .dplda import DpldaParams, ObjectiveConfig, TrialBatch, bxe_objective, pair_batches
 from .errors import ConfigError, InputError, ShapeError
 from .frontend import context_expand, stmvn
 from .gmm import DiagGmm, sufficient_stats
@@ -236,9 +229,7 @@ def format_epoch_log(record: EpochRecord):
 
 
 def _split_features(corpus: Corpus, split):
-    utts = corpus.split(split)
-    if not utts:
-        raise InputError(f"corpus has no {split} utterances")
+    utts = corpus.require(split)
     return [u.features for u in utts], np.array([u.speaker for u in utts])
 
 
@@ -248,16 +239,14 @@ def _dev_metrics(embeddings, speakers, params):
     return eer(trials), c_primary(trials)
 
 
-def train_joint_s2i_dplda(
-    system: E2eSystem, corpus: Corpus, schedule, rng, *, train_coords=None
-):
+def train_joint_s2i_dplda(system: E2eSystem, corpus: Corpus, schedule, rng, *, train_coords):
     """Jointly train the embedding network and the scoring parameters.
 
-    The statistics network stays frozen. train_coords, when given, are
-    pca_coords of the corpus's train split under this system, so a caller
-    that already computed them does not pay for the frontend again. Returns
-    (system, history); the system carries the best-on-dev parameters
-    (initialization included as a candidate).
+    The statistics network stays frozen. train_coords are pca_coords of the
+    corpus's train split under this system, which the caller has already
+    computed, so the frontend does not run again. Returns (system, history);
+    the system carries the best-on-dev parameters (initialization included
+    as a candidate).
     """
     return _train_jointly(
         system, corpus, schedule, rng, train_stats_net=False, train_coords=train_coords
@@ -307,17 +296,15 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
     """train_step on sampled trial batches, keeping the best on dev.
 
     A frozen statistics network only feeds fixed inputs to the embedding
-    network, so its PCA coordinates are computed once per utterance (unless
-    the caller hands in train_coords) and each batch runs the embedding
+    network: the caller hands in the train PCA coordinates, the dev ones
+    are computed once per utterance, and each batch runs the embedding
     network alone. A trained one is backpropagated through per batch with
     checkpointed_grads.
     """
     train_feats, train_speakers = _split_features(corpus, "train")
     dev_feats, dev_speakers = _split_features(corpus, "dev")
     if not train_stats_net:
-        if train_coords is None:
-            train_coords = pca_coords(system, train_feats)
-        elif np.shape(train_coords) != (len(train_feats), system.pca.basis.shape[1]):
+        if np.shape(train_coords) != (len(train_feats), system.pca.basis.shape[1]):
             raise ShapeError("train_coords must hold one PCA row per train utterance")
         dev_coords = pca_coords(system, dev_feats)
 
@@ -325,13 +312,12 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         coords = pca_coords(system, dev_feats) if train_stats_net else dev_coords
         return embed_coords(system, coords)
 
-    speakers = np.unique(train_speakers)
-    pool = make_pair_pool({s: np.flatnonzero(train_speakers == s) for s in speakers}, rng)
+    batches = pair_batches(train_speakers, schedule.n_pairs, rng)
     n_skip = 0 if train_stats_net else system.n_stats_params
     adam = netcore.AdamState.create(system.trainable_parameters()[n_skip:], lr=schedule.lr)
 
     def batch_step():
-        idx = draw_groups(pool, schedule.n_pairs, rng)
+        idx = next(batches)
         inputs = [train_feats[i] for i in idx] if train_stats_net else train_coords[idx]
         return train_step(system, adam, schedule, inputs, train_speakers[idx], train_stats_net)
 

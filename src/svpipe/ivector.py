@@ -145,12 +145,17 @@ def fit_prep(ivectors, labels, out_dim):
 
     The mean is taken over all training vectors; LDA directions are the top
     generalized eigenvectors of between/within scatter computed on mean-
-    subtracted, length-normalized vectors. Needs more than out_dim speakers.
+    subtracted, length-normalized vectors. Needs more than out_dim speakers
+    and out_dim at most the i-vector dimension.
     """
     ivectors = np.asarray(ivectors, dtype=np.float64)
     labels = np.asarray(labels)
     if ivectors.ndim != 2 or ivectors.shape[0] != labels.shape[0]:
         raise ShapeError("one label per i-vector required")
+    if out_dim > ivectors.shape[1]:
+        raise InputError(
+            f"LDA to {out_dim} dims exceeds the i-vector dimension {ivectors.shape[1]}"
+        )
     classes = np.unique(labels)
     if classes.shape[0] < out_dim + 1:
         raise InputError(

@@ -178,6 +178,9 @@ class Config:
         n_dct, window = self.values["frontend.n_dct"], 2 * self.values["frontend.context"] + 1
         if n_dct > window:
             raise ConfigError(f"frontend.n_dct={n_dct} exceeds 2*frontend.context+1={window}")
+        prep_dim, tv_dim = self.values["prep.dim"], self.values["tv.dim"]
+        if prep_dim > tv_dim:
+            raise ConfigError(f"prep.dim={prep_dim} exceeds tv.dim={tv_dim}")
         low, high = self.values["corpus.min_frames"], self.values["corpus.max_frames"]
         if low > high:
             raise ConfigError(f"corpus.min_frames={low} exceeds corpus.max_frames={high}")

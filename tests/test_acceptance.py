@@ -335,15 +335,11 @@ def test_criterion_5_sampler_laws():
         rng = np.random.default_rng(4)
         # full pass covers every utterance exactly once
         utts = {f"s{i}": list(range(10 * i, 10 * i + 10)) for i in range(6)}
-        pool = dplda.make_pair_pool(utts, rng)
-        drawn = []
-        while pool.groups:
-            drawn.extend(dplda.draw_groups(pool, 1, rng).tolist())
-        assert sorted(drawn) == list(range(60))
+        drawn = np.concatenate(dplda.make_pair_pool(utts, rng))
+        assert sorted(drawn.tolist()) == list(range(60))
         # group-size semantics for 1- and 5-utterance speakers
-        pool = dplda.make_pair_pool({"one": [0], "five": [1, 2, 3, 4, 5]}, rng)
         sizes = {}
-        for group in pool.groups:
+        for group in dplda.make_pair_pool({"one": [0], "five": [1, 2, 3, 4, 5]}, rng):
             key = "one" if 0 in group.tolist() else "five"
             sizes.setdefault(key, []).append(len(group))
         assert sorted(sizes["one"]) == [1]
@@ -351,11 +347,8 @@ def test_criterion_5_sampler_laws():
         # a batch of n_pairs groups scores all U(U-1)/2 trials
         vectors = rng.standard_normal((60, 4))
         speakers = np.repeat(np.arange(6), 10)
-        pool = dplda.make_pair_pool(
-            {s: np.flatnonzero(speakers == s) for s in range(6)}, rng
-        )
         for n_pairs in (2, 5):
-            idx = dplda.draw_groups(pool, n_pairs, rng)
+            idx = next(dplda.pair_batches(speakers, n_pairs, rng))
             batch = dplda.TrialBatch.all_trials(vectors[idx], speakers[idx])
             u = batch.vectors.shape[0]
             assert batch.n_trials == u * (u - 1) // 2
@@ -424,17 +417,15 @@ def test_criterion_7_directional_reproduction(desk_chains):
         system.freeze_anchor()
         schedule = recipe.train_schedule(recipe.Config({"joint.lambda_init": "1e6"}, seed=0), "joint")
         train = r["corpus"].split("train")
-        speakers_all = np.array([u.speaker for u in train])
+        speakers = np.array([u.speaker for u in train])
         coords = e2e.pca_coords(system, [u.features for u in train])
         n_stats = system.n_stats_params
         adam = netcore.AdamState.create(system.trainable_parameters()[n_stats:], lr=schedule.lr)
-        rng = np.random.default_rng(0)
-        by_speaker = {s: np.flatnonzero(speakers_all == s) for s in np.unique(speakers_all)}
-        pool = dplda.make_pair_pool(by_speaker, rng)
+        batches = dplda.pair_batches(speakers, schedule.n_pairs, np.random.default_rng(0))
         drift = 0.0
         for _ in range(20):
-            idx = dplda.draw_groups(pool, schedule.n_pairs, rng)
-            e2e.train_step(system, adam, schedule, coords[idx], speakers_all[idx], False)
+            idx = next(batches)
+            e2e.train_step(system, adam, schedule, coords[idx], speakers[idx], False)
             live = zip(system.trainable_parameters(), system.anchor)
             drift = max(drift, *(float(np.abs(p - p0).max()) for p, p0 in live))
         print(f"  snapshot pull: max live parameter drift over 20 steps = {drift:.2e}")

@@ -413,7 +413,7 @@ def test_non_finite_stats_exit_code_writes_nothing(workdir, tmp_path):
     [
         ("ragged", "stats.svm: statistics differ in shape between utterances"),
         ("mismatched", "statistics do not match the background model"),
-        ("empty", "no statistics"),
+        ("empty", "corpus has no train utterances"),
     ],
 )
 def test_ragged_mismatched_or_empty_stats_exit_code(workdir, tmp_path, defect, message):
@@ -550,9 +550,16 @@ def test_window_longer_than_every_utterance_runs(tmp_path, override):
         assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("stage", ["train-plda", "train-dplda", "train-joint", "train-e2e"])
+@pytest.mark.parametrize(
+    "stage",
+    [
+        "train-ubm", "train-tv", "extract-ivec", "train-plda", "train-dplda",
+        "train-f2s", "fit-pca", "train-s2i", "train-joint", "train-e2e",
+    ],
+)
 def test_empty_train_split_exit_code(workdir, tmp_path, stage):
-    # a corpus index without its train lines: every upstream model is there
+    # a corpus index without its train lines: every upstream model is there,
+    # and every training stage names the missing split in one message
     root, cfg = workdir
     work = tmp_path / "work"
     shutil.copytree(root / "work", work)
@@ -871,6 +878,7 @@ def test_config_values_are_parsed_at_load(tmp_path):
         ("joint.lambda_init=inf", "joint.lambda_init"),
         ("frontend.n_dct=12", "frontend.n_dct=12 exceeds 2*frontend.context+1=9"),
         ("corpus.min_frames=200", "corpus.min_frames=200 exceeds corpus.max_frames=140"),
+        ("prep.dim=15", "prep.dim=15 exceeds tv.dim=10"),
         ("ubm.components 64", f"{cfg}:{line_of_the_extra}: expected key=value"),
     ]:
         cfg.write_text(base + extra + "\n")

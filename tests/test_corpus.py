@@ -30,6 +30,17 @@ def test_split_discipline(small_corpus):
     assert all(u.features.shape[0] >= 1 for u in small_corpus.utterances)
 
 
+def test_require_returns_the_split_and_rejects_an_empty_one(small_corpus):
+    # split may be empty (make_trials takes it); require is for a split a stage needs
+    no_train = corpus.Corpus([u for u in small_corpus.utterances if u.split != "train"])
+    assert no_train.split("train") == []
+    with pytest.raises(InputError, match="corpus has no train utterances"):
+        no_train.require("train")
+    assert no_train.require("dev") == small_corpus.split("dev")
+    with pytest.raises(InputError, match="unknown split"):
+        small_corpus.require("test")
+
+
 def test_pure_speaker_signal_when_noise_and_channel_zero():
     cfg = corpus.SynthConfig(n_speakers=3, utts_per_speaker=3, min_frames=20,
                              max_frames=40, dim=4, speaker_dim=8, channel_dim=0,

@@ -53,7 +53,7 @@ def test_all_trials_match_the_pair_form(n_utts, dim):
     params = random_params(rng, dim)
     vectors = rng.standard_normal((n_utts, dim))
     speakers = rng.integers(0, max(2, n_utts // 3), n_utts)
-    # draw_groups can return one utterance twice when the pool refreshes mid-draw
+    # a pair_batches batch can hold one utterance twice when a pass runs out mid-batch
     vectors[-1], speakers[-1] = vectors[0], speakers[0]
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
     i, j = np.triu_indices(n_utts, 1)
@@ -183,40 +183,42 @@ def test_fullbatch_contract_on_a_convex_problem():
 
 def test_pair_pool_group_sizes():
     rng = np.random.default_rng(8)
-    pool = dplda.make_pair_pool({"a": [0], "b": [1, 2, 3, 4, 5], "c": [6, 7, 8, 9]}, rng)
+    groups = dplda.make_pair_pool({"a": [0], "b": [1, 2, 3, 4, 5], "c": [6, 7, 8, 9]}, rng)
     by_speaker = {}
-    for group in pool.groups:
+    for group in groups:
         key = "a" if group[0] == 0 else ("b" if group[0] <= 5 else "c")
         by_speaker.setdefault(key, []).append(len(group))
     assert sorted(by_speaker["a"]) == [1]
     assert sorted(by_speaker["b"]) == [2, 3]
     assert sorted(by_speaker["c"]) == [2, 2]
-    all_utts = np.concatenate(pool.groups)
+    all_utts = np.concatenate(groups)
     assert sorted(all_utts.tolist()) == list(range(10))
 
 
 def test_pool_pass_covers_each_utterance_once():
     rng = np.random.default_rng(9)
     utts = {s: list(range(6 * s, 6 * s + 6)) for s in range(5)}
-    pool = dplda.make_pair_pool(utts, rng)
-    n_groups = len(pool.groups)
-    drawn = []
-    while pool.groups:
-        drawn.extend(dplda.draw_groups(pool, 1, rng).tolist())
-    assert sorted(drawn) == list(range(30))
-    assert n_groups == 15
+    groups = dplda.make_pair_pool(utts, rng)
+    assert sorted(np.concatenate(groups).tolist()) == list(range(30))
+    assert len(groups) == 15
+    # the batch stream's first pass is such a pass, one group per batch
+    batches = dplda.pair_batches(np.repeat(np.arange(5), 6), 1, rng)
+    drawn = np.concatenate([next(batches) for _ in range(15)])
+    assert sorted(drawn.tolist()) == list(range(30))
 
 
 def test_pool_without_replacement_and_refresh_order():
     rng = np.random.default_rng(10)
-    pool = dplda.make_pair_pool({"a": [0, 1], "b": [2, 3], "c": [4, 5]}, rng)
-    first = dplda.draw_groups(pool, 2, rng)
-    assert len(pool.groups) == 1
-    leftover = set(pool.groups[0].tolist())
-    second = dplda.draw_groups(pool, 2, rng)
-    # the remaining group of the old pass comes first, then one regenerated group
+    batches = dplda.pair_batches(["a", "a", "b", "b", "c", "c"], 2, rng)
+    first = next(batches)
+    assert len(set(first.tolist())) == 4
+    leftover = {0, 1, 2, 3, 4, 5} - set(first.tolist())
+    second = next(batches)
+    # the remaining group of the old pass comes first, then one group of a fresh pass
     assert set(second[:2].tolist()) == leftover
-    assert set(first.tolist()) | leftover == {0, 1, 2, 3, 4, 5}
+    assert second.shape == (4,)
+    fresh = second[2:].tolist()
+    assert fresh in ([0, 1], [1, 0], [2, 3], [3, 2], [4, 5], [5, 4])
 
 
 def test_minibatch_trial_count_and_defaults():
@@ -226,15 +228,15 @@ def test_minibatch_trial_count_and_defaults():
     rng = np.random.default_rng(11)
     vectors = rng.standard_normal((12, 3))
     speakers = np.repeat(np.arange(3), 4)
-    pool = dplda.make_pair_pool(
-        {s: np.flatnonzero(speakers == s) for s in range(3)}, rng
-    )
-    idx = dplda.draw_groups(pool, 3, rng)
+    idx = next(dplda.pair_batches(speakers, 3, rng))
     batch = dplda.TrialBatch.all_trials(vectors[idx], speakers[idx])
     u = batch.vectors.shape[0]
     assert u == 6
     assert batch.n_trials == u * (u - 1) // 2
     with pytest.raises(InputError):
         dplda.make_pair_pool({}, rng)
-    with pytest.raises(InputError):
-        dplda.draw_groups(pool, 0, rng)
+    # pair_batches checks its arguments when it is called, before any batch is drawn
+    with pytest.raises(InputError, match="at least one group"):
+        dplda.pair_batches(speakers, 0, rng)
+    with pytest.raises(InputError, match="empty speaker map"):
+        dplda.pair_batches([], 3, rng)

@@ -1,3 +1,4 @@
+import functools
 import logging
 
 import numpy as np
@@ -29,6 +30,12 @@ def tiny_system(small_corpus):
         0.1,
     )
     return e2e.assemble_system(fc, snet, ubm, pca, ivnet, params, relevance=16.0)
+
+
+@pytest.fixture(scope="module")
+def train_coords(tiny_system, small_corpus):
+    """PCA coordinates of the train split under tiny_system, as train-joint passes them."""
+    return e2e.pca_coords(tiny_system, [u.features for u in small_corpus.split("train")])
 
 
 def _score(system, features_a, features_b):
@@ -137,8 +144,15 @@ def test_zero_weight_snapshot_penalty_is_exactly_zero(tiny_system):
 TRAINERS = ["train_joint_s2i_dplda", "train_e2e_full"]
 
 
+def _trainer(name, train_coords):
+    """The trainer called name, taking (system, corpus, schedule, rng)."""
+    if name == "train_joint_s2i_dplda":
+        return functools.partial(e2e.train_joint_s2i_dplda, train_coords=train_coords)
+    return getattr(e2e, name)
+
+
 @pytest.mark.parametrize("trainer", TRAINERS)
-def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer):
+def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, train_coords, trainer):
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     before = [p.copy() for p in system.trainable_parameters()]
     schedule = e2e.TrainSchedule(
@@ -146,7 +160,7 @@ def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer
         objective=dplda.ObjectiveConfig(p_target=0.1),
         anchor_weight=1e-2,
     )
-    train = getattr(e2e, trainer)
+    train = _trainer(trainer, train_coords)
     system, _ = train(system, small_corpus, schedule, np.random.default_rng(0))
     after = system.trainable_parameters()
     for b, a in zip(before, after):
@@ -155,7 +169,7 @@ def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, trainer
 
 @pytest.mark.parametrize("trainer", TRAINERS)
 def test_training_that_keeps_its_initialization_says_so(
-    tiny_system, small_corpus, trainer, caplog
+    tiny_system, small_corpus, train_coords, trainer, caplog
 ):
     # with lr 0 no epoch can beat the initialization on dev
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
@@ -164,7 +178,7 @@ def test_training_that_keeps_its_initialization_says_so(
         objective=dplda.ObjectiveConfig(p_target=0.1),
         anchor_weight=1e-2,
     )
-    train = getattr(e2e, trainer)
+    train = _trainer(trainer, train_coords)
     with caplog.at_level(logging.INFO, logger="svpipe.e2e"):
         _, history = train(system, small_corpus, schedule, np.random.default_rng(0))
     init_c = history[0].dev_c_primary
@@ -173,7 +187,9 @@ def test_training_that_keeps_its_initialization_says_so(
     assert kept == [f"kept the initialization (epoch 0): dev C_primary {init_c:.6f}"]
 
 
-def test_training_names_the_epoch_it_keeps(tiny_system, small_corpus, caplog, monkeypatch):
+def test_training_names_the_epoch_it_keeps(
+    tiny_system, small_corpus, train_coords, caplog, monkeypatch
+):
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=1e-3, epoch_batches=1, max_epochs=3,
@@ -183,7 +199,9 @@ def test_training_names_the_epoch_it_keeps(tiny_system, small_corpus, caplog, mo
     dev_costs = iter([0.5, 0.6, 0.25, 0.3])
     monkeypatch.setattr(e2e, "_dev_metrics", lambda *args: (0.1, next(dev_costs)))
     with caplog.at_level(logging.INFO, logger="svpipe.e2e"):
-        e2e.train_joint_s2i_dplda(system, small_corpus, schedule, np.random.default_rng(0))
+        e2e.train_joint_s2i_dplda(
+            system, small_corpus, schedule, np.random.default_rng(0), train_coords=train_coords
+        )
     kept = [m for m in caplog.messages if m.startswith("kept ")]
     assert kept == ["kept epoch 2: dev C_primary 0.250000"]
 
@@ -254,14 +272,14 @@ def test_frozen_train_step_moves_the_embedding_net_and_backend_only(tiny_system,
 
 
 @pytest.mark.parametrize("trainer", TRAINERS)
-def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, trainer):
+def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, train_coords, trainer):
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
         objective=dplda.ObjectiveConfig(p_target=0.1),
         anchor_weight=1e-2,
     )
-    train = getattr(e2e, trainer)
+    train = _trainer(trainer, train_coords)
     system, history = train(system, small_corpus, schedule, np.random.default_rng(2))
     final_records = [r.dev_c_primary for r in history]
     # returned system reproduces the best recorded dev cost
@@ -275,7 +293,9 @@ def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, train
 
 
 @pytest.mark.parametrize("trainer", TRAINERS)
-def test_dev_pass_embeds_what_scoring_embeds(tiny_system, small_corpus, trainer, monkeypatch):
+def test_dev_pass_embeds_what_scoring_embeds(
+    tiny_system, small_corpus, train_coords, trainer, monkeypatch
+):
     # best-on-dev selection and LR halving must see, bit for bit, the
     # embeddings that scoring writes; the first dev pass is the initialization
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
@@ -294,7 +314,7 @@ def test_dev_pass_embeds_what_scoring_embeds(tiny_system, small_corpus, trainer,
         objective=dplda.ObjectiveConfig(p_target=0.1),
         anchor_weight=1e-2,
     )
-    getattr(e2e, trainer)(system, small_corpus, schedule, np.random.default_rng(2))
+    _trainer(trainer, train_coords)(system, small_corpus, schedule, np.random.default_rng(2))
     assert len(seen) == schedule.max_epochs + 1
     assert np.array_equal(seen[0], expected)
 

@@ -240,6 +240,16 @@ def test_fit_prep_needs_enough_speakers():
         ivector.fit_prep(x, labels, 3)
 
 
+def test_fit_prep_out_dim_above_the_vector_dimension():
+    # enough speakers, but LDA cannot produce more directions than the vectors have
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((200, 5))
+    labels = np.repeat(np.arange(20), 10)
+    with pytest.raises(InputError, match="LDA to 6 dims exceeds the i-vector dimension 5"):
+        ivector.fit_prep(x, labels, 6)
+    assert ivector.fit_prep(x, labels, 5).lda.shape == (5, 5)
+
+
 def test_prep_apply_degenerate_norm_and_oracle():
     rng = np.random.default_rng(10)
     prep = ivector.IvecPrep(rng.standard_normal(5), rng.standard_normal((5, 3)))
