@@ -5,10 +5,11 @@ Scores a trial from two embeddings through the symmetric quadratic form
     s = phi_i' L phi_j + phi_j' L phi_i + phi_i' G phi_i + phi_j' G phi_j
         + (phi_i + phi_j)' c + k
 
-and trains (L, G, c, k) directly on target/non-target trials with a
+and trains (L, G, c, k) directly on target/non-target trials with a bare
 prior-weighted binary cross-entropy: full-batch with scipy's L-BFGS-B, until
 the gradient 2-norm is at most 1e-6, when trained alone; minibatches drawn from
 per-speaker utterance pairs when trained jointly with the upstream networks.
+Both add netcore.penalty_to_snapshot, toward zero or toward the joint anchor.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from itertools import chain, count, islice
 import numpy as np
 from scipy.optimize import minimize
 
+from . import netcore
 from .errors import InputError, ObjectiveError, OptimizerError, ShapeError
 
 logger = logging.getLogger(__name__)
@@ -117,18 +119,6 @@ class TrialBatch:
         return self.score_matrix(params)[self.trials]
 
 
-@dataclass
-class ObjectiveConfig:
-    p_target: float
-    l2_weight: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.p_target < 1.0:
-            raise InputError("target prior must lie strictly inside (0, 1)")
-        if self.l2_weight < 0.0:
-            raise InputError("l2 weight must be non-negative")
-
-
 def _softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
@@ -142,30 +132,29 @@ def _sigmoid(x):
     return out
 
 
-def bxe_objective(params: DpldaParams, batch: TrialBatch, cfg: ObjectiveConfig):
+def bxe_objective(params: DpldaParams, batch: TrialBatch, p_target):
     """Prior-weighted binary cross-entropy over a trial batch.
 
     Returns (loss, grads: DpldaParams, grad_vectors (U, R)). Target trials
     carry weight p_target/#targets, non-targets (1-p_target)/#nontargets, so
-    the loss is an empirical Bayes risk at the configured prior. The L2 term
-    covers lam, gamma and c but never k. grad_vectors backpropagates into the
-    embeddings for joint training.
+    the loss is an empirical Bayes risk at the prior p_target, which must lie
+    strictly inside (0, 1). grad_vectors backpropagates into the embeddings
+    for joint training.
     """
+    if not 0.0 < p_target < 1.0:
+        raise InputError("target prior must lie strictly inside (0, 1)")
     if batch.n_trials == 0:
         raise ObjectiveError("empty trial batch")
     n_target = int(batch.targets.sum())
     n_non = batch.n_trials - n_target
     if n_target == 0 or n_non == 0:
         raise ObjectiveError("batch must contain both target and non-target trials")
-    theta = np.log(cfg.p_target / (1.0 - cfg.p_target))
+    theta = np.log(p_target / (1.0 - p_target))
     z = batch.score_matrix(params) + theta
-    alpha = cfg.p_target / n_target
-    beta = (1.0 - cfg.p_target) / n_non
+    alpha = p_target / n_target
+    beta = (1.0 - p_target) / n_non
     non = batch.trials & ~batch.targets
     loss = alpha * _softplus(-z[batch.targets]).sum() + beta * _softplus(z[non]).sum()
-    loss += cfg.l2_weight * (
-        (params.lam**2).sum() + (params.gamma**2).sum() + (params.c**2).sum()
-    )
 
     # dloss/dscore of each trial, in its cell of the upper triangle
     sig = _sigmoid(z)
@@ -173,9 +162,9 @@ def bxe_objective(params: DpldaParams, batch: TrialBatch, cfg: ObjectiveConfig):
     sym = m + m.T
     per_utt = sym.sum(axis=1)  # total trial weight touching each utterance
     phis = batch.vectors
-    d_lam = phis.T @ sym @ phis + 2.0 * cfg.l2_weight * params.lam
-    d_gamma = (phis * per_utt[:, None]).T @ phis + 2.0 * cfg.l2_weight * params.gamma
-    d_c = phis.T @ per_utt + 2.0 * cfg.l2_weight * params.c
+    d_lam = phis.T @ sym @ phis
+    d_gamma = (phis * per_utt[:, None]).T @ phis
+    d_c = phis.T @ per_utt
     d_k = float(m.sum())
     d_vectors = (
         2.0 * (sym @ phis) @ params.lam
@@ -203,15 +192,11 @@ def unpack_params(flat, dim):
     )
 
 
-def train_dplda_fullbatch(
-    init: DpldaParams,
-    vectors,
-    speakers,
-    cfg: ObjectiveConfig,
-    max_iters,
-):
+def train_dplda_fullbatch(init: DpldaParams, vectors, speakers, p_target, l2, max_iters):
     """Minimize the weighted cross-entropy over all trials with L-BFGS-B.
 
+    The objective is bxe_objective at p_target plus netcore.penalty_to_snapshot
+    of (lam, gamma, c) toward zero with weight l2; k is never pulled.
     scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995; history 10, no bounds)
     stops when the 2-norm of the gradient is at most 1e-6 (its per-entry
     gtol is that over sqrt(#parameters)) or after max_iters iterations; a
@@ -222,12 +207,19 @@ def train_dplda_fullbatch(
     dim = batch.vectors.shape[1]
     if init.dim != dim:
         raise ShapeError("initial parameters do not match the vectors")
+    zeros = [np.zeros((dim, dim)), np.zeros((dim, dim)), np.zeros(dim)]
     history: list[float] = []
 
     def evaluate(flat):
-        loss, grads, _ = bxe_objective(unpack_params(flat, dim), batch, cfg)
+        params = unpack_params(flat, dim)
+        loss, grads, _ = bxe_objective(params, batch, p_target)
+        penalty, (d_lam, d_gamma, d_c) = netcore.penalty_to_snapshot(
+            [params.lam, params.gamma, params.c], zeros, l2
+        )
+        loss += penalty
         if not history:  # the first evaluation is at init
             history.append(loss)
+        grads = DpldaParams(grads.lam + d_lam, grads.gamma + d_gamma, grads.c + d_c, grads.k)
         return loss, pack_params(grads)
 
     def record(intermediate_result):

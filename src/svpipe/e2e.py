@@ -30,7 +30,7 @@ import numpy as np
 
 from . import netcore
 from .corpus import Corpus
-from .dplda import DpldaParams, ObjectiveConfig, TrialBatch, bxe_objective, pair_batches
+from .dplda import DpldaParams, TrialBatch, bxe_objective, pair_batches
 from .errors import ConfigError, InputError, ShapeError
 from .frontend import context_expand, stmvn
 from .gmm import DiagGmm, sufficient_stats
@@ -202,7 +202,7 @@ class TrainSchedule:
     lr: float
     epoch_batches: int
     max_epochs: int
-    objective: ObjectiveConfig
+    p_target: float
     anchor_weight: float
 
     def __post_init__(self):
@@ -274,7 +274,7 @@ def train_step(system, adam, schedule, inputs, speakers, train_stats_net):
     def loss_fn(embeddings):
         nonlocal backend_grads
         batch = TrialBatch.all_trials(embeddings, speakers)
-        loss, backend_grads, d_emb = bxe_objective(system.dplda, batch, schedule.objective)
+        loss, backend_grads, d_emb = bxe_objective(system.dplda, batch, schedule.p_target)
         return loss, d_emb
 
     if train_stats_net:

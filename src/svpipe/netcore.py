@@ -3,7 +3,8 @@
 Everything is plain float64 numpy: affine layers with a small set of
 activations, explicit forward/backward passes, SGD and Adam steps, the one
 minibatch-SGD training loop and learning-rate rule every network shares, and
-a quadratic penalty that pulls parameters back toward a fixed anchor.
+the one quadratic penalty that pulls parameters toward a fixed anchor (joint
+and e2e training's starting system, or zero for full-batch DPLDA).
 No autodiff, no GPU; batches are matrices of shape (B, dim).
 """
 
@@ -367,8 +368,12 @@ def penalty_to_snapshot(params, anchor, weight):
     """Quadratic pull of params toward the anchor, a list of the same shapes.
 
     Returns (penalty, grads): penalty = weight * sum_g sum((p - p0)^2), and
-    the gradient 2 * weight * (p - p0) for each group.
+    the gradient 2 * weight * (p - p0) for each group; the weight must be
+    finite and non-negative. Joint and e2e training pull toward the system's
+    anchor with it, full-batch DPLDA pulls (lam, gamma, c) toward zero.
     """
+    if not 0.0 <= weight < np.inf:
+        raise InputError(f"penalty weight must be finite and non-negative, not {weight}")
     if len(params) != len(anchor):
         raise ShapeError("anchor group count does not match the parameters")
     penalty = 0.0

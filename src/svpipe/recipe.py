@@ -328,11 +328,9 @@ def train_plda(cfg, vectors, speakers):
 
 def train_dplda(cfg, init, vectors, speakers):
     """Full-batch DPLDA from init on all trials among the vectors."""
-    objective = dplda.ObjectiveConfig(
-        p_target=cfg.get("dplda.p_target"), l2_weight=cfg.get("dplda.l2")
-    )
+    p_target, l2 = cfg.get("dplda.p_target"), cfg.get("dplda.l2")
     return dplda.train_dplda_fullbatch(
-        init, vectors, np.asarray(speakers), objective, max_iters=cfg.get("dplda.max_iters")
+        init, vectors, np.asarray(speakers), p_target, l2, cfg.get("dplda.max_iters")
     )
 
 
@@ -424,7 +422,7 @@ def train_schedule(cfg, section):
         lr=cfg.get(f"{section}.lr"),
         epoch_batches=cfg.get(f"{section}.epoch_batches"),
         max_epochs=cfg.get(f"{section}.epochs"),
-        objective=dplda.ObjectiveConfig(p_target=cfg.get("dplda.p_target")),
+        p_target=cfg.get("dplda.p_target"),
         anchor_weight=cfg.get(f"{section}.lambda_init"),
     )
 

@@ -196,11 +196,10 @@ def test_criterion_2_checkpointing_equivalence():
             idx = np.arange(batch_size) * 2 % len(feats)
             batch_feats = [feats[i] for i in idx]
             batch_spk = speakers[idx]
-            cfg = dplda.ObjectiveConfig(p_target=0.1)
 
             def loss_fn(embeddings):
                 batch = dplda.TrialBatch.all_trials(embeddings, batch_spk)
-                loss, _, d_emb = dplda.bxe_objective(system.dplda, batch, cfg)
+                loss, _, d_emb = dplda.bxe_objective(system.dplda, batch, 0.1)
                 return loss, d_emb
 
             with live_activation_caches(system.stats_net) as live:
@@ -250,8 +249,7 @@ def test_criterion_3_gradient_suite():
         vectors = rng.standard_normal((8, 3))
         speakers = np.repeat(np.arange(4), 2)
         batch = dplda.TrialBatch.all_trials(vectors, speakers)
-        cfg = dplda.ObjectiveConfig(p_target=0.1, l2_weight=0.01)
-        _, grads, _ = dplda.bxe_objective(params, batch, cfg)
+        _, grads, _ = dplda.bxe_objective(params, batch, 0.1)
         flat = dplda.pack_params(params)
         fd = np.zeros_like(flat)
         for i in range(flat.size):
@@ -259,10 +257,21 @@ def test_criterion_3_gradient_suite():
             up[i] += 1e-6
             dn[i] -= 1e-6
             fd[i] = (
-                dplda.bxe_objective(dplda.unpack_params(up, 3), batch, cfg)[0]
-                - dplda.bxe_objective(dplda.unpack_params(dn, 3), batch, cfg)[0]
+                dplda.bxe_objective(dplda.unpack_params(up, 3), batch, 0.1)[0]
+                - dplda.bxe_objective(dplda.unpack_params(dn, 3), batch, 0.1)[0]
             ) / 2e-6
         worst = max(worst, max_rel_err(dplda.pack_params(grads), fd, floor=1e-8))
+
+        # the parameter pull of joint training and full-batch DPLDA
+        pulled = [rng.standard_normal((3, 3)), rng.standard_normal(3)]
+        anchor = [rng.standard_normal((3, 3)), rng.standard_normal(3)]
+
+        def pull_loss():
+            return netcore.penalty_to_snapshot(pulled, anchor, 0.01)[0]
+
+        _, grads = netcore.penalty_to_snapshot(pulled, anchor, 0.01)
+        for p, g in zip(pulled, grads):
+            worst = max(worst, max_rel_err(g, finite_difference(pull_loss, p), floor=1e-6))
 
         # statistics pooling path
         snet = statsnet.make_stats_net(4, 3, hidden=(5,), seed=1)

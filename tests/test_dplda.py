@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import dplda_score, max_rel_err
-from svpipe import dplda, metrics, recipe
+from conftest import dplda_score, finite_difference, max_rel_err
+from svpipe import dplda, metrics, netcore, recipe
 from svpipe.errors import InputError, ObjectiveError
 
 
@@ -69,7 +69,7 @@ def test_bxe_zero_params_equal_prior_is_log2():
     speakers = np.array([0, 0, 1, 1, 2, 2, 3, 3])
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
     params = dplda.DpldaParams(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3), 0.0)
-    loss, _, _ = dplda.bxe_objective(params, batch, dplda.ObjectiveConfig(p_target=0.5))
+    loss, _, _ = dplda.bxe_objective(params, batch, 0.5)
     assert abs(loss - np.log(2.0)) < 1e-12
 
 
@@ -80,8 +80,7 @@ def test_bxe_gradients_match_finite_differences():
     vectors = rng.standard_normal((8, dim))
     speakers = np.array([0, 0, 1, 1, 2, 2, 3, 3])
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
-    cfg = dplda.ObjectiveConfig(p_target=0.2, l2_weight=0.01)
-    loss, grads, d_vectors = dplda.bxe_objective(params, batch, cfg)
+    loss, grads, d_vectors = dplda.bxe_objective(params, batch, 0.2)
     flat = dplda.pack_params(params)
     grad_flat = dplda.pack_params(grads)
     eps = 1e-6
@@ -91,8 +90,8 @@ def test_bxe_gradients_match_finite_differences():
         up[i] += eps
         dn[i] -= eps
         fd[i] = (
-            dplda.bxe_objective(dplda.unpack_params(up, dim), batch, cfg)[0]
-            - dplda.bxe_objective(dplda.unpack_params(dn, dim), batch, cfg)[0]
+            dplda.bxe_objective(dplda.unpack_params(up, dim), batch, 0.2)[0]
+            - dplda.bxe_objective(dplda.unpack_params(dn, dim), batch, 0.2)[0]
         ) / (2 * eps)
     assert max_rel_err(grad_flat, fd, floor=1e-8) < 1e-4
     # k gradient meets the tighter stated tolerance
@@ -107,10 +106,20 @@ def test_bxe_gradients_match_finite_differences():
             batch_u = dplda.TrialBatch.all_trials(up, speakers)
             batch_d = dplda.TrialBatch.all_trials(dn, speakers)
             fd_vec[u, j] = (
-                dplda.bxe_objective(params, batch_u, cfg)[0]
-                - dplda.bxe_objective(params, batch_d, cfg)[0]
+                dplda.bxe_objective(params, batch_u, 0.2)[0]
+                - dplda.bxe_objective(params, batch_d, 0.2)[0]
             ) / (2 * eps)
     assert max_rel_err(d_vectors, fd_vec, floor=1e-8) < 1e-4
+    # full-batch training's pull of (lam, gamma, c) toward zero
+    pulled = [p.copy() for p in params.parameters()[:3]]
+    zeros = [np.zeros_like(p) for p in pulled]
+
+    def pull_loss():
+        return netcore.penalty_to_snapshot(pulled, zeros, 0.01)[0]
+
+    _, pull_grads = netcore.penalty_to_snapshot(pulled, zeros, 0.01)
+    for p, g in zip(pulled, pull_grads):
+        assert max_rel_err(g, finite_difference(pull_loss, p, eps), floor=1e-8) < 1e-4
 
 
 def test_target_prior_defaults():
@@ -124,7 +133,15 @@ def test_bxe_single_class_batch_rejected():
     batch = dplda.TrialBatch.all_trials(vectors, np.array([0, 0, 0]))
     params = random_params(rng, 2)
     with pytest.raises(ObjectiveError):
-        dplda.bxe_objective(params, batch, dplda.ObjectiveConfig(p_target=0.0075))
+        dplda.bxe_objective(params, batch, 0.0075)
+
+
+@pytest.mark.parametrize("p_target", [0.0, 1.0, float("nan")])
+def test_bxe_rejects_a_prior_outside_the_open_unit_interval(p_target):
+    rng = np.random.default_rng(10)
+    batch = dplda.TrialBatch.all_trials(rng.standard_normal((4, 2)), np.array([0, 0, 1, 1]))
+    with pytest.raises(InputError, match="target prior"):
+        dplda.bxe_objective(random_params(rng, 2), batch, p_target)
 
 
 def test_fullbatch_training_from_stationary_point():
@@ -132,13 +149,12 @@ def test_fullbatch_training_from_stationary_point():
     centers = rng.standard_normal((4, 3)) * 3
     vectors = np.vstack([centers[i // 4] + 0.1 * rng.standard_normal(3) for i in range(16)])
     speakers = np.repeat(np.arange(4), 4)
-    cfg = dplda.ObjectiveConfig(p_target=0.2)
     init = dplda.DpldaParams(np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3), 0.0)
-    trained, history = dplda.train_dplda_fullbatch(init, vectors, speakers, cfg, max_iters=200)
+    trained, history = dplda.train_dplda_fullbatch(init, vectors, speakers, 0.2, 0.0, 200)
     assert history[-1] <= history[0]
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
     # re-running from the optimum barely moves
-    again, history2 = dplda.train_dplda_fullbatch(trained, vectors, speakers, cfg, max_iters=200)
+    again, history2 = dplda.train_dplda_fullbatch(trained, vectors, speakers, 0.2, 0.0, 200)
     assert history2[0] - history2[-1] < 1e-10
 
 
@@ -148,37 +164,46 @@ def test_fullbatch_training_separates_toy_problem():
     vectors = np.vstack([centers[i // 4] + 0.05 * rng.standard_normal(2) for i in range(20)])
     speakers = np.repeat(np.arange(5), 4)
     init = dplda.DpldaParams(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 0.0)
-    trained, _ = dplda.train_dplda_fullbatch(
-        init, vectors, speakers, dplda.ObjectiveConfig(p_target=0.1), max_iters=200
-    )
+    trained, _ = dplda.train_dplda_fullbatch(init, vectors, speakers, 0.1, 0.0, 200)
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
     trials = metrics.ScoredTrials(batch.scores(trained), batch.is_target)
     assert metrics.eer(trials) == 0.0
 
 
 def test_fullbatch_contract_on_a_convex_problem():
-    # with an L2 term the objective is strictly convex in (lam, gamma, c, k)
+    # with the pull the objective is strictly convex in (lam, gamma, c, k)
     rng = np.random.default_rng(9)
     vectors = rng.standard_normal((12, 3))
     speakers = np.repeat(np.arange(4), 3)
-    cfg = dplda.ObjectiveConfig(p_target=0.3, l2_weight=1e-2)
+    p_target, l2 = 0.3, 1e-2
     init = random_params(rng, 3)
+    init.k = 2.0  # a pull on k would add l2 * k^2 = 0.04 to the loss
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
+    zeros = [np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3)]
 
-    same, history = dplda.train_dplda_fullbatch(init, vectors, speakers, cfg, max_iters=0)
+    def objective(params):
+        """The bare cross-entropy plus the pull, and its packed gradient."""
+        loss, grads, _ = dplda.bxe_objective(params, batch, p_target)
+        penalty, pulls = netcore.penalty_to_snapshot(params.parameters()[:3], zeros, l2)
+        total = [g + q for g, q in zip(grads.parameters(), pulls)]
+        return loss + penalty, dplda.pack_params(dplda.DpldaParams(*total, grads.k))
+
+    same, history = dplda.train_dplda_fullbatch(init, vectors, speakers, p_target, l2, 0)
     assert np.array_equal(dplda.pack_params(same), dplda.pack_params(init))
-    assert history == [dplda.bxe_objective(init, batch, cfg)[0]]
+    bare = dplda.bxe_objective(init, batch, p_target)[0]
+    squares = (init.lam**2).sum() + (init.gamma**2).sum() + (init.c**2).sum()
+    assert history == [pytest.approx(bare + l2 * squares, rel=1e-12, abs=0.0)]
 
     for max_iters in (1, 3, 500):
         trained, history = dplda.train_dplda_fullbatch(
-            init, vectors, speakers, cfg, max_iters=max_iters
+            init, vectors, speakers, p_target, l2, max_iters
         )
         assert len(history) <= max_iters + 1
         assert all(b <= a for a, b in zip(history, history[1:]))
-        loss, grads, _ = dplda.bxe_objective(trained, batch, cfg)
+        loss, grad = objective(trained)
         assert history[-1] == loss
     # the 500-iteration run ended on the gradient rule, not on max_iters
-    assert np.linalg.norm(dplda.pack_params(grads)) <= dplda._GRAD_TOL
+    assert np.linalg.norm(grad) <= dplda._GRAD_TOL
 
 
 def test_pair_pool_group_sizes():

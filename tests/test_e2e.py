@@ -91,10 +91,10 @@ def test_embedding_nothing_is_an_input_error(tiny_system):
         e2e.checkpointed_grads(tiny_system, [], lambda emb: (0.0, emb))
 
 
-def _bxe_loss_fn(system, speakers, cfg):
+def _bxe_loss_fn(system, speakers, p_target):
     def loss_fn(embeddings):
         batch = dplda.TrialBatch.all_trials(embeddings, speakers)
-        loss, _, d_emb = dplda.bxe_objective(system.dplda, batch, cfg)
+        loss, _, d_emb = dplda.bxe_objective(system.dplda, batch, p_target)
         return loss, d_emb
 
     return loss_fn
@@ -105,7 +105,7 @@ def test_checkpointed_equals_full_graph(tiny_system, small_corpus):
     utts = [train[i] for i in (0, 1, 6, 7, 12, 18)]  # span several speakers
     feats = [u.features for u in utts]
     speakers = np.array([u.speaker for u in utts])
-    loss_fn = _bxe_loss_fn(tiny_system, speakers, dplda.ObjectiveConfig(p_target=0.1))
+    loss_fn = _bxe_loss_fn(tiny_system, speakers, 0.1)
     with live_activation_caches(tiny_system.stats_net) as live_a:
         loss_a, grads_a = e2e.checkpointed_grads(tiny_system, feats, loss_fn)
     with live_activation_caches(tiny_system.stats_net) as live_b:
@@ -157,7 +157,7 @@ def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, train_c
     before = [p.copy() for p in system.trainable_parameters()]
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=0.0, epoch_batches=2, max_epochs=1,
-        objective=dplda.ObjectiveConfig(p_target=0.1),
+        p_target=0.1,
         anchor_weight=1e-2,
     )
     train = _trainer(trainer, train_coords)
@@ -175,7 +175,7 @@ def test_training_that_keeps_its_initialization_says_so(
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=0.0, epoch_batches=1, max_epochs=2,
-        objective=dplda.ObjectiveConfig(p_target=0.1),
+        p_target=0.1,
         anchor_weight=1e-2,
     )
     train = _trainer(trainer, train_coords)
@@ -193,7 +193,7 @@ def test_training_names_the_epoch_it_keeps(
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=1e-3, epoch_batches=1, max_epochs=3,
-        objective=dplda.ObjectiveConfig(p_target=0.1),
+        p_target=0.1,
         anchor_weight=1e-2,
     )
     dev_costs = iter([0.5, 0.6, 0.25, 0.3])
@@ -207,10 +207,10 @@ def test_training_names_the_epoch_it_keeps(
 
 
 def _step_schedule(lr, anchor_weight):
-    """A schedule for direct train_step calls, which read its objective and anchor weight."""
+    """A schedule for direct train_step calls, which read its target prior and anchor weight."""
     return e2e.TrainSchedule(
         n_pairs=1, lr=lr, epoch_batches=1, max_epochs=1,
-        objective=dplda.ObjectiveConfig(p_target=0.1),
+        p_target=0.1,
         anchor_weight=anchor_weight,
     )
 
@@ -260,7 +260,7 @@ def test_frozen_train_step_moves_the_embedding_net_and_backend_only(tiny_system,
     n_stats, n_ivec = system.n_stats_params, system.n_ivec_params
     before = [p.copy() for p in system.trainable_parameters()]
     batch = dplda.TrialBatch.all_trials(netcore.forward(system.ivec_net, coords)[-1], speakers)
-    loss, _, _ = dplda.bxe_objective(system.dplda, batch, schedule.objective)
+    loss, _, _ = dplda.bxe_objective(system.dplda, batch, schedule.p_target)
     penalty, _ = netcore.penalty_to_snapshot(before[n_stats:], system.anchor[n_stats:], 0.5)
     adam = netcore.AdamState.create(before[n_stats:], lr=schedule.lr)
     assert e2e.train_step(system, adam, schedule, coords, speakers, False) == loss + penalty
@@ -276,7 +276,7 @@ def test_joint_training_best_on_dev_never_worse(tiny_system, small_corpus, train
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
-        objective=dplda.ObjectiveConfig(p_target=0.1),
+        p_target=0.1,
         anchor_weight=1e-2,
     )
     train = _trainer(trainer, train_coords)
@@ -311,7 +311,7 @@ def test_dev_pass_embeds_what_scoring_embeds(
     monkeypatch.setattr(e2e, "_dev_metrics", spying_dev_metrics)
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=2, max_epochs=1,
-        objective=dplda.ObjectiveConfig(p_target=0.1),
+        p_target=0.1,
         anchor_weight=1e-2,
     )
     _trainer(trainer, train_coords)(system, small_corpus, schedule, np.random.default_rng(2))
@@ -392,7 +392,7 @@ def test_e2e_training_preprocesses_batch_utterances_once(
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
     schedule = e2e.TrainSchedule(
         n_pairs=3, lr=1e-3, epoch_batches=5, max_epochs=2,
-        objective=dplda.ObjectiveConfig(p_target=0.1),
+        p_target=0.1,
         anchor_weight=1e-2,
     )
     e2e.train_e2e_full(system, small_corpus, schedule, np.random.default_rng(2))

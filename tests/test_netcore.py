@@ -349,6 +349,13 @@ def test_penalty_to_snapshot():
         assert np.allclose(g, 2 * 0.3 * (p - r), atol=1e-15)
 
 
+@pytest.mark.parametrize("weight", [-1e-3, -np.inf, np.nan, np.inf])
+def test_penalty_weight_must_be_finite_and_non_negative(weight):
+    params = [np.ones((2, 2))]
+    with pytest.raises(InputError, match="penalty weight"):
+        netcore.penalty_to_snapshot(params, [np.zeros((2, 2))], weight)
+
+
 def test_error_cases():
     net = netcore.init_mlp([3, 2], ["linear"], seed=0)
     with pytest.raises(ShapeError):
