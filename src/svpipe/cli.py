@@ -19,6 +19,7 @@ import logging
 import resource
 import sys
 import time
+from collections import namedtuple
 from itertools import compress, repeat
 from pathlib import Path
 
@@ -255,8 +256,7 @@ def cmd_train_e2e(cfg):
 
 
 def _write_training_log(path, history):
-    lines = ["epoch\ttrain_loss\tdev_eer\tdev_c_primary\tlr"]
-    lines += [e2e.format_epoch_log(rec) for rec in history]
+    lines = [e2e.EPOCH_LOG_HEADER, *map(e2e.format_epoch_log, history)]
     write_text(path, "\n".join(lines) + "\n")
     logger.info("wrote %s", path)
 
@@ -290,11 +290,9 @@ def cmd_score(cfg):
         vectors = read_container(cfg.path("ivec.svm"))
         enroll, test = _trial_pairs(trials, list(vectors), np.stack(list(vectors.values())))
         if backend == "plda":
-            model = _read(cfg, "plda.svm", plda.TwoCovPlda)
-            scores = plda.plda_llr_pairs(model, enroll, test)
+            scores = plda.plda_llr_pairs(_read(cfg, "plda.svm", plda.TwoCovPlda), enroll, test)
         else:
-            params = _read(cfg, "dplda.svm", dplda.DpldaParams)
-            scores = dplda.score_pairs(params, enroll, test)
+            scores = dplda.score_pairs(_read(cfg, "dplda.svm", dplda.DpldaParams), enroll, test)
     else:
         system = _read(cfg, "system.svm", e2e.E2eSystem)
         by_id = corpus.by_id()
@@ -340,41 +338,43 @@ def cmd_eval(cfg):
         print(line)
 
 
-COMMANDS = {
-    "synth-data": (cmd_synth_data, "generate the synthetic corpus and trial lists"),
-    "train-ubm": (cmd_train_ubm, "train the diagonal GMM background model"),
-    "extract-stats": (cmd_extract_stats, "accumulate background-model statistics"),
-    "train-tv": (cmd_train_tv, "train the total-variability extractor"),
-    "extract-ivec": (cmd_extract_ivec, "extract i-vectors and fit mean/LDA prep"),
-    "train-plda": (cmd_train_plda, "train the generative scoring backend"),
-    "train-dplda": (cmd_train_dplda, "train the discriminative backend (full batch)"),
-    "train-f2s": (cmd_train_f2s, "train the features-to-statistics network"),
-    "fit-pca": (cmd_fit_pca, "fit the supervector PCA"),
-    "train-s2i": (cmd_train_s2i, "train the statistics-to-embedding network"),
-    "train-joint": (cmd_train_joint, "jointly train embedding net + backend"),
-    "train-e2e": (cmd_train_e2e, "train every stage jointly, checkpointed"),
-    "score": (cmd_score, "score a trial list with the selected backend"),
-    "eval": (cmd_eval, "compute EER and detection costs from a score file"),
-}
-
-# the stage that writes each work-directory input (by its path under the
-# work directory), named when that file is missing
-PRODUCERS = {
-    "corpus/corpus.tsv": "synth-data",
-    "trials_dev.txt": "synth-data",
-    "trials_eval.txt": "synth-data",
-    "ubm.svm": "train-ubm",
-    "stats.svm": "extract-stats",
-    "tv.svm": "train-tv",
-    "ivec.svm": "extract-ivec",
-    "prep.svm": "extract-ivec",
-    "plda.svm": "train-plda",
-    "dplda.svm": "train-dplda",
-    "statsnet.svm": "train-f2s",
-    "pca.svm": "fit-pca",
-    "ivecnet.svm": "train-s2i",
-    "system.svm": "train-joint",
-    "scores.txt": "score",
+# Every stage in chain order: its function, its help text, the work-directory
+# files it may read under any configuration (the corpus directory counts as
+# corpus/corpus.tsv) and writes. A file's producer is the first that writes it.
+Stage = namedtuple("Stage", ["run", "help", "reads", "writes"])
+CORPUS = "corpus/corpus.tsv"
+STAGES = {
+    "synth-data": Stage(cmd_synth_data, "generate the synthetic corpus and trial lists",
+                        (), (CORPUS, "trials_dev.txt", "trials_eval.txt")),
+    "train-ubm": Stage(cmd_train_ubm, "train the diagonal GMM background model",
+                       (CORPUS,), ("ubm.svm",)),
+    "extract-stats": Stage(cmd_extract_stats, "accumulate background-model statistics",
+                           (CORPUS, "ubm.svm"), ("stats.svm",)),
+    "train-tv": Stage(cmd_train_tv, "train the total-variability extractor",
+                      (CORPUS, "ubm.svm", "stats.svm"), ("tv.svm",)),
+    "extract-ivec": Stage(cmd_extract_ivec, "extract i-vectors and fit mean/LDA prep",
+                          (CORPUS, "stats.svm", "tv.svm", "ubm.svm"), ("prep.svm", "ivec.svm")),
+    "train-plda": Stage(cmd_train_plda, "train the generative scoring backend",
+                        (CORPUS, "ivec.svm"), ("plda.svm",)),
+    "train-dplda": Stage(cmd_train_dplda, "train the discriminative backend (full batch)",
+                         (CORPUS, "ivec.svm", "plda.svm"), ("dplda.svm",)),
+    "train-f2s": Stage(cmd_train_f2s, "train the features-to-statistics network",
+                       (CORPUS, "ubm.svm"), ("statsnet.svm",)),
+    "fit-pca": Stage(cmd_fit_pca, "fit the supervector PCA",
+                     (CORPUS, "ubm.svm", "stats.svm"), ("pca.svm",)),
+    "train-s2i": Stage(cmd_train_s2i, "train the statistics-to-embedding network",
+                       (CORPUS, "statsnet.svm", "stats.svm", "ivec.svm", "ubm.svm", "pca.svm"),
+                       ("ivecnet.svm",)),
+    "train-joint": Stage(cmd_train_joint, "jointly train embedding net + backend",
+                         (CORPUS, "statsnet.svm", "ubm.svm", "pca.svm", "ivecnet.svm"),
+                         ("train_joint.log", "system.svm")),
+    "train-e2e": Stage(cmd_train_e2e, "train every stage jointly, checkpointed",
+                       (CORPUS, "system.svm"), ("train_e2e.log", "system.svm")),
+    "score": Stage(cmd_score, "score a trial list with the selected backend",
+                   (CORPUS, "trials_dev.txt", "ivec.svm", "plda.svm", "dplda.svm", "system.svm"),
+                   ("scores.txt",)),
+    "eval": Stage(cmd_eval, "compute EER and detection costs from a score file",
+                  ("scores.txt", "trials_dev.txt"), ("metrics.txt",)),
 }
 
 
@@ -388,8 +388,8 @@ def build_parser():
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        sub.add_parser(name, help=help_text)
+    for name, stage in STAGES.items():
+        sub.add_parser(name, help=stage.help)
     return parser
 
 
@@ -405,7 +405,7 @@ def main(argv=None):
         overrides = load_config(args.config) if args.config else {}
         cfg = Config(overrides, seed=args.seed, workdir=args.workdir)
         wall, cpu = time.perf_counter(), time.process_time()
-        COMMANDS[args.command][0](cfg)
+        STAGES[args.command].run(cfg)
         logger.info(
             "stage %s done: %.2f s wall, %.2f s cpu, peak rss %.1f MB",
             args.command,
@@ -424,9 +424,9 @@ def main(argv=None):
         logger.error("%s", exc)
         return 3
     except FileNotFoundError as exc:
-        producers = {cfg.path(name): stage for name, stage in PRODUCERS.items()} if cfg else {}
-        producer = producers.get(Path(str(exc.filename)))
-        written_by = f" (written by {producer})" if producer else ""
+        path = Path(str(exc.filename))
+        producers = [n for n, s in STAGES.items() if cfg and path in map(cfg.path, s.writes)]
+        written_by = f" (written by {producers[0]})" if producers else ""
         logger.error("missing input file %s%s", exc.filename, written_by)
         return 3
     except OSError as exc:  # e.g. a workdir that is a file, a model path that is a directory

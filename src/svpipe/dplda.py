@@ -281,7 +281,9 @@ def pair_batches(speakers, n_pairs, rng):
 
     speakers holds one label per utterance. The first pass is drawn now;
     groups are taken without replacement and a fresh pass is drawn when one
-    runs out, mid-batch included.
+    runs out, mid-batch included. A batch that spans two passes drops every
+    index it already holds, keeping the order of first occurrences, so no
+    trial pairs an utterance with itself.
     """
     if n_pairs < 1:
         raise InputError("must draw at least one group")
@@ -290,4 +292,10 @@ def pair_batches(speakers, n_pairs, rng):
     first = make_pair_pool(by_speaker, rng)
     passes = chain([first], (make_pair_pool(by_speaker, rng) for _ in count()))
     groups = chain.from_iterable(passes)
-    return (np.concatenate(list(islice(groups, n_pairs))) for _ in count())
+    return (_first_occurrences(np.concatenate(list(islice(groups, n_pairs)))) for _ in count())
+
+
+def _first_occurrences(indices):
+    """indices without repeats, in the order each first occurs."""
+    _, first = np.unique(indices, return_index=True)
+    return indices[np.sort(first)]

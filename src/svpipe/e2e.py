@@ -221,7 +221,11 @@ class EpochRecord:
     lr: float
 
 
+EPOCH_LOG_HEADER = "epoch\ttrain_loss\tdev_eer\tdev_c_primary\tlr"
+
+
 def format_epoch_log(record: EpochRecord):
+    """One line of a training log, under EPOCH_LOG_HEADER."""
     return (
         f"{record.epoch}\t{record.train_loss:.6f}\t{record.dev_eer:.6f}"
         f"\t{record.dev_c_primary:.6f}\t{record.lr:.6g}"

@@ -2,11 +2,13 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import recipe_chain
+from svpipe import cli
 
 SMALL_CONFIG = """
 paths.workdir={workdir}
@@ -40,6 +42,9 @@ e2e.pairs=2
 e2e.epoch_batches=2
 e2e.epochs=1
 """
+
+
+CHAIN = list(cli.STAGES)
 
 
 def run_cli(*args, cwd=None):
@@ -552,11 +557,10 @@ def test_window_longer_than_every_utterance_runs(tmp_path, override):
 
 
 @pytest.mark.parametrize(
+    # every stage between synth-data and score but extract-stats, which
+    # accumulates statistics for every split and so needs no train utterance
     "stage",
-    [
-        "train-ubm", "train-tv", "extract-ivec", "train-plda", "train-dplda",
-        "train-f2s", "fit-pca", "train-s2i", "train-joint", "train-e2e",
-    ],
+    [stage for stage in CHAIN[1 : CHAIN.index("score")] if stage != "extract-stats"],
 )
 def test_empty_train_split_exit_code(workdir, tmp_path, stage):
     # a corpus index without its train lines: every upstream model is there,
@@ -646,6 +650,51 @@ def test_missing_input_names_its_producer(workdir, tmp_path, artifact, stage, pr
     assert result.returncode == 3, result.stderr
     assert f"missing input file {work / artifact} (written by {producer})" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_stages_open_exactly_their_declared_files(tmp_path, monkeypatch):
+    # the chain in process, train-s2i on either statistics source, score with
+    # every backend, then eval; each reader and writer binding of cli and
+    # corpus records the work-directory files it is handed
+    from svpipe import corpus
+
+    work = tmp_path / "work"
+    opened = {"read": set(), "write": set()}
+
+    def recording(function, mode):
+        def wrapper(path, *args):
+            if Path(path).is_relative_to(work):
+                name = Path(path).relative_to(work)  # a feature file counts as the corpus
+                opened[mode].add(cli.CORPUS if name.parts[0] == "corpus" else name.as_posix())
+            return function(path, *args)
+
+        return wrapper
+
+    for module in (cli, corpus):
+        for name in ("read_container", "read_text", "load_corpus", "read_features"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(module, name), "read"))
+        for name in ("write_container", "write_text", "write_features"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(module, name), "write"))
+    runs = [(stage, "") for stage in CHAIN[: CHAIN.index("score")]]
+    runs.insert(runs.index(("train-s2i", "")), ("train-s2i", "ivecnet.stats_source=ubm"))
+    runs += [("score", f"score.backend={backend}") for backend in ("plda", "dplda", "e2e")]
+    runs.append(("eval", ""))
+    cfg = tmp_path / "run.cfg"
+    read_by = {stage: set() for stage in CHAIN}
+    for stage, override in runs:
+        cfg.write_text(SMALL_CONFIG.format(workdir=work) + override + "\n")
+        opened["read"].clear()
+        opened["write"].clear()
+        assert cli.main(["--config", str(cfg), stage]) == 0, (stage, override)
+        assert opened["read"] <= set(cli.STAGES[stage].reads), (stage, override)
+        assert opened["write"] == set(cli.STAGES[stage].writes), (stage, override)
+        read_by[stage] |= opened["read"]
+    # every declared read is opened by some run, and every read file has a producer
+    assert read_by == {name: set(stage.reads) for name, stage in cli.STAGES.items()}
+    written = {name for stage in cli.STAGES.values() for name in stage.writes}
+    assert set().union(*read_by.values()) <= written
 
 
 @pytest.mark.parametrize(

@@ -53,7 +53,7 @@ def test_all_trials_match_the_pair_form(n_utts, dim):
     params = random_params(rng, dim)
     vectors = rng.standard_normal((n_utts, dim))
     speakers = rng.integers(0, max(2, n_utts // 3), n_utts)
-    # a pair_batches batch can hold one utterance twice when a pass runs out mid-batch
+    # all_trials scores what it is given, an utterance that appears twice included
     vectors[-1], speakers[-1] = vectors[0], speakers[0]
     batch = dplda.TrialBatch.all_trials(vectors, speakers)
     i, j = np.triu_indices(n_utts, 1)
@@ -244,6 +244,15 @@ def test_pool_without_replacement_and_refresh_order():
     assert second.shape == (4,)
     fresh = second[2:].tolist()
     assert fresh in ([0, 1], [1, 0], [2, 3], [3, 2], [4, 5], [5, 4])
+
+
+def test_no_batch_repeats_an_index():
+    # 3 groups per pass and 2 per batch, so every other batch spans two passes
+    # and may draw one utterance from each; kept twice, 5 of these 50 would
+    batches = dplda.pair_batches(["a", "a", "b", "b", "c", "c"], 2, np.random.default_rng(0))
+    for _ in range(50):
+        batch = next(batches)
+        assert len(set(batch.tolist())) == batch.shape[0], batch
 
 
 def test_minibatch_trial_count_and_defaults():

@@ -14,8 +14,8 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _chain_stages():
-    """Every stage of cli.COMMANDS before score: the chain that builds the models."""
-    names = list(cli.COMMANDS)
+    """Every stage of cli.STAGES before score: the chain that builds the models."""
+    names = list(cli.STAGES)
     return names[: names.index("score")]
 
 
