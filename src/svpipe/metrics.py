@@ -21,6 +21,8 @@ OPERATING_POINTS = (0.01, 0.005)
 class ScoredTrials:
     """Scores with boolean target labels; needs both classes for EER/DCF.
 
+    A score may be ±inf but not NaN, which has no place in the ranking.
+
     The operating points are computed on first use and kept, so every metric
     of one instance shares one sort; the scores and labels must not change
     after construction.
@@ -36,6 +38,9 @@ class ScoredTrials:
             raise MetricError("scores and labels must be equal-length vectors")
         if self.scores.shape[0] < 1:
             raise MetricError("no trials")
+        n_nan = int(np.isnan(self.scores).sum())
+        if n_nan:
+            raise MetricError(f"{n_nan} of {self.scores.shape[0]} scores are NaN")
 
     @functools.cached_property
     def operating_points(self):
@@ -53,7 +58,8 @@ class ScoredTrials:
         sorted_target = self.is_target[order]
         # split index i: reject the i lowest scores; achievable i are the first
         # occurrences of each distinct score, plus reject-all
-        boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
+        # (compared, not subtracted: inf - inf is nan, which would split a tie)
+        boundaries = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1
         splits = np.concatenate([[0], boundaries, [sorted_scores.shape[0]]])
         miss_counts = np.concatenate([[0], np.cumsum(sorted_target)])
         fa_counts = n_non - np.concatenate([[0], np.cumsum(~sorted_target)])

@@ -749,6 +749,19 @@ def test_eval_join_rules(tmp_path, monkeypatch):
     assert cli.main(["--workdir", str(work), "eval"]) == 3
 
 
+def test_eval_rejects_a_nan_score(tmp_path):
+    # a NaN score has no rank: eval exits 3 and writes no metrics.txt
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "trials_dev.txt").write_text("a b target\na c nontarget\nb c nontarget\nc d target\n")
+    (work / "scores.txt").write_text("a b nan\na c 1.0\nb c -1.0\nc d 2.0\n")
+    result = run_cli("--workdir", str(work), "eval")
+    assert result.returncode == 3, result.stderr
+    assert "1 of 4 scores are NaN" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (work / "metrics.txt").exists()
+
+
 def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     # the CLI stages only wrap the recipe with file IO: every tensor of every
     # artifact through train-joint equals the in-memory recipe run

@@ -152,3 +152,24 @@ def test_shared_operating_points_give_bit_identical_metrics():
         ]
         assert [v.hex() for v in got] == [v.hex() for v in fresh]
         assert shared.operating_points is shared.operating_points
+
+
+@pytest.mark.parametrize("tie", [-np.inf, np.inf])
+def test_tied_infinite_scores_share_one_operating_point(tie):
+    # 10 non-targets then 1 target at one score, then 10 targets: an infinite
+    # tie is one threshold, as a finite one is, whatever the file order
+    finite = np.copysign(50.0, tie)
+    labels = np.array([0] * 10 + [1] * 11, bool)
+    at = {s: metrics.ScoredTrials(np.r_[np.full(11, s), np.full(10, 5.0)], labels)
+          for s in (finite, tie)}
+    if tie < 0:
+        assert metrics.eer(at[finite]) == pytest.approx(1 / 12)
+        assert metrics.c_primary(at[finite]) == pytest.approx(1 / 11)
+    for metric in (metrics.eer, metrics.c_primary):
+        assert metric(at[tie]) == metric(at[finite])
+    assert len(at[tie].operating_points[0]) == 3
+
+
+def test_nan_score_is_an_error():
+    with pytest.raises(MetricError, match="1 of 4 scores are NaN"):
+        metrics.ScoredTrials(np.array([np.nan, 1.0, 0.0, -1.0]), np.array([1, 1, 0, 0], bool))
