@@ -99,26 +99,6 @@ def _read(cfg, name, model_type):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _load_stats(cfg, utts):
-    """The statistics of utts from stats.svm, stacked: n (M, C), f (M, C, D)."""
-    path = cfg.path("stats.svm")
-    tensors = read_container(path)
-    n = [tensors[f"{u.uid}.n"] for u in utts]
-    f = [tensors[f"{u.uid}.f"] for u in utts]
-    if not n:
-        raise InputError("no statistics")
-    if len({x.shape for x in n}) > 1 or len({x.shape for x in f}) > 1:
-        raise FormatError(f"{path}: statistics differ in shape between utterances")
-    return np.stack(n), np.stack(f)
-
-
-def _train_vectors(cfg, corpus):
-    """The train utterances' prepped i-vectors, stacked, and their speakers."""
-    vectors = read_container(cfg.path("ivec.svm"))
-    train = corpus.require("train")
-    return np.stack([vectors[u.uid] for u in train]), [u.speaker for u in train]
-
-
 def _log_progress(label, history, digits):
     """Log the first and last value of a training history, if any."""
     if history:
@@ -131,6 +111,41 @@ def _write_model(cfg, name, tensors):
     cfg.workdir.mkdir(parents=True, exist_ok=True)
     write_container(cfg.path(name), tensors)
     logger.info("wrote %s", cfg.path(name))
+
+
+# The per-utterance tables: a tensor <uid><suffix> of the column's rank per
+# utterance and column, utterance by utterance in corpus order.
+Table = namedtuple("Table", ["name", "noun", "columns"])
+STATS = Table("stats.svm", "statistics", {".n": 1, ".f": 2})  # n (C,), f (C, D)
+IVECS = Table("ivec.svm", "i-vectors", {"": 1})
+
+
+def _write_table(cfg, table, utts, *columns):
+    """Write row i of each column array as the tensors of utts[i]."""
+    tensors = {u.uid + s: r for u, *rs in zip(utts, *columns) for s, r in zip(table.columns, rs)}
+    _write_model(cfg, table.name, tensors)
+
+
+def _read_table(cfg, table, uids, tensors=None):
+    """uids' rows of each column, stacked; tensors is the table's file if already read."""
+    tensors = read_container(cfg.path(table.name)) if tensors is None else tensors
+    columns = []
+    for suffix, rank in table.columns.items():
+        rows = [tensors[uid + suffix] for uid in uids]
+        if len({np.shape(row) for row in rows}) > 1:
+            raise FormatError(f"{tensors.path}: {table.noun} differ in shape between utterances")
+        if np.ndim(rows[0]) != rank:
+            raise FormatError(f"{tensors.path}: {table.noun} <uid>{suffix} are not of rank {rank}")
+        columns.append(np.stack(rows))
+        if not np.isfinite(columns[-1]).all():
+            raise FormatError(f"{tensors.path}: non-finite {table.noun}")
+    return columns
+
+
+def _train_vectors(cfg, corpus):
+    """The train utterances' prepped i-vectors, stacked, and their speakers."""
+    train = corpus.require("train")
+    return _read_table(cfg, IVECS, [u.uid for u in train])[0], [u.speaker for u in train]
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +175,13 @@ def cmd_extract_stats(cfg):
     corpus = _load_corpus(cfg)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     n, f = recipe.utterance_stats(cfg, ubm, corpus.utterances, corpus.frame_rate_hz)
-    tensors = {}
-    for utt, n_u, f_u in zip(corpus.utterances, n, f):
-        tensors[f"{utt.uid}.n"] = n_u
-        tensors[f"{utt.uid}.f"] = f_u
-    _write_model(cfg, "stats.svm", tensors)
+    _write_table(cfg, STATS, corpus.utterances, n, f)
 
 
 def cmd_train_tv(cfg):
-    corpus = _load_corpus(cfg)
+    train = _load_corpus(cfg).require("train")
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
-    model, history = recipe.train_tv(cfg, ubm, *_load_stats(cfg, corpus.require("train")))
+    model, history = recipe.train_tv(cfg, ubm, *_read_table(cfg, STATS, [u.uid for u in train]))
     _log_progress("tv evidence", history, 2)
     _write_model(cfg, "tv.svm", to_tensors(model))
 
@@ -179,12 +190,12 @@ def cmd_extract_ivec(cfg):
     corpus = _load_corpus(cfg)
     corpus.require("train")  # the prep is fitted on the train split
     utts = corpus.utterances
-    n, f = _load_stats(cfg, utts)
+    n, f = _read_table(cfg, STATS, [u.uid for u in utts])
     tv = _read(cfg, "tv.svm", ivector.TvModel)
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, utts, n, f)
     _write_model(cfg, "prep.svm", to_tensors(prep))
-    _write_model(cfg, "ivec.svm", vectors)
+    _write_table(cfg, IVECS, utts, vectors)
 
 
 def cmd_train_plda(cfg):
@@ -209,21 +220,21 @@ def cmd_train_f2s(cfg):
 
 
 def cmd_fit_pca(cfg):
-    corpus = _load_corpus(cfg)
+    train = _load_corpus(cfg).require("train")
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
-    pca = recipe.fit_pca(cfg, ubm, *_load_stats(cfg, corpus.require("train")))
+    pca = recipe.fit_pca(cfg, ubm, *_read_table(cfg, STATS, [u.uid for u in train]))
     _write_model(cfg, "pca.svm", to_tensors(pca))
 
 
 def cmd_train_s2i(cfg):
     corpus = _load_corpus(cfg)
     train = corpus.require("train")
+    refs, _ = _train_vectors(cfg, corpus)
     if cfg.get("ivecnet.stats_source") == "statsnet":
         net = _read(cfg, "statsnet.svm", statsnet.StatsNet)
         n, f = recipe.net_stats(cfg, net, train, corpus.frame_rate_hz)
     else:
-        n, f = _load_stats(cfg, train)
-    refs, _ = _train_vectors(cfg, corpus)
+        n, f = _read_table(cfg, STATS, [u.uid for u in train])
     ubm = _read(cfg, "ubm.svm", gmm.DiagGmm)
     pca = _read(cfg, "pca.svm", ivecnet.PcaModel)
     net, history = recipe.train_ivec_net(cfg, ubm, pca, n, f, refs)
@@ -261,7 +272,7 @@ def _write_training_log(path, history):
     logger.info("wrote %s", path)
 
 
-def _trials_path(cfg, key, default_name):
+def _configured_path(cfg, key, default_name):
     configured = cfg.get(key)
     return Path(configured) if configured else cfg.path(default_name)
 
@@ -269,48 +280,43 @@ def _trials_path(cfg, key, default_name):
 def _trial_pairs(trials, uids, vectors):
     """The enroll and test rows of every trial; row i of vectors belongs to uids[i]."""
     row = dict(zip(uids, range(len(uids))))
-    try:
-        enroll, test = [
-            np.fromiter(map(row.__getitem__, column), dtype=np.intp, count=len(trials))
-            for column in (trials.enroll, trials.test)
-        ]
-    except KeyError as exc:
-        raise InputError(f"trial references unknown utterance {exc}") from None
+    enroll, test = [
+        np.fromiter(map(row.__getitem__, column), dtype=np.intp, count=len(trials))
+        for column in (trials.enroll, trials.test)
+    ]
     return vectors[enroll], vectors[test]
 
 
 def cmd_score(cfg):
     backend = cfg.get("score.backend")
     corpus = _load_corpus(cfg)
-    trials_path = _trials_path(cfg, "score.trials", "trials_dev.txt")
+    trials_path = _configured_path(cfg, "score.trials", "trials_dev.txt")
     trials = parse_trial_list(trials_path)
     if not trials.enroll:
         raise InputError(f"{trials_path}: no trials to score")
-    if backend in ("plda", "dplda"):
-        vectors = read_container(cfg.path("ivec.svm"))
-        enroll, test = _trial_pairs(trials, list(vectors), np.stack(list(vectors.values())))
-        if backend == "plda":
-            scores = plda.plda_llr_pairs(_read(cfg, "plda.svm", plda.TwoCovPlda), enroll, test)
-        else:
-            scores = dplda.score_pairs(_read(cfg, "dplda.svm", dplda.DpldaParams), enroll, test)
-    else:
+    uids = sorted(set(trials.enroll).union(trials.test))
+    # e2e embeds the utterances' features, plda and dplda score their i-vectors
+    known = corpus.by_id() if backend == "e2e" else read_container(cfg.path(IVECS.name))
+    unknown = next((uid for uid in uids if uid not in known), None)
+    if unknown is not None:
+        raise InputError(f"trial references unknown utterance {unknown!r}")
+    if backend == "e2e":
         system = _read(cfg, "system.svm", e2e.E2eSystem)
-        by_id = corpus.by_id()
-        uids = sorted(set(trials.enroll).union(trials.test))
-        try:
-            utts = [by_id[uid] for uid in uids]
-        except KeyError as exc:
-            raise InputError(f"trial references unknown utterance {exc}") from None
-        embeddings = np.stack([e2e.embed_utterance(system, u.features) for u in utts])
-        enroll, test = _trial_pairs(trials, uids, embeddings)
-        scores = dplda.score_pairs(system.dplda, enroll, test)
+        model = system.dplda
+        vectors = np.stack([e2e.embed_utterance(system, known[uid].features) for uid in uids])
+    else:
+        (vectors,) = _read_table(cfg, IVECS, uids, known)
+        kind = plda.TwoCovPlda if backend == "plda" else dplda.DpldaParams
+        model = _read(cfg, f"{backend}.svm", kind)
+    score_pairs = plda.plda_llr_pairs if backend == "plda" else dplda.score_pairs
+    scores = score_pairs(model, *_trial_pairs(trials, uids, vectors))
     write_scores(cfg.path("scores.txt"), trials, scores)
     logger.info("wrote %s (%d trials)", cfg.path("scores.txt"), len(scores))
 
 
 def cmd_eval(cfg):
-    scores_path = cfg.get("eval.scores") or cfg.path("scores.txt")
-    trials_path = _trials_path(cfg, "eval.trials", "trials_dev.txt")
+    scores_path = _configured_path(cfg, "eval.scores", "scores.txt")
+    trials_path = _configured_path(cfg, "eval.trials", "trials_dev.txt")
     score_list, scores = read_scores(scores_path)
     labeled = parse_trial_list(trials_path)
     # a repeated pair takes its last label; an unlabeled line never matches

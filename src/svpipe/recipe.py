@@ -311,15 +311,15 @@ def train_tv(cfg, ubm, n, f):
 
 
 def extract_ivectors(cfg, tv, ubm, utts, n, f):
-    """The prep fitted on the train utterances and every prepped i-vector, by uid.
+    """The prep fitted on the train utterances and every prepped i-vector, stacked.
 
-    Row i of the statistics n and f belongs to utts[i]. The i-vectors come
-    from one batched solve of train_tv's E-step posterior.
+    Row i of the statistics n and f and of the i-vectors belongs to utts[i].
+    The i-vectors come from one batched solve of train_tv's E-step posterior.
     """
     raw = ivector.extract_ivectors(tv, ubm, n, f)
     train = [i for i, u in enumerate(utts) if u.split == "train"]
     prep = ivector.fit_prep(raw[train], [utts[i].speaker for i in train], cfg.get("prep.dim"))
-    return prep, dict(zip([u.uid for u in utts], ivector.prep_apply(prep, raw)))
+    return prep, ivector.prep_apply(prep, raw)
 
 
 def train_plda(cfg, vectors, speakers):

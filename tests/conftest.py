@@ -93,7 +93,8 @@ def recipe_chain(cfg):
     """Every recipe stage from synth_corpus through assemble_cascade, in memory.
 
     Each stage gets the inputs its CLI stage reads, so each model equals the
-    file that stage writes. Returns the models, histories and arrays by name.
+    file that stage writes. Returns the models, histories and arrays by name;
+    row i of n, f and vectors belongs to corpus.utterances[i].
     """
     corpus = recipe.synth_corpus(cfg)
     rate = corpus.frame_rate_hz
@@ -104,7 +105,7 @@ def recipe_chain(cfg):
     rows = [i for i, u in enumerate(corpus.utterances) if u.split == "train"]
     tv, tv_elbo = recipe.train_tv(cfg, ubm, n[rows], f[rows])
     prep, vectors = recipe.extract_ivectors(cfg, tv, ubm, corpus.utterances, n, f)
-    train_vecs = np.stack([vectors[u.uid] for u in train])
+    train_vecs = vectors[rows]
     plda_model, plda_ll = recipe.train_plda(cfg, train_vecs, speakers)
     snet, _ = recipe.train_stats_net(cfg, *recipe.f2s_matrices(cfg, ubm, train, rate))
     pca = recipe.fit_pca(cfg, ubm, n[rows], f[rows])

@@ -78,7 +78,7 @@ def _run_desk_chain(seed):
     chain = recipe_chain(cfg)
     dev = chain.corpus.split("dev")
     dev_spk = np.array([u.speaker for u in dev])
-    dev_vecs = np.stack([chain.vectors[u.uid] for u in dev])
+    dev_vecs = chain.vectors[[u.split == "dev" for u in chain.corpus.utterances]]
 
     dev_batch = dplda.TrialBatch.all_trials(dev_vecs, dev_spk)
     dev_i, dev_j = np.nonzero(dev_batch.trials)

@@ -451,6 +451,48 @@ def test_ragged_mismatched_or_empty_stats_exit_code(workdir, tmp_path, defect, m
 
 
 @pytest.mark.parametrize(
+    "defect, message",
+    [("ragged", "i-vectors differ in shape between utterances"), ("nan", "non-finite i-vectors")],
+)
+def test_ragged_or_non_finite_ivectors_exit_code(workdir, tmp_path, defect, message):
+    # ivec.svm goes through the statistics' table reader: a train row and a
+    # dev row of another shape, or holding a NaN, are data errors (exit 3)
+    # naming the file for every stage that reads them, and no file of the
+    # work directory is written or replaced
+    from svpipe.corpus import load_corpus, parse_trial_list
+    from svpipe.fileio import read_container, write_container
+
+    root, cfg = workdir
+    work = tmp_path / "work"
+    shutil.copytree(root / "work", work)
+    tensors = read_container(work / "ivec.svm")
+    train_uid = load_corpus(work / "corpus").split("train")[0].uid
+    dev_uid = parse_trial_list(work / "trials_dev.txt").enroll[0]
+    for uid in (train_uid, dev_uid):
+        if defect == "ragged":
+            tensors[uid] = np.append(tensors[uid], 0.0)
+        else:
+            tensors[uid][0] = np.nan
+    write_container(work / "ivec.svm", tensors)
+    dplda_cfg = tmp_path / "dplda.cfg"
+    dplda_cfg.write_text(cfg.read_text() + "score.backend=dplda\n")
+
+    def files():
+        return {p: (p.stat().st_mtime_ns, p.read_bytes()) for p in work.iterdir() if p.is_file()}
+
+    before = files()
+    for config, stage in [
+        (cfg, "train-plda"), (cfg, "train-dplda"), (cfg, "train-s2i"),
+        (cfg, "score"), (dplda_cfg, "score"),
+    ]:
+        result = run_cli("--config", str(config), "--workdir", str(work), stage)
+        assert result.returncode == 3, (stage, result.stderr)
+        assert f"{work / 'ivec.svm'}: {message}" in result.stderr, stage
+        assert "Traceback" not in result.stderr
+        assert files() == before, stage
+
+
+@pytest.mark.parametrize(
     "model, stage",
     [
         ("tv.svm", "extract-ivec"),
@@ -764,16 +806,15 @@ def test_eval_rejects_a_nan_score(tmp_path):
 
 def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     # the CLI stages only wrap the recipe with file IO: every tensor of every
-    # artifact through train-joint equals the in-memory recipe run
+    # artifact through train-joint equals the in-memory recipe run, and the
+    # tensors lie in the order written here (the per-utterance tables hold
+    # their utterances in corpus order, stats.svm each one's .n before .f)
     from svpipe import cli, plda, recipe
     from svpipe.fileio import read_container, to_tensors
 
     cfg_path = tmp_path / "small.cfg"
     cfg_path.write_text(SMALL_CONFIG.format(workdir=tmp_path / "work"))
-    for stage in [
-        "synth-data", "train-ubm", "extract-stats", "train-tv", "extract-ivec",
-        "train-plda", "train-dplda", "train-f2s", "fit-pca", "train-s2i", "train-joint",
-    ]:
+    for stage in CHAIN[: CHAIN.index("train-e2e")]:
         assert cli.main(["--config", str(cfg_path), stage]) == 0, stage
 
     cfg = cli.Config(cli.load_config(cfg_path))
@@ -784,15 +825,16 @@ def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     backend = recipe.cascade_backend(cfg, chain.embeddings, chain.speakers)
     system, _ = recipe.train_joint(cfg, chain.system, chain.corpus, chain.coords, backend)
 
+    uids = [u.uid for u in chain.corpus.utterances]
     stats_tensors = {}
-    for utt, n_u, f_u in zip(chain.corpus.utterances, chain.n, chain.f):
-        stats_tensors.update({f"{utt.uid}.n": n_u, f"{utt.uid}.f": f_u})
+    for uid, n_u, f_u in zip(uids, chain.n, chain.f):
+        stats_tensors.update({f"{uid}.n": n_u, f"{uid}.f": f_u})
     expected = {
         "ubm.svm": to_tensors(chain.ubm),
         "stats.svm": stats_tensors,
         "tv.svm": to_tensors(chain.tv),
         "prep.svm": to_tensors(chain.prep),
-        "ivec.svm": chain.vectors,
+        "ivec.svm": dict(zip(uids, chain.vectors)),
         "plda.svm": to_tensors(chain.plda),
         "dplda.svm": to_tensors(dplda_params),
         "statsnet.svm": to_tensors(chain.snet),
@@ -802,7 +844,7 @@ def test_cli_writes_what_the_recipe_computes_in_memory(tmp_path):
     }
     for name, tensors in expected.items():
         written = read_container(cfg.path(name))
-        assert sorted(written) == sorted(tensors), name
+        assert list(written) == list(tensors), name
         for key, value in tensors.items():
             assert np.array_equal(written[key], value), f"{name}: {key}"
 
