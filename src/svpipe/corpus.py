@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import FormatError, InputError
 from .fileio import read_features, read_text, write_features, write_text
@@ -138,6 +137,10 @@ def synth_corpus(cfg: SynthConfig) -> Corpus:
 
 
 def _ar1_noise(rng, n_frames, dim, scale):
+    # imported here: only synth-data filters noise, and the import costs
+    # every other CLI process about half a second
+    from scipy.signal import lfilter
+
     if scale == 0.0:
         return np.zeros((n_frames, dim))
     eps = rng.standard_normal((n_frames + _AR_BURN_IN, dim)) * scale

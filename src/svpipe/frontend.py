@@ -2,7 +2,9 @@
 
 Features are (T, D) float64 matrices at a nominal frame rate (100 frames/s,
 a 10 ms step, in the default corpus). Both operations preserve the frame count and
-replicate edge frames at utterance boundaries.
+replicate edge frames at utterance boundaries. ContextWindows serves context
+expansion's rows of many utterances a minibatch at a time, from their padded
+frames, so a training set never holds the expanded matrix.
 """
 
 from __future__ import annotations
@@ -65,6 +67,22 @@ def dct_bases(length, n_bases):
     return bases * scale[:, None]
 
 
+def _projection(half_window, n_dct):
+    """The (n_dct, window) Hamming-weighted DCT-II projection of one trajectory."""
+    if half_window < 0:
+        raise InputError("half_window must be non-negative")
+    length = 2 * half_window + 1
+    if not 1 <= n_dct <= length:
+        raise InputError("n_dct must be in [1, 2*half_window+1]")
+    return dct_bases(length, n_dct) * np.hamming(length)
+
+
+def _project(trajectories, proj):
+    """(T, D, window) trajectories projected by proj, as (T, D * n_dct) rows."""
+    t_total, dim, _ = trajectories.shape
+    return (trajectories @ proj.T).reshape(t_total, dim * proj.shape[0])
+
+
 def context_expand(frames, half_window, n_dct):
     """Hamming-weighted DCT projection of per-coefficient temporal trajectories.
 
@@ -81,14 +99,41 @@ def context_expand(frames, half_window, n_dct):
     of the term-by-term sum.
     """
     frames = _check_frames(frames)
-    if half_window < 0:
-        raise InputError("half_window must be non-negative")
-    t_total, dim = frames.shape
-    length = 2 * half_window + 1
-    if not 1 <= n_dct <= length:
-        raise InputError("n_dct must be in [1, 2*half_window+1]")
-    window = np.hamming(length)
-    proj = dct_bases(length, n_dct) * window  # (n_dct, length)
+    proj = _projection(half_window, n_dct)
     padded = np.pad(frames, ((half_window, half_window), (0, 0)), mode="edge")
-    trajectories = np.lib.stride_tricks.sliding_window_view(padded, length, axis=0)
-    return (trajectories @ proj.T).reshape(t_total, dim * n_dct)
+    trajectories = np.lib.stride_tricks.sliding_window_view(padded, proj.shape[1], axis=0)
+    return _project(trajectories, proj)
+
+
+class ContextWindows:
+    """context_expand's rows of many utterances, expanded only when asked for.
+
+    padded holds each utterance's frames edge-padded by half_window rows on
+    each side, one utterance after another, and lengths their frame counts.
+    Row i is frame i of the utterances taken in order; windows[idx] gathers
+    the (B, D, window) trajectories of the rows idx from padded and projects
+    them as context_expand does. Each row is bit-identical to context_expand
+    of its own utterance, and no window reaches past its utterance's padding.
+    Holding the padded frames takes (T + 2 * half_window) / (T * n_dct) of
+    the memory of the expanded rows.
+    """
+
+    def __init__(self, padded, lengths, half_window, n_dct):
+        self.proj = _projection(half_window, n_dct)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if padded.ndim != 2 or padded.shape[0] != lengths.sum() + 2 * half_window * lengths.size:
+            raise ShapeError("padded frames do not hold the utterance lengths plus their padding")
+        self.padded = padded
+        # entry s is padded rows s .. s + window - 1, a (window, D) view; gathering
+        # whole windows copies one contiguous block per row
+        self.blocks = np.lib.stride_tricks.sliding_window_view(
+            padded, self.proj.shape[1], axis=0
+        ).transpose(0, 2, 1)
+        # utterance u's padded block starts 2 * half_window rows later per earlier utterance
+        self.starts = np.arange(lengths.sum()) + 2 * half_window * np.repeat(
+            np.arange(lengths.size), lengths
+        )
+        self.shape = (self.starts.shape[0], padded.shape[1] * self.proj.shape[0])
+
+    def __getitem__(self, idx):
+        return _project(self.blocks[self.starts[idx]].transpose(0, 2, 1), self.proj)

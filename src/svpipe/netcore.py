@@ -285,21 +285,24 @@ class SgdSchedule:
 def train_sgd(net: Mlp, inputs, targets, loss_fn, schedule: SgdSchedule):
     """Minibatch SGD of loss_fn(net output, target rows) over aligned rows.
 
-    loss_fn(outputs, targets) returns (mean batch loss, gradient w.r.t. the
-    outputs). Rows are reshuffled every epoch by a generator seeded with
-    schedule.seed; each batch takes one sgd_step with the schedule's L1
-    weight. An epoch's cost is the row-weighted mean batch loss plus the L1
-    term of the parameters at the epoch's end, and lr_schedule_step halves
-    the rate on it. Returns (trained copy of net, per-epoch costs); zero
-    epochs return an untrained copy and an empty history.
+    inputs is an (N, n_in) matrix or a row source that, like one, has a
+    shape and returns the rows of an index array, such as the statistics
+    network's frontend.ContextWindows, which expands each minibatch's rows
+    from padded frames; forward checks every batch. loss_fn(outputs,
+    targets) returns (mean batch loss, gradient w.r.t. the outputs). Rows
+    are reshuffled every epoch by a generator seeded with schedule.seed;
+    each batch takes one sgd_step with the schedule's L1 weight. An epoch's
+    cost is the row-weighted mean batch loss plus the L1 term of the
+    parameters at the epoch's end, and lr_schedule_step halves the rate on
+    it. Returns (trained copy of net, per-epoch costs); zero epochs return
+    an untrained copy and an empty history.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if inputs.shape[0] != targets.shape[0]:
-        raise InputError("target rows do not align with the inputs")
-    if inputs.shape[0] == 0:
-        raise InputError("empty training set")
     n_rows = inputs.shape[0]
+    if n_rows != targets.shape[0]:
+        raise InputError("target rows do not align with the inputs")
+    if n_rows == 0:
+        raise InputError("empty training set")
     rng = np.random.default_rng(schedule.seed)
     model = net.copy()
     lr = schedule.lr

@@ -204,32 +204,40 @@ class Config:
         return self.workdir / name
 
 
-def _stacked_rows(utts, blocks_of):
+def _stacked_rows(utts, blocks_of, pads):
     """Stack per-utterance row blocks into preallocated matrices.
 
     blocks_of(utt) returns that utterance's matrices, one per output, each
-    with one row per frame. They are copied into their row slice as each
-    utterance is processed, so the stacked matrices are the only full-size
-    copies: no per-utterance list is kept and nothing is stacked twice.
+    with one row per frame; output k holds each block edge-padded by pads[k]
+    copies of its first and last rows. Blocks are copied into their row
+    slice as each utterance is processed, so the stacked matrices are the
+    only full-size copies: no per-utterance list is kept and nothing is
+    stacked twice.
     """
     if not utts:
         raise InputError("no training utterances")
-    n_rows = sum(u.features.shape[0] for u in utts)
+    n_frames = sum(u.features.shape[0] for u in utts)
     out = None
-    lo = 0
-    for utt in utts:
+    done = 0
+    for i, utt in enumerate(utts):
         blocks = blocks_of(utt)
         if out is None:
-            out = [np.empty((n_rows, block.shape[1])) for block in blocks]
-        hi = lo + utt.features.shape[0]
-        for dest, block in zip(out, blocks):
-            if block.shape != (hi - lo, dest.shape[1]):
+            out = [
+                np.empty((n_frames + 2 * pad * len(utts), block.shape[1]))
+                for block, pad in zip(blocks, pads)
+            ]
+        n = utt.features.shape[0]
+        for dest, block, pad in zip(out, blocks, pads):
+            if block.shape != (n, dest.shape[1]):
                 raise ShapeError(
                     f"utterance {utt.uid}: block of shape {block.shape}, "
-                    f"expected {(hi - lo, dest.shape[1])}"
+                    f"expected {(n, dest.shape[1])}"
                 )
-            dest[lo:hi] = block
-        lo = hi
+            lo = done + 2 * pad * i
+            dest[lo : lo + pad] = block[0]
+            dest[lo + pad : lo + pad + n] = block
+            dest[lo + pad + n : lo + 2 * pad + n] = block[-1]
+        done += n
     return out
 
 
@@ -252,10 +260,6 @@ def _stacked_stats(cfg, utts, frame_rate, n_components, stats_of):
 
 def _normalized(cfg, features, frame_rate):
     return frontend.stmvn(features, cfg.get("frontend.window_s"), frame_rate)
-
-
-def _expanded(cfg, norm):
-    return frontend.context_expand(norm, cfg.get("frontend.context"), cfg.get("frontend.n_dct"))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def synth_corpus(cfg):
 
 def ubm_frames(cfg, utts, frame_rate):
     """The normalized frames of utts, stacked into one matrix."""
-    (frames,) = _stacked_rows(utts, lambda u: [_normalized(cfg, u.features, frame_rate)])
+    (frames,) = _stacked_rows(utts, lambda u: [_normalized(cfg, u.features, frame_rate)], [0])
     return frames
 
 
@@ -335,13 +339,22 @@ def train_dplda(cfg, init, vectors, speakers):
 
 
 def f2s_matrices(cfg, ubm, utts, frame_rate):
-    """The stacked context-expanded frames of utts and their UBM posterior targets."""
+    """The statistics network's training set: utts' context windows and posterior targets.
+
+    The windows (frontend.ContextWindows) hold each utterance's normalized
+    frames once, edge-padded by frontend.context rows, and expand a minibatch
+    at a time; the targets are the UBM posteriors of every frame, stacked.
+    """
+    half_window = cfg.get("frontend.context")
 
     def blocks(utt):
         norm = _normalized(cfg, utt.features, frame_rate)
-        return [_expanded(cfg, norm), gmm.responsibilities(ubm, norm)]
+        return [norm, gmm.responsibilities(ubm, norm)]
 
-    return _stacked_rows(utts, blocks)
+    padded, targets = _stacked_rows(utts, blocks, [half_window, 0])
+    lengths = [u.features.shape[0] for u in utts]
+    windows = frontend.ContextWindows(padded, lengths, half_window, cfg.get("frontend.n_dct"))
+    return windows, targets
 
 
 def _sgd_schedule(cfg, section, l1_weight):
@@ -370,7 +383,10 @@ def net_stats(cfg, stats_net, utts, frame_rate):
     """Statistics of utts pooled from the statistics network's posteriors, stacked."""
 
     def stats_of(norm):
-        return statsnet.pooled_stats(stats_net, _expanded(cfg, norm), norm)
+        expanded = frontend.context_expand(
+            norm, cfg.get("frontend.context"), cfg.get("frontend.n_dct")
+        )
+        return statsnet.pooled_stats(stats_net, expanded, norm)
 
     return _stacked_stats(cfg, utts, frame_rate, stats_net.n_out, stats_of)
 

@@ -46,16 +46,15 @@ def frame_cross_entropy(pred, targets):
 def train_stats_net(net: StatsNet, frames, targets, schedule: netcore.SgdSchedule):
     """SGD on frame-level cross-entropy against soft responsibility targets.
 
-    frames (N, input_dim) and targets (N, C) are the stacked training frames
-    of all utterances with aligned rows; target rows must be distributions.
-    Callers with per-utterance matrices stack them; filling one
-    preallocated matrix of each, one utterance at a time, holds the training
-    set once. Frames are shuffled across utterances each epoch. Returns
-    (net, per-epoch mean losses).
+    frames are the training rows of all utterances, an (N, input_dim)
+    matrix or the frontend.ContextWindows that expand them one minibatch at
+    a time (recipe.f2s_matrices builds those, so the expanded rows are never
+    held at once); targets (N, C) are aligned with them and each row must be
+    a distribution. Frames are shuffled across utterances each epoch.
+    Returns (net, per-epoch mean losses).
     """
-    frames = np.asarray(frames, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if frames.ndim != 2 or targets.ndim != 2:
+    if len(frames.shape) != 2 or targets.ndim != 2:
         raise ShapeError("frames and targets must be matrices")
     if targets.shape[1] != net.n_out:
         raise ShapeError("target width does not match the network output")

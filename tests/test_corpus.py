@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,3 +269,9 @@ def test_score_file_blank_lines_are_skipped(tmp_path):
     tl, scores = corpus.read_scores(path)
     assert list(zip(tl.enroll, tl.test, tl.labels)) == [("a", "b", None), ("#c", "d", None)]
     assert scores.tolist() == [1.5, -np.inf]
+
+
+def test_importing_the_cli_does_not_import_scipy_signal():
+    # only synth-data filters noise; every other CLI process skips the import
+    code = "import sys, svpipe.cli; assert 'scipy.signal' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

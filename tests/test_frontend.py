@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svpipe import frontend, recipe
-from svpipe.errors import InputError
+from svpipe import frontend, gmm, recipe
+from svpipe.corpus import Utterance
+from svpipe.errors import InputError, ShapeError
 
 
 def gathered_trajectories(frames, half_window, n_dct):
@@ -226,3 +227,124 @@ def test_window_longer_than_the_utterance_normalizes_over_all_of_it():
         assert np.array_equal(out, spanning)
     np.testing.assert_allclose(spanning, whole, rtol=1e-12, atol=1e-12)
 
+
+
+# frame counts around the window of frontend.context=15: one frame, fewer
+# than the window, exactly the window, and longer
+WINDOW_LENGTHS = [1, 7, 31, 32, 120, 1, 45]
+
+
+def _f2s_set(lengths, dim=3, half_window=15, n_dct=6, components=4, seed=11, offsets=None):
+    """recipe.f2s_matrices on in-memory train utterances of the given lengths.
+
+    Returns (windows, targets, cfg, utts, rate); offsets, if given, are added
+    to the frames of each utterance.
+    """
+    rng = np.random.default_rng(seed)
+    offsets = offsets or [0.0] * len(lengths)
+    utts = [
+        Utterance(f"u{i}", "s", "train", rng.standard_normal((t, dim)) + off)
+        for i, (t, off) in enumerate(zip(lengths, offsets))
+    ]
+    ubm = gmm.DiagGmm(
+        np.full(components, 1.0 / components),
+        np.random.default_rng(seed + 1).standard_normal((components, dim)),
+        np.ones((components, dim)),
+    )
+    cfg = recipe.Config({
+        "frontend.context": str(half_window), "frontend.n_dct": str(n_dct),
+        "frontend.window_s": "0.5",
+    })
+    rate = 100.0
+    windows, targets = recipe.f2s_matrices(cfg, ubm, utts, rate)
+    return windows, targets, cfg, utts, rate
+
+
+def _expanded_per_utterance(cfg, utts, rate):
+    return [
+        frontend.context_expand(
+            frontend.stmvn(u.features, cfg.get("frontend.window_s"), rate),
+            cfg.get("frontend.context"),
+            cfg.get("frontend.n_dct"),
+        )
+        for u in utts
+    ]
+
+
+def test_context_windows_equal_context_expand_of_each_utterance():
+    windows, targets, cfg, utts, rate = _f2s_set(WINDOW_LENGTHS)
+    expanded = _expanded_per_utterance(cfg, utts, rate)
+    stacked = np.vstack(expanded)
+    assert windows.shape == stacked.shape == (sum(WINDOW_LENGTHS), 3 * 6)
+    assert targets.shape[0] == stacked.shape[0]
+    assert np.array_equal(windows[np.arange(stacked.shape[0])], stacked)
+    # shuffled minibatches, as train_sgd draws them, the last one short
+    order = np.random.default_rng(0).permutation(stacked.shape[0])
+    for lo in range(0, len(order), 16):
+        idx = order[lo : lo + 16]
+        assert np.array_equal(windows[idx], stacked[idx])
+
+
+def test_context_windows_first_and_last_frame_of_each_utterance():
+    windows, _, cfg, utts, rate = _f2s_set(WINDOW_LENGTHS)
+    expanded = _expanded_per_utterance(cfg, utts, rate)
+    ends = np.cumsum(WINDOW_LENGTHS)
+    firsts, lasts = ends - WINDOW_LENGTHS, ends - 1
+    assert np.array_equal(windows[firsts], np.vstack([e[:1] for e in expanded]))
+    assert np.array_equal(windows[lasts], np.vstack([e[-1:] for e in expanded]))
+    # a lone frame's window is that frame replicated 31 times
+    assert np.array_equal(windows[firsts[:1]], expanded[0])
+
+
+def test_context_windows_never_read_a_neighbouring_utterance():
+    # the neighbours of utterance 2 move by 1e6; its rows keep their bits
+    lengths = [5, 40, 3, 40, 6]
+    quiet, *_ = _f2s_set(lengths)
+    loud, *_ = _f2s_set(lengths, offsets=[1e6, 1e6, 0.0, -1e6, 1e6])
+    rows = np.arange(45, 48)  # utterance 2, three frames, each at a boundary
+    assert np.array_equal(quiet[rows], loud[rows])
+
+
+def test_context_windows_without_context_are_the_normalized_frames_projected():
+    windows, _, cfg, utts, rate = _f2s_set([4, 1, 9], half_window=0, n_dct=1)
+    assert np.array_equal(
+        windows[np.arange(14)], np.vstack(_expanded_per_utterance(cfg, utts, rate))
+    )
+
+
+def test_context_windows_reject_padding_that_does_not_match_the_lengths():
+    padded = np.zeros((3 + 4 + 2 * 2 * 3, 2))  # two utterances, 3 rows of padding a side
+    frontend.ContextWindows(padded, [3, 4], 3, 2)
+    with pytest.raises(ShapeError):
+        frontend.ContextWindows(padded, [3, 5], 3, 2)
+    with pytest.raises(InputError):
+        frontend.ContextWindows(padded, [3, 4], 3, 8)  # n_dct > window length
+
+
+def test_f2s_training_set_holds_padded_frames_not_expanded_rows():
+    # 40 utterances of 800 frames: the expanded rows would take 30.7 MB, the
+    # padded frames take 5.3 MB and the targets 8.2 MB
+    lengths = [800] * 40
+    half_window, n_dct, dim, components = 15, 6, 20, 32
+    rng = np.random.default_rng(12)
+    utts = [
+        Utterance(f"u{i}", "s", "train", rng.standard_normal((t, dim)))
+        for i, t in enumerate(lengths)
+    ]
+    ubm = gmm.DiagGmm(
+        np.full(components, 1.0 / components),
+        rng.standard_normal((components, dim)),
+        np.ones((components, dim)),
+    )
+    cfg = recipe.Config()
+    assert (cfg.get("frontend.context"), cfg.get("frontend.n_dct")) == (half_window, n_dct)
+    tracemalloc.start()
+    try:
+        windows, targets = recipe.f2s_matrices(cfg, ubm, utts, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert windows.padded.nbytes == (sum(lengths) + 2 * half_window * len(lengths)) * dim * 8
+    expanded_bytes = sum(lengths) * dim * n_dct * 8
+    assert peak < windows.padded.nbytes + targets.nbytes + 3 * 2**20
+    assert peak < expanded_bytes / 2

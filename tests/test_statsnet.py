@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, max_rel_err
-from svpipe import gmm, netcore, recipe, statsnet
+from svpipe import frontend, gmm, netcore, recipe, statsnet
+from svpipe.corpus import Utterance
 from svpipe.errors import InputError
 
 
@@ -114,6 +115,30 @@ def test_network_stats_feed_classic_extraction(small_corpus):
     vectors = ivector.extract_ivectors(tv, ubm, n, f)
     assert np.isfinite(vectors).all()
     assert vectors.shape == (12, 3)
+
+
+def test_training_from_context_windows_equals_training_on_stacked_rows():
+    # the store expands each minibatch's rows; the net matches the one trained
+    # on np.vstack of every utterance's context_expand bit for bit
+    rng = np.random.default_rng(6)
+    utts = [
+        Utterance(f"u{i}", "s", "train", rng.standard_normal((t, 4)))
+        for i, t in enumerate([1, 5, 40, 90, 12])
+    ]
+    ubm = gmm.DiagGmm(np.full(3, 1.0 / 3), rng.standard_normal((3, 4)), np.ones((3, 4)))
+    cfg = recipe.Config({
+        "frontend.context": "4", "frontend.n_dct": "3", "frontend.window_s": "0.3",
+        "statsnet.hidden": "8", "statsnet.epochs": "4", "statsnet.batch": "16", "seed": "2",
+    })
+    windows, targets = recipe.f2s_matrices(cfg, ubm, utts, 100.0)
+    net, history = recipe.train_stats_net(cfg, windows, targets)
+    stacked = np.vstack([
+        frontend.context_expand(frontend.stmvn(u.features, 0.3, 100.0), 4, 3) for u in utts
+    ])
+    ref, ref_history = recipe.train_stats_net(cfg, stacked, targets)
+    assert history == ref_history
+    for a, b in zip(net.parameters(), ref.parameters(), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_frame_mismatch_errors():
