@@ -32,6 +32,7 @@ from .corpus import (
     parse_trial_list,
     read_scores,
     save_corpus,
+    synth_utterances,
     write_scores,
     write_trial_list,
 )
@@ -152,9 +153,11 @@ def _train_vectors(cfg, corpus):
 # stages: read the inputs, run the recipe stage, write the outputs
 
 def cmd_synth_data(cfg):
-    corpus = recipe.synth_corpus(cfg)
+    # each utterance's file is written as it is generated; the trial lists
+    # need only the index
+    synth = recipe.synth_config(cfg)
     cfg.workdir.mkdir(parents=True, exist_ok=True)
-    save_corpus(corpus, cfg.path("corpus"))
+    corpus = save_corpus(synth_utterances(synth), cfg.path("corpus"), synth.frame_rate_hz)
     write_trial_list(cfg.path("trials_dev.txt"), make_trials(corpus, "dev"))
     write_trial_list(cfg.path("trials_eval.txt"), make_trials(corpus, "eval"))
     logger.info(

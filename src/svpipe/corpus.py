@@ -16,13 +16,14 @@ grid so feature files round-trip losslessly.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, InputError
-from .fileio import read_features, read_text, write_features, write_text
+from .fileio import read_feature_shape, read_features, read_text, write_features, write_text
 
 SPLITS = ("train", "dev", "eval")
 TRIAL_LABELS = ("target", "nontarget")
@@ -39,10 +40,15 @@ _SPLIT_FRACTIONS = (0.5, 0.25, 0.25)  # train, dev, eval shares of the speakers
 class Utterance:
     """One utterance: uid, speaker, split tag and its (T, D) float64 features.
 
-    Built with a feature matrix, it holds that matrix. Built by load_corpus,
-    it holds the directory of its feature file, <feature_dir>/<uid>.svf, and
-    reads that file on the first access to ``features`` (a malformed file
-    raises FormatError there); the matrix is kept from then on.
+    Built with a feature matrix, it holds that matrix. Built by load_corpus
+    or save_corpus, it holds the directory of its feature file,
+    <feature_dir>/<uid>.svf, and reads that file when ``features`` is
+    accessed (a malformed file raises FormatError there). It keeps only a
+    weak reference to the matrix it read: while a caller holds that matrix,
+    ``features`` returns it without reading again, and once nobody does, it
+    is freed. So a stage that walks a corpus one utterance at a time holds
+    one matrix at a time, and one that keeps the matrices reads each file
+    once. ``n_frames`` is T, from the file's 12-byte header if not held.
     """
 
     def __init__(self, uid, speaker, split, features=None, *, feature_dir=None):
@@ -51,12 +57,23 @@ class Utterance:
         self.split = split
         self._features = features
         self._feature_dir = feature_dir
+        self._last_read = None  # weak reference to the last matrix read
 
     @property
     def features(self):
-        if self._features is None:
-            self._features = read_features(self._feature_dir / f"{self.uid}.svf")
-        return self._features
+        if self._features is not None:
+            return self._features
+        frames = None if self._last_read is None else self._last_read()
+        if frames is None:
+            frames = read_features(self._feature_dir / f"{self.uid}.svf")
+            self._last_read = weakref.ref(frames)
+        return frames
+
+    @property
+    def n_frames(self):
+        if self._features is not None:
+            return self._features.shape[0]
+        return read_feature_shape(self._feature_dir / f"{self.uid}.svf")[0]
 
 
 @dataclass
@@ -107,6 +124,11 @@ class SynthConfig:
 
 def synth_corpus(cfg: SynthConfig) -> Corpus:
     """Generate a deterministic synthetic corpus from the config seed."""
+    return Corpus(list(synth_utterances(cfg)), frame_rate_hz=cfg.frame_rate_hz)
+
+
+def synth_utterances(cfg: SynthConfig):
+    """The utterances of synth_corpus(cfg) in corpus order, generated one at a time."""
     rng = np.random.default_rng(cfg.seed)
     latent_dim = cfg.speaker_dim + cfg.channel_dim
     hidden = _HIDDEN_MULT * cfg.dim
@@ -118,7 +140,6 @@ def synth_corpus(cfg: SynthConfig) -> Corpus:
     splits = _assign_splits(cfg.n_speakers)
 
     sigma = cfg.nonlinearity
-    utterances = []
     for s, speaker in enumerate(speaker_ids):
         for k in range(cfg.utts_per_speaker):
             channel = _CHANNEL_SCALE * rng.standard_normal(cfg.channel_dim)
@@ -130,10 +151,7 @@ def synth_corpus(cfg: SynthConfig) -> Corpus:
                 rng, n_frames, cfg.dim, _OBS_NOISE_FRAC * cfg.noise_scale
             )
             frames = frames.astype(np.float32).astype(np.float64)
-            utterances.append(
-                Utterance(f"{speaker}_u{k}", speaker, splits[s], frames)
-            )
-    return Corpus(utterances, frame_rate_hz=cfg.frame_rate_hz)
+            yield Utterance(f"{speaker}_u{k}", speaker, splits[s], frames)
 
 
 def _ar1_noise(rng, n_frames, dim, scale):
@@ -167,14 +185,23 @@ def _assign_splits(n_speakers):
 # ---------------------------------------------------------------------------
 # corpus directory layout: features/<uid>.svf + corpus.tsv ("uid spk split")
 
-def save_corpus(corpus: Corpus, directory):
+def save_corpus(utterances, directory, frame_rate_hz) -> Corpus:
+    """Write each utterance's feature file as soon as utterances yields it, then the index.
+
+    No feature matrix is kept: returns the corpus as load_corpus reads it
+    back, each utterance reading its file when used.
+    """
     directory = Path(directory)
-    (directory / "features").mkdir(parents=True, exist_ok=True)
-    lines = [f"frame_rate_hz\t{corpus.frame_rate_hz!r}"]
-    for utt in corpus.utterances:
-        write_features(directory / "features" / f"{utt.uid}.svf", utt.features)
-        lines.append(f"{utt.uid}\t{utt.speaker}\t{utt.split}")
+    feature_dir = directory / "features"
+    feature_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for utt in utterances:
+        write_features(feature_dir / f"{utt.uid}.svf", utt.features)
+        written.append(Utterance(utt.uid, utt.speaker, utt.split, feature_dir=feature_dir))
+    lines = [f"frame_rate_hz\t{frame_rate_hz!r}"]
+    lines += [f"{u.uid}\t{u.speaker}\t{u.split}" for u in written]
     write_text(directory / "corpus.tsv", "\n".join(lines) + "\n")
+    return Corpus(written, frame_rate_hz=frame_rate_hz)
 
 
 def load_corpus(directory) -> Corpus:

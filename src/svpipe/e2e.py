@@ -125,17 +125,19 @@ def preprocess(system: E2eSystem, features):
 def pca_coords(system: E2eSystem, features_list):
     """(U, P) PCA coordinates of the utterances' MAP supervectors, one at a time.
 
-    They depend on the statistics network, so they stay valid only while
-    it is frozen; embed_coords turns them into embeddings.
+    features_list may be any iterable of feature matrices, such as a
+    generator that reads each one as it is needed. The coordinates depend
+    on the statistics network, so they stay valid only while it is frozen;
+    embed_coords turns them into embeddings.
     """
-    if not features_list:
-        raise InputError("no utterances to embed")
     rows = []
     for features in features_list:
         norm, expanded = preprocess(system, features)
         n, f = pooled_stats(system.stats_net, expanded, norm)
         supervector = map_supervectors(system.ubm, n[None], f[None], system.relevance)
         rows.append(pca_project(system.pca, supervector))
+    if not rows:
+        raise InputError("no utterances to embed")
     return np.concatenate(rows)
 
 
@@ -232,11 +234,6 @@ def format_epoch_log(record: EpochRecord):
     )
 
 
-def _split_features(corpus: Corpus, split):
-    utts = corpus.require(split)
-    return [u.features for u in utts], np.array([u.speaker for u in utts])
-
-
 def _dev_metrics(embeddings, speakers, params):
     batch = TrialBatch.all_trials(embeddings, speakers)
     trials = ScoredTrials(batch.scores(params), batch.is_target)
@@ -301,16 +298,21 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
 
     A frozen statistics network only feeds fixed inputs to the embedding
     network: the caller hands in the train PCA coordinates, the dev ones
-    are computed once per utterance, and each batch runs the embedding
-    network alone. A trained one is backpropagated through per batch with
-    checkpointed_grads.
+    are computed once, reading one utterance's features at a time, and each
+    batch runs the embedding network alone. A trained one is
+    backpropagated through per batch with checkpointed_grads, so it keeps
+    the train and dev features.
     """
-    train_feats, train_speakers = _split_features(corpus, "train")
-    dev_feats, dev_speakers = _split_features(corpus, "dev")
-    if not train_stats_net:
-        if np.shape(train_coords) != (len(train_feats), system.pca.basis.shape[1]):
+    train, dev = corpus.require("train"), corpus.require("dev")
+    train_speakers = np.array([u.speaker for u in train])
+    dev_speakers = np.array([u.speaker for u in dev])
+    if train_stats_net:
+        train_feats = [u.features for u in train]
+        dev_feats = [u.features for u in dev]
+    else:
+        if np.shape(train_coords) != (len(train), system.pca.basis.shape[1]):
             raise ShapeError("train_coords must hold one PCA row per train utterance")
-        dev_coords = pca_coords(system, dev_feats)
+        dev_coords = pca_coords(system, (u.features for u in dev))
 
     def dev_embeddings():
         coords = pca_coords(system, dev_feats) if train_stats_net else dev_coords

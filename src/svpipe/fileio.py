@@ -91,16 +91,27 @@ def write_features(path, frames):
         fh.write(np.ascontiguousarray(frames, dtype="<f4").tobytes())
 
 
-def read_features(path):
-    """Read a feature file back as float64. Raises FormatError with offsets."""
-    data = Path(path).read_bytes()
+def _feature_header(path, data):
+    """(T, D) from the first bytes of a feature file; a bad header is a FormatError."""
     if len(data) < 4:
         raise FormatError(f"{path}: file too short for magic", offset=0)
     if data[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}", offset=0)
     if len(data) < 12:
         raise FormatError(f"{path}: truncated header", offset=len(data))
-    t, d = struct.unpack_from("<II", data, 4)
+    return struct.unpack_from("<II", data, 4)
+
+
+def read_feature_shape(path):
+    """(T, D) of a feature file from its 12-byte header; the payload is not read."""
+    with open(path, "rb") as fh:
+        return _feature_header(path, fh.read(12))
+
+
+def read_features(path):
+    """Read a feature file back as float64. Raises FormatError with offsets."""
+    data = Path(path).read_bytes()
+    t, d = _feature_header(path, data)
     expected = 12 + 4 * t * d
     if len(data) != expected:
         raise FormatError(

@@ -113,6 +113,37 @@ def sufficient_stats(resp, frames):
     return resp.sum(axis=0), resp.T @ frames
 
 
+def _column_var(frames, rows):
+    """frames.var(axis=0) bit for bit, rows frames at a time.
+
+    numpy reduces a C-ordered (N, D) matrix along axis 0 row after row from
+    0.0, so the two sums (of the frames, then of their squared deviations
+    from the mean) are carried across blocks as row 0 of a (rows + 1, D)
+    buffer above the block: no N x D temporary. One column, which numpy
+    sums pairwise, goes whole.
+    """
+    n_frames, dim = frames.shape
+    if dim == 1:
+        return frames.var(axis=0)
+    buf = np.empty((min(rows, n_frames) + 1, dim))
+
+    def column_sum(fill):
+        buf[0] = 0.0
+        for lo in range(0, n_frames, rows):
+            block = frames[lo : lo + rows]
+            fill(block, buf[1 : len(block) + 1])
+            buf[0] = np.add.reduce(buf[: len(block) + 1], axis=0)
+        return buf[0] / n_frames
+
+    mean = column_sum(lambda block, out: np.copyto(out, block))
+
+    def squared_deviation(block, out):
+        np.subtract(block, mean, out=out)
+        np.square(out, out=out)
+
+    return column_sum(squared_deviation)
+
+
 def train_ubm(frames, n_components, n_iters, floor_frac, seed):
     """EM training of a diagonal GMM.
 
@@ -122,8 +153,9 @@ def train_ubm(frames, n_components, n_iters, floor_frac, seed):
     max(64, 32768 // C) frames and computes each block's posteriors in one
     (block, C) array of about 256 KB, so it stays in cache at any C.
     Initialization picks n_components distinct frames as means (seeded), a
-    shared global diagonal variance and uniform weights. Variances are
-    floored at floor_frac times the global per-dimension variance.
+    shared global diagonal variance (computed in the same blocks) and
+    uniform weights. Variances are floored at floor_frac times the global
+    per-dimension variance.
 
     Returns (model, ll_history) where ll_history[i] is the total data
     log-likelihood of the model entering iteration i (non-decreasing up to
@@ -140,7 +172,8 @@ def train_ubm(frames, n_components, n_iters, floor_frac, seed):
             f"{n_frames} frames cannot initialize {n_components} components"
         )
     rng = np.random.default_rng(seed)
-    global_var = frames.var(axis=0)
+    rows = max(64, _E_STEP_ENTRIES // n_components)
+    global_var = _column_var(frames, rows)
     floor = np.maximum(floor_frac * global_var, 1e-12)
     idx = rng.choice(n_frames, size=n_components, replace=False)
     model = DiagGmm(
@@ -148,7 +181,6 @@ def train_ubm(frames, n_components, n_iters, floor_frac, seed):
         frames[idx].copy(),
         np.tile(np.maximum(global_var, floor), (n_components, 1)),
     )
-    rows = max(64, _E_STEP_ENTRIES // n_components)
     history = []
     for it in range(n_iters):
         acc_n = np.zeros(n_components)

@@ -212,21 +212,21 @@ def _stacked_rows(utts, blocks_of, pads):
     copies of its first and last rows. Blocks are copied into their row
     slice as each utterance is processed, so the stacked matrices are the
     only full-size copies: no per-utterance list is kept and nothing is
-    stacked twice.
+    stacked twice. The row counts come from Utterance.n_frames, so no
+    feature file is read before its utterance's turn.
     """
     if not utts:
         raise InputError("no training utterances")
-    n_frames = sum(u.features.shape[0] for u in utts)
+    lengths = [u.n_frames for u in utts]
     out = None
     done = 0
-    for i, utt in enumerate(utts):
+    for i, (utt, n) in enumerate(zip(utts, lengths)):
         blocks = blocks_of(utt)
         if out is None:
             out = [
-                np.empty((n_frames + 2 * pad * len(utts), block.shape[1]))
+                np.empty((sum(lengths) + 2 * pad * len(utts), block.shape[1]))
                 for block, pad in zip(blocks, pads)
             ]
-        n = utt.features.shape[0]
         for dest, block, pad in zip(out, blocks, pads):
             if block.shape != (n, dest.shape[1]):
                 raise ShapeError(
@@ -244,17 +244,19 @@ def _stacked_rows(utts, blocks_of, pads):
 def _stacked_stats(cfg, utts, frame_rate, n_components, stats_of):
     """stats_of(normalized features) of each utterance, stacked: n (M, C), f (M, C, D).
 
-    Both matrices are allocated before the first utterance and filled row by
-    row. Stacking a per-utterance list after the loop instead fragments the
-    heap of a long-lived process (measured: +9 MB peak RSS per in-process
-    classic pass).
+    Both matrices are allocated at the first utterance, once its dimension
+    is known, and filled row by row. Stacking a per-utterance list after the
+    loop instead fragments the heap of a long-lived process (measured: +9 MB
+    peak RSS per in-process classic pass).
     """
     if not utts:
         raise InputError("no statistics")
-    n = np.empty((len(utts), n_components))
-    f = np.empty((len(utts), n_components, utts[0].features.shape[1]))
     for i, utt in enumerate(utts):
-        n[i], f[i] = stats_of(_normalized(cfg, utt.features, frame_rate))
+        n_i, f_i = stats_of(_normalized(cfg, utt.features, frame_rate))
+        if i == 0:
+            n = np.empty((len(utts), n_components))
+            f = np.empty((len(utts), n_components, f_i.shape[-1]))
+        n[i], f[i] = n_i, f_i
     return n, f
 
 
@@ -265,22 +267,26 @@ def _normalized(cfg, features, frame_rate):
 # ---------------------------------------------------------------------------
 # stages
 
-def synth_corpus(cfg):
-    return corpus_mod.synth_corpus(
-        corpus_mod.SynthConfig(
-            n_speakers=cfg.get("corpus.speakers"),
-            utts_per_speaker=cfg.get("corpus.utts"),
-            min_frames=cfg.get("corpus.min_frames"),
-            max_frames=cfg.get("corpus.max_frames"),
-            dim=cfg.get("corpus.dim"),
-            speaker_dim=cfg.get("corpus.speaker_dim"),
-            channel_dim=cfg.get("corpus.channel_dim"),
-            noise_scale=cfg.get("corpus.noise"),
-            nonlinearity=cfg.get("corpus.nonlinearity"),
-            seed=cfg.seed,
-            frame_rate_hz=cfg.get("corpus.frame_rate"),
-        )
+def synth_config(cfg):
+    """The corpus.* keys as the synthetic corpus generator's config."""
+    return corpus_mod.SynthConfig(
+        n_speakers=cfg.get("corpus.speakers"),
+        utts_per_speaker=cfg.get("corpus.utts"),
+        min_frames=cfg.get("corpus.min_frames"),
+        max_frames=cfg.get("corpus.max_frames"),
+        dim=cfg.get("corpus.dim"),
+        speaker_dim=cfg.get("corpus.speaker_dim"),
+        channel_dim=cfg.get("corpus.channel_dim"),
+        noise_scale=cfg.get("corpus.noise"),
+        nonlinearity=cfg.get("corpus.nonlinearity"),
+        seed=cfg.seed,
+        frame_rate_hz=cfg.get("corpus.frame_rate"),
     )
+
+
+def synth_corpus(cfg):
+    """The whole synthetic corpus in memory; synth-data writes it one utterance at a time."""
+    return corpus_mod.synth_corpus(synth_config(cfg))
 
 
 def ubm_frames(cfg, utts, frame_rate):
@@ -346,13 +352,14 @@ def f2s_matrices(cfg, ubm, utts, frame_rate):
     at a time; the targets are the UBM posteriors of every frame, stacked.
     """
     half_window = cfg.get("frontend.context")
+    lengths = []
 
     def blocks(utt):
         norm = _normalized(cfg, utt.features, frame_rate)
+        lengths.append(norm.shape[0])
         return [norm, gmm.responsibilities(ubm, norm)]
 
     padded, targets = _stacked_rows(utts, blocks, [half_window, 0])
-    lengths = [u.features.shape[0] for u in utts]
     windows = frontend.ContextWindows(padded, lengths, half_window, cfg.get("frontend.n_dct"))
     return windows, targets
 
@@ -418,7 +425,7 @@ def assemble_cascade(cfg, stats_net, ubm, pca, ivec_net, utts, frame_rate):
     system = e2e.assemble_system(
         front, stats_net, ubm, pca, ivec_net, zeros, relevance=cfg.get("ivecnet.relevance")
     )
-    coords = e2e.pca_coords(system, [u.features for u in utts])
+    coords = e2e.pca_coords(system, (u.features for u in utts))
     return system, coords, e2e.embed_coords(system, coords)
 
 

@@ -921,8 +921,8 @@ def test_training_stages_hold_their_matrices_once(tmp_path):
     # frames plus their targets, each into one preallocated matrix; holding
     # a per-utterance list next to a stacked copy roughly doubles the peak
     # (measured: 7.0x and 3.5x of these bytes with lists plus a stacked copy,
-    # 3.97x and 1.86x with one preallocated matrix)
-    from svpipe import cli
+    # 3.94x and 1.32x with one preallocated matrix; here one E-step block
+    # spans every frame)
     from svpipe.corpus import load_corpus
 
     cfg = tmp_path / "small.cfg"
@@ -934,11 +934,73 @@ def test_training_stages_hold_their_matrices_once(tmp_path):
     n_frames = sum(u.features.shape[0] for u in train)
     dim = train[0].features.shape[1]
     frame_bytes = 8 * n_frames * dim
-    assert _traced_peak([*argv, "train-ubm"]) < 5.5 * frame_bytes
+    assert _traced_peak([*argv, "train-ubm"]) < 4.2 * frame_bytes
     f2s_bytes = 8 * n_frames * (
         dim * values.get("frontend.n_dct") + values.get("ubm.components")
     )
     assert _traced_peak([*argv, "train-f2s"]) < 2.6 * f2s_bytes
+    # extract-stats holds one utterance's features at a time next to the
+    # statistics it fills: past those, its peak does not grow with the corpus
+    # (measured: +25 KB from 20 to 80 utterances, +5.9 MB when every
+    # utterance's features stay held)
+    excess = []
+    for speakers in (10, 40):
+        argv = ["--config", str(_scaled_config(tmp_path, speakers))]
+        assert cli.main([*argv, "synth-data"]) == 0
+        assert cli.main([*argv, "train-ubm"]) == 0
+        n_utts = 2 * speakers
+        stats_bytes = 8 * n_utts * values.get("ubm.components") * (SCALED_DIM + 1)
+        excess.append(_traced_peak([*argv, "extract-stats"]) - stats_bytes)
+    assert excess[1] - excess[0] < 2 * SCALED_UTTERANCE_BYTES
+
+
+# SMALL_CONFIG with two long 20-dimensional utterances per speaker, so that a
+# few utterances' features outweigh what a stage's index and trial lists add
+# per utterance
+SCALED_DIM, SCALED_FRAMES = 20, 800
+SCALED_UTTERANCE_BYTES = 8 * SCALED_FRAMES * SCALED_DIM  # one utterance's float64 features
+
+
+def _scaled_config(tmp_path, speakers):
+    cfg = tmp_path / f"scaled{speakers}.cfg"
+    cfg.write_text(
+        SMALL_CONFIG.format(workdir=tmp_path / f"scaled{speakers}")
+        + f"corpus.speakers={speakers}\ncorpus.utts=2\ncorpus.dim={SCALED_DIM}\n"
+        + f"corpus.min_frames={SCALED_FRAMES // 2}\ncorpus.max_frames={SCALED_FRAMES}\n"
+    )
+    return cfg
+
+
+def test_synth_data_writes_each_utterance_as_it_is_generated(tmp_path):
+    # the peak holds one utterance's generation, not the corpus: 10 against
+    # 40 speakers (20 against 80 utterances) adds only the index and the
+    # trial lists (measured: +50 KB, and +5.9 MB when the whole corpus was
+    # generated before any file was written)
+    configs = [_scaled_config(tmp_path, speakers) for speakers in (10, 10, 40)]
+    # the first run warms imports and caches
+    peaks = [_traced_peak(["--config", str(cfg), "synth-data"]) for cfg in configs]
+    assert peaks[2] - peaks[1] < 2 * SCALED_UTTERANCE_BYTES
+
+
+def test_synth_data_writes_the_in_memory_corpus(tmp_path):
+    from svpipe import corpus, recipe
+
+    path = _scaled_config(tmp_path, 10)
+    assert cli.main(["--config", str(path), "synth-data"]) == 0
+    cfg = cli.Config(cli.load_config(path))
+    in_memory = recipe.synth_corpus(cfg)
+    corpus.save_corpus(in_memory.utterances, tmp_path / "saved", in_memory.frame_rate_hz)
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    written = files(cfg.path("corpus"))
+    assert len(written) == 1 + len(in_memory.utterances)
+    assert written == files(tmp_path / "saved")
+    for split in ("dev", "eval"):
+        trials = tmp_path / f"trials_{split}.txt"
+        corpus.write_trial_list(trials, corpus.make_trials(in_memory, split))
+        assert cfg.path(trials.name).read_bytes() == trials.read_bytes()
 
 
 def test_unparsable_config_value_exit_code(tmp_path):

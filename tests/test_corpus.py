@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def test_pure_speaker_signal_when_noise_and_channel_zero():
 
 
 def test_corpus_save_load_roundtrip(tmp_path, small_corpus):
-    corpus.save_corpus(small_corpus, tmp_path / "c")
+    corpus.save_corpus(small_corpus.utterances, tmp_path / "c", small_corpus.frame_rate_hz)
     back = corpus.load_corpus(tmp_path / "c")
     assert back.frame_rate_hz == small_corpus.frame_rate_hz
     assert len(back.utterances) == len(small_corpus.utterances)
@@ -123,7 +124,7 @@ def test_score_file_non_utf8_is_format_error(tmp_path):
 
 
 def test_corpus_index_non_utf8_is_format_error(tmp_path, small_corpus):
-    corpus.save_corpus(small_corpus, tmp_path / "c")
+    corpus.save_corpus(small_corpus.utterances, tmp_path / "c", small_corpus.frame_rate_hz)
     index = tmp_path / "c" / "corpus.tsv"
     index.write_bytes(index.read_bytes() + b"\xfe\tspk\ttrain\n")
     with pytest.raises(FormatError, match="corpus.tsv"):
@@ -144,7 +145,7 @@ def test_corpus_index_non_utf8_is_format_error(tmp_path, small_corpus):
     ],
 )
 def test_corpus_index_bad_line_is_format_error(tmp_path, small_corpus, line):
-    corpus.save_corpus(small_corpus, tmp_path / "c")
+    corpus.save_corpus(small_corpus.utterances, tmp_path / "c", small_corpus.frame_rate_hz)
     index = tmp_path / "c" / "corpus.tsv"
     index.write_text(index.read_text() + line + "\n")
     n_lines = len(index.read_text().splitlines())
@@ -153,7 +154,7 @@ def test_corpus_index_bad_line_is_format_error(tmp_path, small_corpus, line):
 
 
 def test_load_corpus_reads_each_feature_file_on_first_use(tmp_path, small_corpus, monkeypatch):
-    corpus.save_corpus(small_corpus, tmp_path / "c")
+    corpus.save_corpus(small_corpus.utterances, tmp_path / "c", small_corpus.frame_rate_hz)
     reads = []
     read_features = corpus.read_features
     monkeypatch.setattr(corpus, "read_features", lambda path: reads.append(path) or read_features(path))
@@ -166,8 +167,22 @@ def test_load_corpus_reads_each_feature_file_on_first_use(tmp_path, small_corpus
     assert first.dtype == np.float64
 
 
+def test_loaded_utterance_frees_its_matrix_when_dropped(tmp_path, small_corpus, monkeypatch):
+    corpus.save_corpus(small_corpus.utterances, tmp_path / "c", small_corpus.frame_rate_hz)
+    reads = []
+    read_features = corpus.read_features
+    monkeypatch.setattr(corpus, "read_features", lambda path: reads.append(path) or read_features(path))
+    utt = corpus.load_corpus(tmp_path / "c").utterances[3]
+    want = small_corpus.utterances[3].features
+    assert utt.n_frames == want.shape[0] and reads == []  # from the header
+    freed = []
+    weakref.finalize(utt.features, freed.append, "freed")
+    assert freed == ["freed"] and len(reads) == 1
+    assert np.array_equal(utt.features, want) and len(reads) == 2
+
+
 def test_malformed_feature_file_fails_on_first_use(tmp_path, small_corpus):
-    corpus.save_corpus(small_corpus, tmp_path / "c")
+    corpus.save_corpus(small_corpus.utterances, tmp_path / "c", small_corpus.frame_rate_hz)
     uid = small_corpus.utterances[1].uid
     (tmp_path / "c" / "features" / f"{uid}.svf").write_bytes(b"SVF1garbage")
     back = corpus.load_corpus(tmp_path / "c")

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import assert_close_to_max
 from svpipe import gmm, recipe
@@ -201,6 +204,31 @@ def test_e_step_holds_one_block_of_posteriors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # frames.var makes one input-sized temporary; past it the E-step holds one
-    # 512 x 64 block of posteriors (256 KB) and a few temporaries of that size
-    assert peak < frames.nbytes + 4 * 2**20
+    # past its input, train_ubm holds one 512 x 64 block of posteriors
+    # (256 KB) and a few temporaries of that size, the initial variance
+    # included (measured: 0.89 MB; 32.07 MB when frames.var made an
+    # input-sized temporary)
+    assert peak < 8 * 8 * gmm._E_STEP_ENTRIES
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_blocked_variance_is_numpys_bit_for_bit(data):
+    rows = data.draw(st.integers(1, 70), label="rows")
+    # one frame, fewer than one block, and one past a whole number of blocks
+    past_blocks = rows * data.draw(st.integers(1, 4)) + 1
+    n_frames = data.draw(st.sampled_from([1, max(1, rows - 1), past_blocks]), label="n_frames")
+    dim = data.draw(st.integers(1, 5), label="dim")
+    frames = data.draw(
+        arrays(np.float64, (n_frames, dim), elements=st.floats(-1e6, 1e6)), label="frames"
+    )
+    assert gmm._column_var(frames, rows).tobytes() == frames.var(axis=0).tobytes()
+
+
+def test_initial_variances_are_numpys_bit_for_bit():
+    # desk-sized frames, one past 96 blocks of 1,024 rows (C = 32)
+    frames = 3.0 * np.random.default_rng(10).standard_normal((96 * 1024 + 1, 20)) + 1.5
+    floor = np.maximum(1e-3 * frames.var(axis=0), 1e-12)
+    model, _ = gmm.train_ubm(frames, 32, n_iters=0, floor_frac=1e-3, seed=0)
+    want = np.tile(np.maximum(frames.var(axis=0), floor), (32, 1))
+    assert model.vars.tobytes() == want.tobytes()

@@ -106,3 +106,19 @@ def test_times_orders_its_rows_by_the_chain(tmp_path, capsys):
 
 def test_chain_without_arguments_exits_2():
     assert subprocess.run([sys.executable, str(TOOL)], capture_output=True).returncode == 2
+
+
+def test_times_groups_symlinked_runs_by_the_path_given(tmp_path, capsys):
+    # parent/r1 and change/r1 link to sibling runs of one directory; each
+    # still counts under the group its given path names
+    for run, wall in (("a", 1.0), ("b", 2.0)):
+        (tmp_path / "runs" / run / "logs").mkdir(parents=True)
+        (tmp_path / "runs" / run / "logs" / "train-ubm.log").write_text(
+            f"stage train-ubm done: {wall} s wall, 0.5 s cpu, peak rss 64.0 MB\n")
+    for group, run in (("parent", "a"), ("change", "b")):
+        (tmp_path / group).mkdir()
+        (tmp_path / group / "r1").symlink_to(tmp_path / "runs" / run)
+    assert chain.main(["times", str(tmp_path / "parent" / "r1"), str(tmp_path / "change" / "r1")]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert rows[0][1::4] == ["parent wall_s", "change wall_s"]
+    assert rows[1] == ["train-ubm", "1.00", "0.50", "64.0", "1", "2.00", "0.50", "64.0", "1"]

@@ -21,7 +21,8 @@ the exit status is 1 if anything differs, as diff(1)'s is.
 times: the "stage ... done: <wall> s wall, <cpu> s cpu, peak rss <MB> MB" line
 that ends each stage log, as each group's medians and run count, one row per
 log in chain order (score and eval logs last, by name). Run dirs are grouped by
-their parent directory's name, e.g. parent/r1 parent/r2 change/r1 change/r2.
+their parent directory's name, e.g. parent/r1 parent/r2 change/r1 change/r2, as
+given (made absolute, symlinks not followed).
 """
 
 import argparse
@@ -178,7 +179,7 @@ def medians(runs):
 def times(run_dirs):
     groups = {}
     for run_dir in run_dirs:
-        groups.setdefault(Path(run_dir).resolve().parent.name, []).append(read_run(run_dir))
+        groups.setdefault(Path(os.path.abspath(run_dir)).parent.name, []).append(read_run(run_dir))
     tables = {group: medians(runs) for group, runs in groups.items()}
     names = list(dict.fromkeys(name for table in tables.values() for name in table))
     header = ["stage"] + [
