@@ -61,6 +61,12 @@ class DpldaParams:
         """[lam, gamma, c, k] as arrays; DpldaParams(*p) rebuilds them."""
         return [self.lam, self.gamma, self.c, np.asarray(self.k, dtype=np.float64)]
 
+    def set_parameters(self, params):
+        """Install [lam, gamma, c, k] of this backend's shapes, symmetrizing lam and gamma."""
+        if [np.shape(p) for p in params] != [np.shape(p) for p in self.parameters()]:
+            raise ShapeError("scoring parameters do not match the backend's shapes")
+        vars(self).update(vars(DpldaParams(*params)))
+
 
 def score_pairs(params: DpldaParams, enroll, test):
     """Vectorized scores for row-aligned enrollment/test matrices."""

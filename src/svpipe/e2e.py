@@ -4,12 +4,14 @@ The scoring path is features -> normalization/context expansion -> statistics
 network -> MAP supervector -> fixed PCA -> embedding network -> quadratic
 trial scoring. Its embedding half, pca_coords then embed_coords, runs one
 utterance at a time and is the only inference path: scoring, the cascade
-backend and the dev pass of joint training all see the same bits. Joint
-training repeats train_step, one Adam step on the prior-weighted
-cross-entropy of a sampled trial batch, pulled toward the anchor (the
-assembled system's starting trainable parameters) with the schedule's
-anchor_weight, halving the learning rate when the dev-set cost stops
-improving and returning the best-on-dev parameters.
+backend and the dev pass of joint training all see the same bits. The
+trained groups are the fields GROUPS names, stats_net, ivec_net and dplda:
+joint training trains the last two, e2e training all three. Both repeat
+train_step, one Adam step of those groups on the prior-weighted
+cross-entropy of a sampled trial batch, pulled toward the same groups of
+the anchor (copies of the assembled system's starting groups) with the
+schedule's anchor_weight, halving the learning rate when the dev-set cost
+stops improving and returning the best-on-dev parameters.
 
 Both networks are netcore.Mlps. checkpointed_grads is the only backward
 pass through the system: the batch keeps each utterance's frontend output
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -33,8 +36,8 @@ from .corpus import Corpus
 from .dplda import DpldaParams, TrialBatch, bxe_objective, pair_batches
 from .errors import ConfigError, InputError, ShapeError
 from .frontend import context_expand, stmvn
-from .gmm import DiagGmm, sufficient_stats
-from .ivecnet import IvecNet, PcaModel, map_supervectors, pca_project
+from .gmm import DiagGmm
+from .ivecnet import IvecNet, PcaModel, map_supervectors, map_supervectors_backward, pca_project
 from .metrics import ScoredTrials, c_primary, eer
 from .statsnet import StatsNet, pooled_stats, pooled_stats_backward
 
@@ -49,13 +52,42 @@ class FrontendConfig:
     n_dct: int
 
 
+GROUPS = ("stats_net", "ivec_net", "dplda")
+
+
+class _Groups:
+    """The trained groups, GROUPS, each a field with parameters() and set_parameters()."""
+
+    def parameters(self, groups=GROUPS):
+        """Flat list of the named groups' parameters, group by group in the order given."""
+        return [p for group in groups for p in getattr(self, group).parameters()]
+
+    def set_parameters(self, groups, params):
+        """Install params, which must match parameters(groups) in count and shapes."""
+        if [np.shape(p) for p in params] != [np.shape(p) for p in self.parameters(groups)]:
+            raise ShapeError(f"the parameters do not fit the groups {groups}")
+        rest = iter(params)
+        for group in groups:
+            part = getattr(self, group)
+            part.set_parameters(list(islice(rest, len(part.parameters()))))
+
+
 @dataclass
-class E2eSystem:
+class Anchor(_Groups):
+    """Copies of the trained groups that joint and e2e training pull toward."""
+
+    stats_net: StatsNet
+    ivec_net: IvecNet
+    dplda: DpldaParams
+
+
+@dataclass
+class E2eSystem(_Groups):
     """All stages wired together; pca and the MAP prior stay frozen.
 
-    anchor holds copies of the starting trainable parameters, in
-    trainable_parameters() order, that joint and e2e training pull toward;
-    it must match them in count and shape.
+    The trained groups are stats_net, ivec_net and dplda. anchor holds a
+    copy of each, the parameters joint and e2e training pull toward; every
+    anchor group must match its live group in parameter count and shape.
     """
 
     frontend: FrontendConfig
@@ -65,55 +97,30 @@ class E2eSystem:
     pca: PcaModel
     ivec_net: IvecNet
     dplda: DpldaParams
-    anchor: list[np.ndarray]
+    anchor: Anchor
 
     def __post_init__(self):
-        params = self.trainable_parameters()
-        if len(self.anchor) != len(params):
-            raise ShapeError(f"anchor holds {len(self.anchor)} arrays for {len(params)} groups")
-        for i, (a, p) in enumerate(zip(self.anchor, params)):
-            if np.shape(a) != np.shape(p):
-                raise ShapeError(f"anchor.{i} has shape {np.shape(a)}, not {np.shape(p)}")
-
-    @property
-    def n_stats_params(self):
-        return 2 * len(self.stats_net.layers)
-
-    @property
-    def n_ivec_params(self):
-        return 2 * len(self.ivec_net.layers)
-
-    def trainable_parameters(self):
-        """Flat list: statistics net, embedding net, then (lam, gamma, c, k)."""
-        return (
-            self.stats_net.parameters()
-            + self.ivec_net.parameters()
-            + self.dplda.parameters()
-        )
-
-    def set_trainable_parameters(self, params):
-        n_s, n_i = self.n_stats_params, self.n_ivec_params
-        if len(params) != n_s + n_i + 4:
-            raise ShapeError("trainable parameter list has the wrong length")
-        self.stats_net.set_parameters(params[:n_s])
-        self.ivec_net.set_parameters(params[n_s : n_s + n_i])
-        self.dplda = DpldaParams(*params[n_s + n_i :])
+        for group in GROUPS:
+            live = [np.shape(p) for p in self.parameters((group,))]
+            anchored = [np.shape(p) for p in self.anchor.parameters((group,))]
+            if anchored != live:
+                raise ShapeError(f"anchor.{group} has parameter shapes {anchored}, not {live}")
 
     def freeze_anchor(self):
-        """Make copies of the current trainable parameters the anchor."""
-        self.anchor = [p.copy() for p in self.trainable_parameters()]
+        """Make copies of the current trained groups the anchor."""
+        self.anchor = Anchor(self.stats_net.copy(), self.ivec_net.copy(), self.dplda.copy())
 
 
 def assemble_system(frontend, stats_net, ubm, pca, ivec_net, dplda, relevance) -> E2eSystem:
     """Wire copies of the individually trained stages together.
 
     Training the system never changes the caller's networks or backend. Its
-    anchor is a copy of the starting trainable parameters.
+    anchor is a copy of the starting trained groups.
     """
-    stats_net, ivec_net, dplda = stats_net.copy(), ivec_net.copy(), dplda.copy()
-    params = stats_net.parameters() + ivec_net.parameters() + dplda.parameters()
-    anchor = [p.copy() for p in params]
-    return E2eSystem(frontend, relevance, stats_net, ubm, pca, ivec_net, dplda, anchor)
+    anchor = Anchor(stats_net.copy(), ivec_net.copy(), dplda.copy())
+    return E2eSystem(
+        frontend, relevance, stats_net.copy(), ubm, pca, ivec_net.copy(), dplda.copy(), anchor
+    )
 
 
 def preprocess(system: E2eSystem, features):
@@ -145,9 +152,7 @@ def embed_coords(system: E2eSystem, coords):
     """Unit-norm embeddings of (U, P) PCA coordinates, one row at a time."""
     if len(coords) == 0:
         raise InputError("no PCA coordinates to embed")
-    return np.stack(
-        [netcore.forward(system.ivec_net, row[None, :])[-1][0] for row in coords]
-    )
+    return np.stack([netcore.forward(system.ivec_net, row[None, :])[-1][0] for row in coords])
 
 
 def embed_utterance(system: E2eSystem, features):
@@ -159,40 +164,24 @@ def checkpointed_grads(system, features_list, loss_fn):
     """Gradients with per-utterance recomputation of frame-level activations.
 
     loss_fn maps the (U, R') embedding matrix to (loss, d_embeddings).
-    Returns (loss, grads) with grads aligned to the statistics-net plus
-    embedding-net parameters. The arithmetic is that of a full-graph pass;
-    only one utterance's statistics-network activations are live at any
-    time.
+    Returns (loss, grads) with grads aligned to
+    system.parameters(("stats_net", "ivec_net")). The arithmetic is that of
+    a full-graph pass; only one utterance's statistics-network activations
+    are live at any time.
     """
     if not features_list:
         raise InputError("empty utterance batch")
     net = system.stats_net
-    n = np.empty((len(features_list), system.ubm.n_components))
-    f = np.empty((len(features_list), system.ubm.n_components, system.ubm.dim))
-    norms = []
-    expanded_list = []
-    for u, features in enumerate(features_list):
-        norm, expanded = preprocess(system, features)
-        n[u], f[u] = sufficient_stats(netcore.forward(net, expanded)[-1], norm)
-        norms.append(norm)
-        expanded_list.append(expanded)
-
+    inputs = [preprocess(system, features) for features in features_list]
+    n, f = map(np.stack, zip(*[pooled_stats(net, expanded, norm) for norm, expanded in inputs]))
     supervectors = map_supervectors(system.ubm, n, f, system.relevance)
-    coords = pca_project(system.pca, supervectors)
-    ivec_acts = netcore.forward(system.ivec_net, coords)
+    ivec_acts = netcore.forward(system.ivec_net, pca_project(system.pca, supervectors))
     loss, d_emb = loss_fn(ivec_acts[-1])
     ivec_grads, d_coords = netcore.backward(system.ivec_net, ivec_acts, d_emb)
-
-    # adjoint of the MAP supervectors (f + r m) / (n + r), every utterance at once
-    d_sv = (d_coords @ system.pca.basis.T).reshape(f.shape)
-    denom = n + system.relevance
-    d_f = d_sv / denom[:, :, None]
-    d_n = -(d_sv * supervectors.reshape(f.shape)).sum(axis=2) / denom
+    d_n, d_f = map_supervectors_backward(system.pca, n, supervectors, system.relevance, d_coords)
     stats_grads = [np.zeros_like(p) for p in net.parameters()]
-    for u in range(len(features_list)):
-        acts = netcore.forward(net, expanded_list[u])
-        grads_u = pooled_stats_backward(net, acts, norms[u], d_n[u], d_f[u])
-        del acts
+    for (norm, expanded), dn, df in zip(inputs, d_n, d_f):
+        grads_u = pooled_stats_backward(net, netcore.forward(net, expanded), norm, dn, df)
         for g, gu in zip(stats_grads, grads_u):
             g += gu
     return loss, stats_grads + ivec_grads
@@ -250,26 +239,25 @@ def train_joint_s2i_dplda(system: E2eSystem, corpus: Corpus, schedule, rng, *, t
     as a candidate).
     """
     return _train_jointly(
-        system, corpus, schedule, rng, train_stats_net=False, train_coords=train_coords
+        system, corpus, schedule, rng, ("ivec_net", "dplda"), train_coords=train_coords
     )
 
 
 def train_e2e_full(system: E2eSystem, corpus: Corpus, schedule, rng):
     """Train all three stages jointly with checkpointed backpropagation."""
-    return _train_jointly(system, corpus, schedule, rng, train_stats_net=True)
+    return _train_jointly(system, corpus, schedule, rng, GROUPS)
 
 
-def train_step(system, adam, schedule, inputs, speakers, train_stats_net):
-    """One Adam step on all trials among a batch, pulled toward the anchor.
+def train_step(system, adam, schedule, inputs, speakers, groups):
+    """One Adam step of the named groups on all trials among a batch, pulled toward the anchor.
 
-    inputs are the batch's features if the statistics network is trained,
-    else their PCA coordinates; a frozen network is neither stepped nor
-    pulled. The trained groups step on the prior-weighted cross-entropy plus
-    netcore.penalty_to_snapshot toward their slice of system.anchor. Returns
-    the loss plus the penalty, both at the parameters before the step.
+    groups is GROUPS, or ("ivec_net", "dplda") to keep the statistics network
+    frozen. inputs are the batch's features if that network is trained, else
+    their PCA coordinates. The trained groups step on the prior-weighted
+    cross-entropy plus netcore.penalty_to_snapshot toward their anchor
+    groups; the others are neither stepped nor pulled. Returns the loss plus
+    the penalty, both at the parameters before the step.
     """
-    n_skip = 0 if train_stats_net else system.n_stats_params
-    trained = system.trainable_parameters()
     backend_grads = None
 
     def loss_fn(embeddings):
@@ -278,23 +266,23 @@ def train_step(system, adam, schedule, inputs, speakers, train_stats_net):
         loss, backend_grads, d_emb = bxe_objective(system.dplda, batch, schedule.p_target)
         return loss, d_emb
 
-    if train_stats_net:
+    if "stats_net" in groups:
         loss, net_grads = checkpointed_grads(system, inputs, loss_fn)
     else:
         acts = netcore.forward(system.ivec_net, inputs)
         loss, d_emb = loss_fn(acts[-1])
         net_grads, _ = netcore.backward(system.ivec_net, acts, d_emb, input_grad=False)
-    params = trained[n_skip:]
+    params = system.parameters(groups)
     penalty, pen_grads = netcore.penalty_to_snapshot(
-        params, system.anchor[n_skip:], schedule.anchor_weight
+        params, system.anchor.parameters(groups), schedule.anchor_weight
     )
     grads = [g + pg for g, pg in zip(net_grads + backend_grads.parameters(), pen_grads)]
-    system.set_trainable_parameters(trained[:n_skip] + netcore.adam_step(adam, params, grads))
+    system.set_parameters(groups, netcore.adam_step(adam, params, grads))
     return loss + penalty
 
 
-def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=None):
-    """train_step on sampled trial batches, keeping the best on dev.
+def _train_jointly(system, corpus, schedule, rng, groups, train_coords=None):
+    """train_step of the named groups on sampled trial batches, keeping the best on dev.
 
     A frozen statistics network only feeds fixed inputs to the embedding
     network: the caller hands in the train PCA coordinates, the dev ones
@@ -306,6 +294,7 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
     train, dev = corpus.require("train"), corpus.require("dev")
     train_speakers = np.array([u.speaker for u in train])
     dev_speakers = np.array([u.speaker for u in dev])
+    train_stats_net = "stats_net" in groups
     if train_stats_net:
         train_feats = [u.features for u in train]
         dev_feats = [u.features for u in dev]
@@ -319,17 +308,16 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         return embed_coords(system, coords)
 
     batches = pair_batches(train_speakers, schedule.n_pairs, rng)
-    n_skip = 0 if train_stats_net else system.n_stats_params
-    adam = netcore.AdamState.create(system.trainable_parameters()[n_skip:], lr=schedule.lr)
+    adam = netcore.AdamState.create(system.parameters(groups), lr=schedule.lr)
 
     def batch_step():
         idx = next(batches)
         inputs = [train_feats[i] for i in idx] if train_stats_net else train_coords[idx]
-        return train_step(system, adam, schedule, inputs, train_speakers[idx], train_stats_net)
+        return train_step(system, adam, schedule, inputs, train_speakers[idx], groups)
 
     init_eer, best_c = _dev_metrics(dev_embeddings(), dev_speakers, system.dplda)
     best_epoch = 0
-    best_params = [p.copy() for p in system.trainable_parameters()]
+    best_params = [p.copy() for p in system.parameters(groups)]
     history = [EpochRecord(0, np.nan, init_eer, best_c, schedule.lr)]
     dev_curve = [best_c]
     for epoch in range(1, schedule.max_epochs + 1):
@@ -342,8 +330,8 @@ def _train_jointly(system, corpus, schedule, rng, train_stats_net, train_coords=
         logger.info("%s", format_epoch_log(record))
         if dev_c < best_c:
             best_epoch, best_c = epoch, dev_c
-            best_params = [p.copy() for p in system.trainable_parameters()]
+            best_params = [p.copy() for p in system.parameters(groups)]
     kept = f"epoch {best_epoch}" if best_epoch else "the initialization (epoch 0)"
     logger.info("kept %s: dev C_primary %.6f", kept, best_c)
-    system.set_trainable_parameters(best_params)
+    system.set_parameters(groups, best_params)
     return system, history

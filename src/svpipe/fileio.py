@@ -15,7 +15,7 @@ value among the choices (a layer's activation: 0 linear, 1 sigmoid, 2 tanh,
 3 softmax, 4 lengthnorm). A dataclass nests under "<field>.". A list[X] is
 its length n_<field>, then element i as "<field>.<i>" (an array) or under
 "<field>.<i>." (a dataclass): a network's n_layers and layers.<i>.weight,
-system.svm's n_anchor and anchor.<i>. read_container returns a Container,
+system.svm's anchor.ivec_net.layers.<i>.weight. read_container returns a Container,
 whose lookup of a missing name is a FormatError naming the file and the
 tensor, as are a non-integral count and an out-of-range Literal code, so a
 model file of the wrong kind or from another corpus fails as a format error.

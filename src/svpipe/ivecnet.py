@@ -35,6 +35,18 @@ def map_supervectors(ubm: DiagGmm, n, f, relevance):
     return adapted.reshape(n.shape[0], -1)
 
 
+def map_supervectors_backward(pca, n, supervectors, relevance, d_coords):
+    """Adjoint of pca_project after map_supervectors: (d_n (M, C), d_f (M, C, D)).
+
+    supervectors are map_supervectors' rows for the counts n and d_coords
+    (M, P) the loss gradient at their PCA coordinates.
+    """
+    d_sv = (d_coords @ pca.basis.T).reshape(n.shape + (-1,))
+    denom = n + relevance
+    d_n = -(d_sv * supervectors.reshape(d_sv.shape)).sum(axis=2) / denom
+    return d_n, d_sv / denom[:, :, None]
+
+
 @dataclass
 class PcaModel:
     mean: np.ndarray  # (C*D,)
@@ -60,8 +72,7 @@ def fit_pca(supervectors, n_dims) -> PcaModel:
         gram = centered @ centered.T
         eigvals, eigvecs = np.linalg.eigh(gram)
         order = np.argsort(eigvals)[::-1][:n_dims]
-        eigvals = np.maximum(eigvals[order], 0.0)
-        scale = np.sqrt(np.maximum(eigvals, 1e-300))
+        scale = np.sqrt(np.maximum(eigvals[order], 1e-300))
         basis = centered.T @ (eigvecs[:, order] / scale)
     else:
         cov = centered.T @ centered

@@ -90,17 +90,12 @@ class Mlp:
 
     def parameters(self):
         """Flat parameter list [W0, b0, W1, b1, ...] (references, not copies)."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weight)
-            out.append(layer.bias)
-        return out
+        return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
     def set_parameters(self, params):
         if len(params) != 2 * len(self.layers):
             raise ShapeError("parameter list length does not match the network")
-        for i, layer in enumerate(self.layers):
-            w, b = params[2 * i], params[2 * i + 1]
+        for i, (layer, w, b) in enumerate(zip(self.layers, params[::2], params[1::2])):
             if w.shape != layer.weight.shape or b.shape != layer.bias.shape:
                 raise ShapeError(f"layer {i}: parameter shape mismatch")
             layer.weight = np.asarray(w, dtype=np.float64)

@@ -58,8 +58,8 @@ def full_graph_grads(system, features_list, loss_fn):
 
     Keeps every utterance's statistics-network activations from the forward
     pass and backpropagates through them, with the pooling and MAP adjoints
-    written out here. Returns (loss, grads) aligned to the statistics-net
-    plus embedding-net parameters.
+    written out here. Returns (loss, grads) aligned to
+    system.parameters(("stats_net", "ivec_net")).
     """
     fc = system.frontend
     norms, caches = [], []

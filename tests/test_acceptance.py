@@ -289,6 +289,22 @@ def test_criterion_3_gradient_suite():
         for p, g in zip(snet.parameters(), grads):
             worst = max(worst, max_rel_err(g, finite_difference(stats_loss, p), floor=1e-6))
 
+        # MAP supervectors and their PCA coordinates, back to the statistics
+        ubm = gmm.DiagGmm(np.full(4, 0.25), rng.standard_normal((4, 2)), rng.random((4, 2)) + 0.5)
+        pca = ivecnet.PcaModel(rng.standard_normal(8), np.linalg.qr(rng.standard_normal((8, 5)))[0])
+        n = 10.0 * rng.random((3, 4))
+        f = rng.standard_normal((3, 4, 2))
+        d_coords = rng.standard_normal((3, 5))
+
+        def map_loss():
+            coords = ivecnet.pca_project(pca, ivecnet.map_supervectors(ubm, n, f, 4.0))
+            return float((coords * d_coords).sum())
+
+        supervectors = ivecnet.map_supervectors(ubm, n, f, 4.0)
+        d_n, d_f = ivecnet.map_supervectors_backward(pca, n, supervectors, 4.0, d_coords)
+        for p, g in ((n, d_n), (f, d_f)):
+            worst = max(worst, max_rel_err(g, finite_difference(map_loss, p), floor=1e-6))
+
         # cosine objective through the embedding net
         ivnet = ivecnet.make_ivec_net(6, 4, hidden=(5,), seed=2)
         inputs = rng.standard_normal((8, 6))
@@ -428,14 +444,14 @@ def test_criterion_7_directional_reproduction(desk_chains):
         train = r["corpus"].split("train")
         speakers = np.array([u.speaker for u in train])
         coords = e2e.pca_coords(system, [u.features for u in train])
-        n_stats = system.n_stats_params
-        adam = netcore.AdamState.create(system.trainable_parameters()[n_stats:], lr=schedule.lr)
+        groups = ("ivec_net", "dplda")
+        adam = netcore.AdamState.create(system.parameters(groups), lr=schedule.lr)
         batches = dplda.pair_batches(speakers, schedule.n_pairs, np.random.default_rng(0))
         drift = 0.0
         for _ in range(20):
             idx = next(batches)
-            e2e.train_step(system, adam, schedule, coords[idx], speakers[idx], False)
-            live = zip(system.trainable_parameters(), system.anchor)
+            e2e.train_step(system, adam, schedule, coords[idx], speakers[idx], groups)
+            live = zip(system.parameters(), system.anchor.parameters(), strict=True)
             drift = max(drift, *(float(np.abs(p - p0).max()) for p, p0 in live))
         print(f"  snapshot pull: max live parameter drift over 20 steps = {drift:.2e}")
         assert drift < 1e-3

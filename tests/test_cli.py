@@ -132,7 +132,7 @@ def test_e2e_keeps_the_joint_anchor_with_its_own_lambda(workdir, tmp_path, monke
     # joint.lambda_init's default, and dplda.l2's for the full-batch cascade backend
     assert set(joint_weights) == {1e-2, 1e-3}
     assert weights and set(weights) == {0.25}
-    for before, after in zip(joint, anchor, strict=True):
+    for before, after in zip(joint.parameters(), anchor.parameters(), strict=True):
         assert np.array_equal(before, after)
 
 
@@ -193,7 +193,7 @@ def test_joint_init_without_fullbatch_is_the_plda_conversion(workdir, tmp_path):
     _, _, embeddings = recipe.assemble_cascade(values, *models, train, corpus.frame_rate_hz)
     model, _ = recipe.train_plda(values, embeddings, [u.speaker for u in train])
     expected = to_tensors(plda.to_dplda(model), "dplda.")
-    anchor = from_tensors(e2e.E2eSystem, written["false"]).anchor[-4:]
+    anchor = from_tensors(e2e.E2eSystem, written["false"]).anchor.parameters(("dplda",))
     for (name, value), anchored in zip(expected.items(), anchor, strict=True):
         assert np.array_equal(written["false"][name], value), name
         assert np.array_equal(anchored, value), name
@@ -539,52 +539,54 @@ def test_swapped_network_file_exit_code(workdir, tmp_path, model, other, stage, 
 
 @pytest.mark.parametrize("stage", ["train-e2e", "score"])
 def test_system_without_anchor_exit_code(workdir, tmp_path, stage):
-    # a system.svm whose anchor is stored under other names (the earlier
-    # snapshot.values.<i> with its snapshot.weights) is a format error
-    from svpipe.fileio import read_container, write_container
+    # a system.svm whose anchor is stored in the earlier flat layout (n_anchor,
+    # then anchor.<i> in stats_net, ivec_net, dplda order) is a format error
+    from svpipe.e2e import Anchor
+    from svpipe.fileio import from_tensors, read_container, write_container
 
     root, cfg = workdir
     work = tmp_path / "work"
     shutil.copytree(root / "work", work)
     path = work / "system.svm"
     tensors = dict(read_container(path))
-    n_groups = sum(name.startswith("anchor.") for name in tensors)
-    tensors["snapshot.weights"] = np.full(n_groups, 1e-2)
-    for i in range(n_groups):
-        tensors[f"snapshot.values.{i}"] = tensors.pop(f"anchor.{i}")
+    flat = from_tensors(Anchor, tensors, "anchor.").parameters()
+    tensors = {name: t for name, t in tensors.items() if not name.startswith("anchor.")}
+    tensors["n_anchor"] = np.float64(len(flat))
+    tensors.update({f"anchor.{i}": p for i, p in enumerate(flat)})
     write_container(path, tensors)
     override_cfg = tmp_path / "override.cfg"
     override_cfg.write_text(cfg.read_text() + "score.backend=e2e\n")
     result = run_cli("--config", str(override_cfg), "--workdir", str(work), stage)
     assert result.returncode == 3, result.stderr
-    assert f"{path}: no tensor 'anchor.0'" in result.stderr
+    assert f"{path}: no tensor 'anchor.stats_net.n_layers'" in result.stderr
     assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("stage", ["train-e2e", "score"])
-@pytest.mark.parametrize("defect", ["n_anchor", "anchor.3"])
+@pytest.mark.parametrize("defect", ["one-layer-fewer", "narrow-weight"])
 def test_system_whose_anchor_disagrees_exit_code(workdir, tmp_path, stage, defect):
-    # the anchor must match the trainable parameters in count and shape
-    from svpipe.fileio import read_container, write_container
+    # each anchor group must match its live group in parameter count and shape
+    from svpipe.e2e import Anchor
+    from svpipe.fileio import from_tensors, read_container, to_tensors, write_container
 
     root, cfg = workdir
     work = tmp_path / "work"
     shutil.copytree(root / "work", work)
     path = work / "system.svm"
     tensors = dict(read_container(path))
-    n_groups = int(tensors["n_anchor"])
-    if defect == "n_anchor":
-        tensors["n_anchor"] -= 1
-        message = f"anchor holds {n_groups - 1} arrays for {n_groups} groups"
+    anchor = from_tensors(Anchor, tensors, "anchor.")
+    layers = anchor.ivec_net.layers
+    if defect == "one-layer-fewer":
+        del layers[0]  # the rest still chain and end in the length norm
     else:
-        tensors["anchor.3"] = tensors["anchor.3"][None]
-        message = "anchor.3 has shape (1, "
+        layers[0].weight = layers[0].weight[:, 1:]
+    tensors.update(to_tensors(anchor, "anchor."))
     write_container(path, tensors)
     override_cfg = tmp_path / "override.cfg"
     override_cfg.write_text(cfg.read_text() + "score.backend=e2e\n")
     result = run_cli("--config", str(override_cfg), "--workdir", str(work), stage)
     assert result.returncode == 3, result.stderr
-    assert f"{path}: {message}" in result.stderr
+    assert f"{path}: anchor.ivec_net has parameter shapes [" in result.stderr
     assert "Traceback" not in result.stderr
 
 

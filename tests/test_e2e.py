@@ -6,7 +6,7 @@ import pytest
 
 from conftest import dplda_score, full_graph_grads, live_activation_caches
 from svpipe import dplda, e2e, fileio, frontend, gmm, ivecnet, netcore, recipe, statsnet
-from svpipe.errors import InputError
+from svpipe.errors import InputError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +132,9 @@ def test_zero_loss_gives_zero_grads(tiny_system, small_corpus):
 
 
 def test_zero_weight_snapshot_penalty_is_exactly_zero(tiny_system):
-    params = tiny_system.trainable_parameters()
+    params = tiny_system.parameters()
     perturbed = [p + 1.0 for p in params]
-    penalty, grads = netcore.penalty_to_snapshot(perturbed, tiny_system.anchor, 0.0)
+    penalty, grads = netcore.penalty_to_snapshot(perturbed, tiny_system.anchor.parameters(), 0.0)
     assert penalty == 0.0
     for p, g in zip(perturbed, grads):
         assert np.array_equal(g, np.zeros_like(g))
@@ -154,7 +154,7 @@ def _trainer(name, train_coords):
 @pytest.mark.parametrize("trainer", TRAINERS)
 def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, train_coords, trainer):
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
-    before = [p.copy() for p in system.trainable_parameters()]
+    before = [p.copy() for p in system.parameters()]
     schedule = e2e.TrainSchedule(
         n_pairs=2, lr=0.0, epoch_batches=2, max_epochs=1,
         p_target=0.1,
@@ -162,7 +162,7 @@ def test_adam_lr_zero_leaves_system_unchanged(tiny_system, small_corpus, train_c
     )
     train = _trainer(trainer, train_coords)
     system, _ = train(system, small_corpus, schedule, np.random.default_rng(0))
-    after = system.trainable_parameters()
+    after = system.parameters()
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
 
@@ -222,8 +222,10 @@ def test_e2e_loss_decreases_over_fixed_batch(tiny_system, small_corpus):
     feats = [u.features for u in utts]
     speakers = np.array([u.speaker for u in utts])
     schedule = _step_schedule(lr=1e-3, anchor_weight=0.0)
-    adam = netcore.AdamState.create(system.trainable_parameters(), lr=schedule.lr)
-    losses = [e2e.train_step(system, adam, schedule, feats, speakers, True) for _ in range(50)]
+    adam = netcore.AdamState.create(system.parameters(), lr=schedule.lr)
+    losses = [
+        e2e.train_step(system, adam, schedule, feats, speakers, e2e.GROUPS) for _ in range(50)
+    ]
     assert losses[-1] < losses[0]
 
 
@@ -236,12 +238,12 @@ def test_snapshot_penalty_pins_live_parameters(tiny_system, small_corpus):
     feats = [u.features for u in utts]
     speakers = np.array([u.speaker for u in utts])
     schedule = _step_schedule(lr=1e-4, anchor_weight=1e6)
-    adam = netcore.AdamState.create(system.trainable_parameters(), lr=schedule.lr)
+    adam = netcore.AdamState.create(system.parameters(), lr=schedule.lr)
     for _ in range(15):
-        e2e.train_step(system, adam, schedule, feats, speakers, True)
+        e2e.train_step(system, adam, schedule, feats, speakers, e2e.GROUPS)
         drift = max(
             float(np.abs(p - p0).max())
-            for p, p0 in zip(system.trainable_parameters(), system.anchor)
+            for p, p0 in zip(system.parameters(), system.anchor.parameters(), strict=True)
         )
         assert drift < 1e-3
 
@@ -251,23 +253,25 @@ def test_frozen_train_step_moves_the_embedding_net_and_backend_only(tiny_system,
     # leaves that network's arrays as they were, and returns the batch loss
     # plus the pull of the trained groups, both before the step
     system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
-    system.anchor = [p + 0.01 for p in system.anchor]  # a pull that is not zero
+    groups = ("ivec_net", "dplda")
+    pulled = [p + 0.01 for p in system.anchor.parameters()]  # a pull that is not zero
+    system.anchor.set_parameters(e2e.GROUPS, pulled)
     train = small_corpus.split("train")
     utts = [train[i] for i in (0, 1, 6, 7, 12, 18)]
     coords = e2e.pca_coords(system, [u.features for u in utts])
     speakers = np.array([u.speaker for u in utts])
     schedule = _step_schedule(lr=1e-3, anchor_weight=0.5)
-    n_stats, n_ivec = system.n_stats_params, system.n_ivec_params
-    before = [p.copy() for p in system.trainable_parameters()]
+    before = {g: [p.copy() for p in system.parameters((g,))] for g in e2e.GROUPS}
     batch = dplda.TrialBatch.all_trials(netcore.forward(system.ivec_net, coords)[-1], speakers)
     loss, _, _ = dplda.bxe_objective(system.dplda, batch, schedule.p_target)
-    penalty, _ = netcore.penalty_to_snapshot(before[n_stats:], system.anchor[n_stats:], 0.5)
-    adam = netcore.AdamState.create(before[n_stats:], lr=schedule.lr)
-    assert e2e.train_step(system, adam, schedule, coords, speakers, False) == loss + penalty
-    after = system.trainable_parameters()
-    for b, a in zip(before[:n_stats], after[:n_stats], strict=True):
+    trained = before["ivec_net"] + before["dplda"]
+    penalty, _ = netcore.penalty_to_snapshot(trained, system.anchor.parameters(groups), 0.5)
+    adam = netcore.AdamState.create(trained, lr=schedule.lr)
+    assert e2e.train_step(system, adam, schedule, coords, speakers, groups) == loss + penalty
+    after = {g: system.parameters((g,)) for g in e2e.GROUPS}
+    for b, a in zip(before["stats_net"], after["stats_net"], strict=True):
         assert np.array_equal(b, a)
-    for group in (slice(n_stats, n_stats + n_ivec), slice(n_stats + n_ivec, None)):
+    for group in groups:
         assert not all(np.array_equal(b, a) for b, a in zip(before[group], after[group]))
 
 
@@ -346,10 +350,25 @@ def test_assemble_system_copies_the_networks(tiny_system):
         tiny_system.frontend, snet, tiny_system.ubm, tiny_system.pca, ivnet,
         tiny_system.dplda, tiny_system.relevance,
     )
-    system.set_trainable_parameters([p + 1.0 for p in system.trainable_parameters()])
+    system.set_parameters(e2e.GROUPS, [p + 1.0 for p in system.parameters()])
     after = snet.parameters() + ivnet.parameters()
     for b, a in zip(before, after, strict=True):
         assert np.array_equal(b, a)
+
+
+def test_set_parameters_rejects_a_list_that_does_not_fit_the_groups(tiny_system):
+    system = fileio.from_tensors(e2e.E2eSystem, fileio.to_tensors(tiny_system))
+    groups = ("ivec_net", "dplda")
+    params = [p.copy() for p in system.parameters(groups)]
+    narrow = [params[0][:, 1:], *params[1:]]  # the first embedding-net weight
+    wrong = [
+        params[:-1], params + params[-1:], narrow, system.parameters(), system.parameters(groups[:1])
+    ]
+    for bad in wrong:
+        with pytest.raises(ShapeError):
+            system.set_parameters(groups, bad)
+    for before, after in zip(params, system.parameters(groups), strict=True):
+        assert np.array_equal(before, after)
 
 
 def test_system_roundtrip_bit_exact(tiny_system, small_corpus, tmp_path):
@@ -359,7 +378,9 @@ def test_system_roundtrip_bit_exact(tiny_system, small_corpus, tmp_path):
     a = small_corpus.utterances[0].features
     b = small_corpus.utterances[5].features
     assert _score(tiny_system, a, b) == _score(back, a, b)
-    for pa, pb in zip(tiny_system.trainable_parameters(), back.trainable_parameters()):
+    for pa, pb in zip(tiny_system.parameters(), back.parameters(), strict=True):
+        assert np.array_equal(pa, pb)
+    for pa, pb in zip(tiny_system.anchor.parameters(), back.anchor.parameters(), strict=True):
         assert np.array_equal(pa, pb)
 
 

@@ -159,8 +159,9 @@ def _persisted_models():
         + ["ubm.weights", "ubm.means", "ubm.vars", "pca.mean", "pca.basis"]
         + _mlp_names("ivec_net.", 2)
         + ["dplda.lam", "dplda.gamma", "dplda.c", "dplda.k"]
-        + ["n_anchor"]
-        + [f"anchor.{i}" for i in range(12)]
+        + _mlp_names("anchor.stats_net.", 2)
+        + _mlp_names("anchor.ivec_net.", 2)
+        + ["anchor.dplda.lam", "anchor.dplda.gamma", "anchor.dplda.c", "anchor.dplda.k"]
     )
     return [
         (ubm, ["weights", "means", "vars"]),
